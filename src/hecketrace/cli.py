@@ -20,7 +20,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import suites, tensor
+from . import fqconv, suites, tensor
 from .hecke import check_partition, zeta_partition
 from .permutations import all_perms, format_perm
 from .report import all_passed, format_results
@@ -239,6 +239,7 @@ def cmd_verify(args) -> int:
         if args.n is not None or args.p is not None:
             if args.n is None or args.p is None:
                 raise ValueError("--n and --p must be given together")
+            fqconv.check_size(args.n, args.p)
             cases = ((args.n, args.p),)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -152,12 +152,10 @@ class HeckeElement:
             self.rank, {inverse(w): c for w, c in self.terms.items()}
         )
 
-    def transpose(self) -> "HeckeElement":
-        """The transposition: linear anti-automorphism fixing every
-        generator, T_w -> T_{w^{-1}}."""
-        return HeckeElement(
-            self.rank, {inverse(w): c for w, c in self.terms.items()}
-        )
+    # The transposition, the linear anti-automorphism fixing every
+    # generator, is T_w -> T_{w^{-1}} too: with rational coefficients it
+    # coincides with the involution.
+    transpose = star
 
     # -- access / output -------------------------------------------------
 

@@ -26,7 +26,6 @@ __all__ = [
     "inverse",
     "apply",
     "length",
-    "descents",
     "reduced_word",
     "promote",
     "cycles",
@@ -76,11 +75,6 @@ def length(w: Perm) -> int:
     """Number of inversions, which equals the Coxeter length."""
     n = len(w)
     return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-
-
-def descents(w: Perm) -> list[int]:
-    """Right descents: positions i with w(i) > w(i+1)."""
-    return [i for i in range(1, len(w)) if w[i - 1] > w[i]]
 
 
 def reduced_word(w: Perm) -> list[int]:

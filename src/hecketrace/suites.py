@@ -10,6 +10,7 @@ report.format_results.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from random import Random
 
 from . import fqconv, tensor
@@ -105,18 +106,11 @@ def hecke_suite(ranks=range(2, 6), seed: int = 20260810) -> list[CheckResult]:
             x = unit
             for _ in range(6):
                 x = gen_mul_left(rng.randrange(1, n), x)
-            if len(x.terms) > _factorial(n) or not all(len(w) == n for w in x.terms):
+            if len(x.terms) > factorial(n) or not all(len(w) == n for w in x.terms):
                 ok = False
                 break
         results.append(CheckResult(f"hecke.basis_closure.n{n}", ok))
     return results
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +300,7 @@ def convolution_suite(cases=CONVOLUTION_CASES, expensive: bool = False) -> list[
             CheckResult(f"{tag}.borel_order", len(borel) == fqconv.borel_order(n, p))
         )
         table = fqconv.bruhat_table(n, p)
-        sizes_ok = len(table) == _factorial(n) and all(
+        sizes_ok = len(table) == factorial(n) and all(
             len(cell) == p ** length(w) * len(borel) for w, cell in table.items()
         )
         results.append(CheckResult(f"{tag}.bruhat_cells", sizes_ok))

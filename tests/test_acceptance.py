@@ -167,7 +167,7 @@ def test_criterion_9_finite_field_realization():
             failures.append(f"Bruhat cells ({n},{p})")
     results = suites.convolution_suite(cases=cases, expensive=False)
     failures.extend(r.line() for r in results if not r.passed)
-    _budget(9, t0, 120.0)
+    _budget(9, t0, 10.0)
     _report(9, "finite-field double-coset realization", not failures, "; ".join(failures))
 
 

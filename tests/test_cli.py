@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hecketrace.cli import main
 
 
@@ -184,6 +186,22 @@ def test_verify_convolution_single_case(capsys):
     )
     assert code == 0
     assert "PASS convolution.gl(2,2).quadratic_at_q=p" in out
+
+
+@pytest.mark.parametrize(
+    "n,p,message",
+    [
+        ("2", "4", "not prime"),
+        ("3", "41", "n! |B|^2"),
+        ("3", "5", "n! |B|^2 = 384000000"),
+        ("0", "2", "at least 1"),
+    ],
+)
+def test_verify_convolution_bad_group_exit_2(capsys, n, p, message):
+    code, out, err = run(capsys, "verify", "--suite", "convolution", "--n", n, "--p", p)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_verify_tensor_custom(capsys):

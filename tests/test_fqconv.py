@@ -1,25 +1,26 @@
 """Bruhat cells and the convolution realization of the Hecke relations."""
 
+import time
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product as cartesian
 from random import Random
 
+import numpy as np
 import pytest
 
 from hecketrace import fqconv
 from hecketrace.fqconv import (
-    FqFunction,
     borel_order,
     borel_subgroup,
     bruhat_table,
     cell_indicator,
+    cell_product,
+    check_size,
     convolve,
     enumerate_gl,
     expand_in_cells,
     general_linear_order,
-    is_biinvariant,
-    mat_identity,
-    mat_inv,
     mat_mul,
     perm_matrix,
     sigma_element,
@@ -69,14 +70,22 @@ def test_guards():
         enumerate_gl(2, 4)  # composite
     with pytest.raises(ValueError):
         enumerate_gl(3, 41)  # 41^9 blows the size guard
+    with pytest.raises(ValueError):
+        enumerate_gl(0, 2)
 
 
-def test_mat_inverse():
-    rng = Random(3)
-    gl = enumerate_gl(2, 5)
-    for _ in range(20):
-        g = rng.choice(gl)
-        assert mat_mul(g, mat_inv(g, 5), 5) == mat_identity(2)
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (2, 5), (3, 2), (2, 7), (3, 3), (4, 2)])
+def test_size_guard_admits(n, p):
+    check_size(n, p)
+
+
+@pytest.mark.parametrize("n,p", [(3, 5), (2, 53), (4, 3), (5, 2)])
+def test_size_guard_refuses_by_bruhat_products(n, p):
+    # n! |B|^2 is what the Bruhat table forms: 3.8e8 at (3,5), 4.1e10 at (2,53)
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match=r"n! \|B\|\^2"):
+        structure_constants_check(n, p)
+    assert time.monotonic() - t0 < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +135,8 @@ def test_unit_is_neutral_on_biinvariant_functions():
 
 def test_sigma_squared_22():
     s1 = sigma_element(1, 2, 2)
-    assert len(s1.values) == 4  # q * |B| = 2 * 2
+    assert s1.values == {(2, 1): F(1)}
+    assert len(bruhat_table(2, 2)[(2, 1)]) == 4  # q * |B| = 2 * 2
     got = convolve(s1, s1)
     want = s1.scale(1) + unit_function(2, 2).scale(2)  # (q-1) sigma + q at q=2
     assert got == want
@@ -138,13 +148,26 @@ def test_braid_relation_32():
     assert convolve(convolve(s1, s2), s1) == convolve(convolve(s2, s1), s2)
 
 
+def _ids(mats, p):
+    """Base-p ids of matrices, row-major with the first entry most
+    significant (p < 10 here)."""
+    return [int("".join(str(x) for row in m for x in row), p) for m in mats]
+
+
 def test_biinvariance_closed_under_convolution():
+    # count the products of two random cells of GL(3,2) matrix by matrix:
+    # the count vector must pass the constancy check and give cell_product
     rng = Random(7)
     perms = all_perms(3)
+    table = bruhat_table(3, 2)
     for _ in range(5):
-        f = cell_indicator(rng.choice(perms), 3, 2)
-        g = cell_indicator(rng.choice(perms), 3, 2)
-        assert is_biinvariant(convolve(f, g))
+        w1, w2 = rng.choice(perms), rng.choice(perms)
+        hits = Counter(_ids([mat_mul(y, z, 2) for y in table[w1] for z in table[w2]], 2))
+        counts = np.zeros(2**9, dtype=np.int64)
+        counts[list(hits)] = list(hits.values())
+        coeffs = expand_in_cells(counts, 3, 2)
+        b = borel_order(3, 2)
+        assert {w: F(c, b) for w, c in coeffs.items()} == cell_product(w1, w2, 3, 2)
 
 
 def test_convolution_associativity_random_cells():
@@ -160,12 +183,26 @@ def test_group_mismatch_rejected():
         convolve(unit_function(2, 2), unit_function(2, 3))
 
 
-def test_expand_in_cells_detects_non_invariance():
-    g = next(iter(bruhat_table(2, 2)[(2, 1)]))
-    spike = FqFunction(2, 2, {g: F(1)})
-    assert not is_biinvariant(spike)
+def test_cell_indicator_rejects_wrong_rank():
     with pytest.raises(ValueError):
-        expand_in_cells(spike)
+        cell_indicator((2, 1), 3, 2)
+
+
+def test_expand_in_cells_detects_non_invariance():
+    table = bruhat_table(2, 2)
+    counts = np.zeros(2**4, dtype=np.int64)
+    counts[_ids(table[(2, 1)], 2)] = 3
+    assert expand_in_cells(counts, 2, 2) == {(2, 1): 3}
+    counts[_ids([next(iter(table[(1, 2)]))], 2)] = 1  # one matrix of B only
+    with pytest.raises(ValueError, match="not constant"):
+        expand_in_cells(counts, 2, 2)
+
+
+def test_expand_in_cells_detects_support_outside_group():
+    counts = np.zeros(2**4, dtype=np.int64)
+    counts[_ids([((1, 1), (1, 1))], 2)] = 1  # singular
+    with pytest.raises(ValueError, match="outside"):
+        expand_in_cells(counts, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +213,7 @@ def test_structure_constants_22_quadratic_row():
     results = {r.name: r for r in structure_constants_check(2, 2)}
     assert all(r.passed for r in results.values())
     # and the actual coefficients of sigma_1 * sigma_1
-    got = expand_in_cells(convolve(sigma_element(1, 2, 2), sigma_element(1, 2, 2)))
+    got = convolve(sigma_element(1, 2, 2), sigma_element(1, 2, 2)).values
     assert got == {(1, 2): F(2), (2, 1): F(1)}
 
 
@@ -185,11 +222,11 @@ def test_structure_constants_identity_row():
     table = bruhat_table(3, 2)
     for w in table:
         prod = convolve(cell_indicator(e, 3, 2), cell_indicator(w, 3, 2))
-        assert expand_in_cells(prod) == {w: F(1)}
+        assert prod.values == {w: F(1)}
 
 
 def test_structure_constants_length_additive_product():
-    got = expand_in_cells(convolve(sigma_element(1, 3, 2), sigma_element(2, 3, 2)))
+    got = convolve(sigma_element(1, 3, 2), sigma_element(2, 3, 2)).values
     assert got == {(2, 3, 1): F(1)}  # the single cell of s1 s2
 
 
@@ -201,14 +238,26 @@ def test_structure_constants_full(n, p):
     assert not bad, bad
 
 
-def test_fast_path_agrees_with_convolution():
-    # the integer-counting route must reproduce the dictionary route
-    fast = fqconv._cell_products_fast(2, 3)
-    for (w1, w2), coeffs in fast.items():
-        direct = expand_in_cells(
-            convolve(cell_indicator(w1, 2, 3), cell_indicator(w2, 2, 3))
-        )
-        assert coeffs == direct
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3)])
+def test_brute_force_oracle_agrees_with_cell_product(n, p):
+    # independent oracle: (f * g)(x) = |B|^{-1} sum over pairs y z = x,
+    # accumulated matrix by matrix as exact Fractions
+    table = bruhat_table(n, p)
+    norm = F(1, borel_order(n, p))
+    for w1, w2 in cartesian(table, repeat=2):
+        values = {}
+        for y in table[w1]:
+            for z in table[w2]:
+                x = mat_mul(y, z, p)
+                values[x] = values.get(x, F(0)) + norm
+        coeffs = {}
+        for w, cell in table.items():
+            cell_values = {values.pop(x, F(0)) for x in cell}
+            assert len(cell_values) == 1, (w1, w2, w)
+            if cell_values != {0}:
+                coeffs[w] = cell_values.pop()
+        assert not values  # nothing outside the group
+        assert cell_product(w1, w2, n, p) == coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +266,3 @@ def test_fast_path_agrees_with_convolution():
 
 def test_format_matrix():
     assert fqconv.format_matrix(((1, 0), (1, 1))) == "[[1,0],[1,1]]"
-
-
-def test_function_dump_by_cells():
-    f = sigma_element(1, 2, 2) + unit_function(2, 2).scale(F(1, 3))
-    assert fqconv.function_dump(f) == [
-        "cell=[1,2] rep=[[1,0],[0,1]] coeff=1/3",
-        "cell=[2,1] rep=[[0,1],[1,0]] coeff=1",
-    ]
