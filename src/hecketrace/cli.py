@@ -89,6 +89,8 @@ def cmd_trace(args) -> int:
     try:
         params = _resolve_params(args)
         if args.m is not None:
+            if args.m < 1:
+                raise ValueError(f"--m must be >= 1, got {args.m}")
             parts = (args.m,)
         elif args.partition:
             parts = check_partition(_int_list(args.partition))

@@ -24,7 +24,6 @@ __all__ = [
     "adjacent_transposition",
     "compose",
     "inverse",
-    "apply",
     "length",
     "reduced_word",
     "promote",
@@ -51,10 +50,6 @@ def adjacent_transposition(m: int, n: int) -> Perm:
     img = list(range(1, n + 1))
     img[m - 1], img[m] = img[m], img[m - 1]
     return tuple(img)
-
-
-def apply(w: Perm, i: int) -> int:
-    return w[i - 1]
 
 
 def compose(u: Perm, v: Perm) -> Perm:
@@ -141,8 +136,3 @@ def parse_perm(text: str) -> Perm:
         raise ValueError(f"not a permutation in one-line notation: {text!r}")
     return w
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

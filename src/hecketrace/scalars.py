@@ -444,8 +444,3 @@ class RootElem:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

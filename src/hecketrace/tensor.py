@@ -17,10 +17,12 @@ action) by
 
 which satisfies both the quadratic Hecke relation R^2 = (q-1) R + q and
 the braid relation, so sigma_j -> R at slots (j, j+1) extends to the whole
-Hecke algebra along reduced words.  The distinguished state Xi (the n-fold
-product of the weighted diagonal vector xi) turns matrix elements into
-trace values: <X Xi, Xi> is the trace of X at the parameters behind the
-weights.
+Hecke algebra along reduced words.  R is written down once per model, as
+the |S|^2 table of r_matrix, which both apply_r and generator_operator
+read; r_matrix_laws checks the two relations on apply_r itself.  The
+distinguished state Xi (the n-fold product of the weighted diagonal
+vector xi) turns matrix elements into trace values: <X Xi, Xi> is the
+trace of X at the parameters behind the weights.
 
 Besides the direct action the module implements two structured evaluation
 paths used for cross-checking:
@@ -69,6 +71,7 @@ __all__ = [
     "PermDiagOperator",
     "xi_state",
     "diag_coeff",
+    "r_matrix",
     "apply_r",
     "apply_hecke",
     "matrix_element",
@@ -76,10 +79,7 @@ __all__ = [
     "normal_form",
     "omega_trace",
     "diagonal_zeta",
-    "r_matrix_dense",
-    "compose_dense",
-    "dense_equal",
-    "braid_matrices",
+    "r_matrix_laws",
     "bimodule_checks",
     "gram_matrix",
     "ldlt_pivots",
@@ -229,15 +229,26 @@ def diag_coeff(q: Fraction, x: int, y: int) -> Fraction:
     return q - 1 if x < y else Fraction(0)
 
 
-def _pair_action(ctx: ModelContext, x: int, y: int):
-    """Images of the basis pair (x, y) under R: list of ((x', y'), coeff)."""
-    out = []
-    diag = diag_coeff(ctx.q, x, y)
-    if diag != 0:
-        out.append(((x, y), ctx.table.from_rational(diag)))
-    if x != y:
-        out.append(((y, x), -ctx.sqrt_q()))
-    return out
+def r_matrix(ctx: ModelContext) -> dict:
+    """R on V tensor V over the support, as the table {(x, y): [((x', y'),
+    coeff), ...]} of the images of each basis pair.  This is the one place
+    the R coefficients are formed; the table is cached on the context."""
+    table = ctx._cache.get("r")
+    if table is not None:
+        return table
+    minus_sqrt_q = -ctx.sqrt_q()
+    table = {}
+    for x in ctx.support:
+        for y in ctx.support:
+            images = []
+            diag = diag_coeff(ctx.q, x, y)
+            if diag != 0:
+                images.append(((x, y), ctx.table.from_rational(diag)))
+            if x != y:
+                images.append(((y, x), minus_sqrt_q))
+            table[(x, y)] = images
+    ctx._cache["r"] = table
+    return table
 
 
 def apply_r(ctx: ModelContext, slot: int, side: Side, state: TensorState) -> TensorState:
@@ -248,16 +259,39 @@ def apply_r(ctx: ModelContext, slot: int, side: Side, state: TensorState) -> Ten
         raise ValueError(f"slot {slot} out of range for {n} slots")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    r = r_matrix(ctx)
     j = slot - 1
     out: dict = {}
     for (ti, tj), c in state.terms.items():
         tup = ti if side == "left" else tj
-        for (nx, ny), coeff in _pair_action(ctx, tup[j], tup[j + 1]):
+        for (nx, ny), coeff in r[tup[j], tup[j + 1]]:
             new = tup[:j] + (nx, ny) + tup[j + 2 :]
             key = (new, tj) if side == "left" else (ti, new)
             add = c * coeff
             out[key] = out[key] + add if key in out else add
     return TensorState(ctx.table, out)
+
+
+def r_matrix_laws(ctx: ModelContext, side: Side) -> tuple[bool, bool]:
+    """Whether apply_r on the given side satisfies R_1 R_1 = (q-1) R_1 + q
+    and R_1 R_2 R_1 = R_2 R_1 R_2, as (quadratic, braid).
+
+    The test state is sum_I eta[I; I] over every I in S^slots.  On the
+    side R does not act on, each basis tensor is tagged with its own index
+    tuple, so the columns cannot mix: equal states mean equal operators.
+    Needs at least 3 slots."""
+    one = ctx.table.one()
+    basis = TensorState(
+        ctx.table, {(tup, tup): one for tup in _cartesian(ctx.support, repeat=ctx.slots)}
+    )
+
+    def r(slot: int, state: TensorState) -> TensorState:
+        return apply_r(ctx, slot, side, state)
+
+    once = r(1, basis)
+    quadratic = r(1, once) == once.scale(ctx.q - 1) + basis.scale(ctx.q)
+    braid = r(1, r(2, once)) == r(2, r(1, r(2, basis)))
+    return quadratic, braid
 
 
 def apply_hecke(
@@ -380,21 +414,19 @@ class PermDiagOperator:
 
 
 def generator_operator(ctx: ModelContext, m: int) -> PermDiagOperator:
-    """Normal form of the R-matrix at slots (m, m+1): a diagonal table on
-    the identity permutation plus a constant times the slot swap."""
+    """Normal form of the R-matrix at slots (m, m+1): the entries of the
+    r_matrix table that keep the pair go on the identity permutation, the
+    -sqrt(q) entries on the slot swap."""
     n = ctx.slots
     if not 1 <= m <= n - 1:
         raise ValueError(f"generator index {m} out of range for {n} slots")
-    q = ctx.q
-    minus_sqrt_q = -ctx.sqrt_q()
+    r = r_matrix(ctx)
     diag_table = {}
     swap_table = {}
     for tup in _cartesian(ctx.support, repeat=n):
-        d = diag_coeff(q, tup[m - 1], tup[m])
-        if d != 0:
-            diag_table[tup] = ctx.table.from_rational(d)
-        if tup[m - 1] != tup[m]:
-            swap_table[tup] = minus_sqrt_q
+        pair = tup[m - 1 : m + 1]
+        for image, coeff in r[pair]:
+            (diag_table if image == pair else swap_table)[tup] = coeff
     swap = tuple(
         m + 1 if k == m else m if k == m + 1 else k for k in range(1, n + 1)
     )
@@ -464,62 +496,6 @@ def diagonal_zeta(ctx: ModelContext, m: int) -> Fraction:
         terms = nxt
     acted = TensorState(ctx.table, terms)
     return _pure_rational(acted.inner(xi), f"diagonal route for m={m}")
-
-
-# ---------------------------------------------------------------------------
-# dense operators on small tensor powers (for the R-matrix law checks)
-
-
-def r_matrix_dense(ctx: ModelContext):
-    """R on V tensor V over the truncated support, as a column-sparse map
-    {input pair: {output pair: coeff}}."""
-    mat = {}
-    for x in ctx.support:
-        for y in ctx.support:
-            mat[(x, y)] = dict(_pair_action(ctx, x, y))
-    return mat
-
-
-def _embed_dense(ctx: ModelContext, mat, slot: int, arity: int):
-    """Embed a two-index dense operator at (slot, slot+1) of an
-    arity-tuple basis."""
-    out = {}
-    for tup in _cartesian(ctx.support, repeat=arity):
-        col = {}
-        for (nx, ny), c in mat[(tup[slot - 1], tup[slot])].items():
-            new = tup[: slot - 1] + (nx, ny) + tup[slot + 1 :]
-            col[new] = c
-        out[tup] = col
-    return out
-
-
-def braid_matrices(ctx: ModelContext):
-    """R at slots (1,2) and (2,3) on V^{(3)}, dense."""
-    r = r_matrix_dense(ctx)
-    return _embed_dense(ctx, r, 1, 3), _embed_dense(ctx, r, 2, 3)
-
-
-def compose_dense(a, b):
-    """Column-sparse composition a . b (b applied first)."""
-    out = {}
-    for src, mid_vec in b.items():
-        col: dict = {}
-        for mid, c1 in mid_vec.items():
-            for dst, c2 in a.get(mid, {}).items():
-                prod = c1 * c2
-                col[dst] = col[dst] + prod if dst in col else prod
-        out[src] = {k: v for k, v in col.items() if not v.is_zero()}
-    return out
-
-
-def dense_equal(a, b) -> bool:
-    keys = set(a) | set(b)
-    for k in keys:
-        ca = {d: v for d, v in a.get(k, {}).items() if not v.is_zero()}
-        cb = {d: v for d, v in b.get(k, {}).items() if not v.is_zero()}
-        if ca != cb:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,15 @@ def test_trace_requires_m_or_partition(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("m", ["0", "-2"])
+@pytest.mark.parametrize("extra", [[], ["--cross-check"]], ids=["plain", "cross_check"])
+def test_trace_m_below_one_exit_2(capsys, m, extra):
+    code, out, err = run(capsys, "trace", "--m", m, "--q", "2", "--alpha", "1", *extra)
+    assert code == 2
+    assert out == ""
+    assert f"--m must be >= 1, got {m}" in err
+
+
 def test_trace_cross_check_rejects_gamma(capsys):
     code, _, err = run(
         capsys,
@@ -188,6 +197,16 @@ def test_verify_convolution_single_case(capsys):
     assert "PASS convolution.gl(2,2).quadratic_at_q=p" in out
 
 
+def test_verify_convolution_rank_one_has_no_vacuous_checks(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--suite", "convolution", "--n", "1", "--p", "3"
+    )
+    assert code == 0
+    assert "quadratic" not in out
+    assert "braid" not in out
+    assert out.strip().splitlines()[-1] == "passed 5/5"
+
+
 @pytest.mark.parametrize(
     "n,p,message",
     [
@@ -212,6 +231,22 @@ def test_verify_tensor_custom(capsys):
     )
     assert code == 0
     assert "PASS tensor.four_way.custom.q=3.m4" in out
+
+
+def test_verify_gram_uses_given_parameters(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "gram", "--q", "3", "--alpha", "1")
+    assert code == 0
+    psd = [line for line in out.splitlines() if ".psd." in line]
+    assert psd == ["PASS gram.psd.custom.q=3.n3"]
+    assert out.strip().splitlines()[-1] == "passed 4/4"
+
+
+def test_verify_gram_defaults(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "gram")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert "PASS gram.psd.P3.q=2.n3" in lines and "PASS gram.psd.P4.q=2.n3" in lines
+    assert lines[-1] == "passed 5/5"
 
 
 def test_verify_unknown_suite(capsys):

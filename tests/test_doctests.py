@@ -1,0 +1,14 @@
+"""The usage examples in module docstrings run as part of the suite."""
+
+import doctest
+
+import pytest
+
+from hecketrace import permutations, scalars
+
+
+@pytest.mark.parametrize("module", [permutations, scalars], ids=lambda m: m.__name__)
+def test_module_doctests(module):
+    result = doctest.testmod(module)
+    assert result.attempted > 0
+    assert result.failed == 0

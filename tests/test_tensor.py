@@ -4,7 +4,9 @@ from fractions import Fraction as F
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hecketrace import tensor
 from hecketrace.hecke import HeckeElement, mul, zeta_interval
 from hecketrace.permutations import identity
 from hecketrace.scalars import CrossCheckError
@@ -15,9 +17,6 @@ from hecketrace.tensor import (
     apply_hecke,
     apply_r,
     bimodule_checks,
-    braid_matrices,
-    compose_dense,
-    dense_equal,
     diag_coeff,
     diagonal_zeta,
     generator_operator,
@@ -26,7 +25,7 @@ from hecketrace.tensor import (
     matrix_element,
     normal_form,
     omega_trace,
-    r_matrix_dense,
+    r_matrix_laws,
     xi_state,
 )
 from hecketrace.traces import TraceParams, thoma_trace, zeta_trace
@@ -344,7 +343,7 @@ def test_diagonal_zeta_matches_matrix_element(p):
 
 
 # ---------------------------------------------------------------------------
-# dense R-matrix laws
+# R-matrix laws on every basis tensor of V^(3)
 
 
 @pytest.mark.parametrize("p", [P_TRIV, P_FLAT, P_WIDE])
@@ -352,20 +351,47 @@ def test_diagonal_zeta_matches_matrix_element(p):
 def test_dense_quadratic_and_braid(p, q):
     p = TraceParams(q=F(q), alpha=p.alpha, beta=p.beta)
     ctx = ModelContext.create(p, slots=3)
-    r = r_matrix_dense(ctx)
-    one = ctx.table.one()
-    lhs = compose_dense(r, r)
-    rhs = {
-        src: {dst: v * (ctx.q - 1) for dst, v in col.items()} for src, col in r.items()
-    }
-    for src in rhs:
-        rhs[src][src] = rhs[src].get(src, ctx.table.zero()) + one * ctx.q
-    assert dense_equal(lhs, rhs)
-    r12, r23 = braid_matrices(ctx)
-    assert dense_equal(
-        compose_dense(r12, compose_dense(r23, r12)),
-        compose_dense(r23, compose_dense(r12, r23)),
-    )
+    assert r_matrix_laws(ctx, "left") == (True, True)
+    assert r_matrix_laws(ctx, "right") == (True, True)
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda q, x, y: q - 1 if x > y else diag_coeff(q, x, y),
+        lambda q, x, y: diag_coeff(q, x, y) + (1 if x < y else 0),
+    ],
+    ids=["decreasing_pair_gets_q_minus_1", "increasing_pair_gets_plus_1"],
+)
+def test_r_matrix_laws_reject_a_wrong_r(monkeypatch, wrong):
+    monkeypatch.setattr(tensor, "diag_coeff", wrong)
+    ctx = ModelContext.create(P_WIDE, slots=3)
+    assert r_matrix_laws(ctx, "left") == (False, False)
+    assert r_matrix_laws(ctx, "right") == (False, False)
+
+
+@st.composite
+def law_contexts(draw):
+    """A three-slot model with at most 3 positive weights, a q from a small
+    set that includes 1, and one extra index of weight 0."""
+    n_alpha = draw(st.integers(0, 3))
+    n_beta = draw(st.integers(0 if n_alpha else 1, 3 - n_alpha))
+    raw = draw(st.lists(st.integers(1, 6), min_size=n_alpha + n_beta, max_size=n_alpha + n_beta))
+    weights = [F(r, sum(raw)) for r in raw]
+    alpha = sorted(weights[:n_alpha], reverse=True)
+    beta = sorted(weights[n_alpha:], reverse=True)
+    q = draw(st.sampled_from([F(1), F(2), F(3), F(1, 2), F(2, 3)]))
+    extra = draw(st.sampled_from([n_alpha + 1, -(n_beta + 1)]))
+    return ModelContext.create(TraceParams(q=q, alpha=alpha, beta=beta), 3, (extra,))
+
+
+@settings(max_examples=25, deadline=None)
+@given(ctx=law_contexts(), m=st.sampled_from([1, 2]), seed=st.integers(0, 2**16))
+def test_r_matrix_laws_and_generator_operator_on_random_models(ctx, m, seed):
+    assert r_matrix_laws(ctx, "left") == (True, True)
+    assert r_matrix_laws(ctx, "right") == (True, True)
+    state = random_state(ctx, Random(seed))
+    assert generator_operator(ctx, m).apply(state) == apply_r(ctx, m, "left", state)
 
 
 # ---------------------------------------------------------------------------
