@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import fqconv, suites, tensor
 from .hecke import check_partition, zeta_partition
 from .permutations import all_perms, format_perm
-from .report import all_passed, format_results
+from .report import all_passed, format_records, format_results
 from .scalars import format_fraction
 from .tensor import ModelContext
 from .traces import (
@@ -222,6 +222,17 @@ def cmd_gram(args) -> int:
     return EXIT_OK if psd else EXIT_CHECK_FAILED
 
 
+_PARAM_FLAGS = ("q", "alpha", "beta", "gamma", "params")
+
+# optional verify flag (argparse attribute) -> the suites that read it; the
+# `all` suite reads every flag
+_FLAG_READERS = {
+    **dict.fromkeys(_PARAM_FLAGS, ("rmatrix", "tensor", "gram")),
+    **dict.fromkeys(("m", "verbose"), ("tensor",)),
+    **dict.fromkeys(("n", "p", "expensive"), ("convolution",)),
+}
+
+
 def cmd_verify(args) -> int:
     try:
         if args.suite not in suites.SUITE_NAMES:
@@ -229,9 +240,20 @@ def cmd_verify(args) -> int:
                 f"unknown suite {args.suite!r}; choose one of "
                 + ", ".join(suites.SUITE_NAMES)
             )
+        for attr, readers in _FLAG_READERS.items():
+            if getattr(args, attr) not in (None, False) and args.suite not in (*readers, "all"):
+                flag = "-v" if attr == "verbose" else f"--{attr}"
+                raise ValueError(
+                    f"the {args.suite} suite does not read {flag}; "
+                    f"it is read by {', '.join(readers)} and all"
+                )
+        if args.m is not None and args.m < 1:
+            raise ValueError(f"--m must be >= 1, got {args.m}")
+        if args.verbose and args.format == "records":
+            raise ValueError("-v dumps states as text; use it without --format records")
         profiles = None
         qs = suites.DEFAULT_QS
-        if args.q or args.alpha is not None or args.beta is not None or args.params:
+        if any(getattr(args, name) is not None for name in _PARAM_FLAGS):
             params = _resolve_params(args)
             if params.gamma != 0:
                 raise ValueError("verification suites require gamma = 0")
@@ -255,10 +277,15 @@ def cmd_verify(args) -> int:
         profiles=profiles,
         cases=cases,
     )
-    for line in format_results(results):
-        print(line)
     passed = sum(1 for r in results if r.passed)
-    print(f"passed {passed}/{len(results)}")
+    if args.format == "records":
+        for line in format_records(results):
+            print(line)
+        print(json.dumps({"passed": passed, "total": len(results)}))
+    else:
+        for line in format_results(results):
+            print(line)
+        print(f"passed {passed}/{len(results)}")
     if args.verbose and args.suite in ("tensor", "all"):
         _dump_states(profiles, qs)
     return EXIT_OK if all_passed(results) else EXIT_CHECK_FAILED
@@ -297,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also evaluate through the tensor model and require equality",
     )
-    p_trace.add_argument("--format", choices=("csv", "table", "records"), default="csv")
+    p_trace.add_argument("--format", choices=("csv", "records"), default="csv")
     p_trace.set_defaults(func=cmd_trace)
 
     p_series = subs.add_parser("series", help="emit the generating function")
@@ -308,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also emit coefficients rebuilt from trace values, with a match column",
     )
-    p_series.add_argument("--format", choices=("csv", "table", "records"), default="csv")
+    p_series.add_argument("--format", choices=("csv", "records"), default="csv")
     p_series.set_defaults(func=cmd_series)
 
     p_gram = subs.add_parser("gram", help="Gram matrix of H_n with exact LDL^T pivots")
@@ -338,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also dump the distinguished tensor states used by the checks",
     )
-    p_verify.add_argument("--format", choices=("csv", "table", "records"), default="csv")
+    p_verify.add_argument("--format", choices=("csv", "records"), default="csv")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _cartesian
+from itertools import chain, product as _cartesian
 from math import factorial
 from types import MappingProxyType
 from typing import Mapping
@@ -49,6 +49,7 @@ from .permutations import (
     length,
 )
 from .report import CheckResult
+from .scalars import sparse_sum
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -69,7 +70,6 @@ __all__ = [
     "sigma_element",
     "bruhat_table",
     "expand_in_cells",
-    "format_matrix",
     "structure_constants_check",
     "mat_mul",
     "perm_matrix",
@@ -258,7 +258,7 @@ class FqFunction:
         self.n = n
         self.p = p
         self.values: dict[Perm, Fraction] = {
-            w: Fraction(v) for w, v in dict(values).items() if v != 0
+            w: Fraction(v) for w, v in sparse_sum(values).items()
         }
 
     def __eq__(self, other) -> bool:
@@ -270,25 +270,16 @@ class FqFunction:
 
     def __add__(self, other: "FqFunction") -> "FqFunction":
         self._check(other)
-        out = dict(self.values)
-        for w, v in other.values.items():
-            out[w] = out.get(w, Fraction(0)) + v
-        return FqFunction(self.n, self.p, out)
+        return FqFunction(self.n, self.p, chain(self.values.items(), other.values.items()))
 
     def scale(self, c) -> "FqFunction":
         return FqFunction(self.n, self.p, {w: v * c for w, v in self.values.items()})
-
-    def __sub__(self, other: "FqFunction") -> "FqFunction":
-        return self + other.scale(-1)
 
     def _check(self, other: "FqFunction"):
         if (self.n, self.p) != (other.n, other.p):
             raise ValueError(
                 f"mismatched groups: GL({self.n},{self.p}) vs GL({other.n},{other.p})"
             )
-
-    def __mul__(self, other: "FqFunction") -> "FqFunction":
-        return convolve(self, other)
 
     def __repr__(self):
         return f"FqFunction<GL({self.n},{self.p}), {len(self.values)} cells>"
@@ -341,12 +332,13 @@ def convolve(f: FqFunction, g: FqFunction) -> FqFunction:
     """(f * g)(x) = |B|^{-1} sum_y f(y) g(y^{-1} x), expanded bilinearly
     over the products of cell indicators."""
     f._check(g)
-    out: dict[Perm, Fraction] = {}
-    for w1, a in f.values.items():
-        for w2, b in g.values.items():
-            for w, c in cell_product(w1, w2, f.n, f.p).items():
-                out[w] = out.get(w, Fraction(0)) + a * b * c
-    return FqFunction(f.n, f.p, out)
+    products = (
+        (w, a * b * c)
+        for w1, a in f.values.items()
+        for w2, b in g.values.items()
+        for w, c in cell_product(w1, w2, f.n, f.p).items()
+    )
+    return FqFunction(f.n, f.p, products)
 
 
 def cell_indicator(w: Perm, n: int, p: int) -> FqFunction:
@@ -364,11 +356,6 @@ def sigma_element(m: int, n: int, p: int) -> FqFunction:
     """The generator sigma_m: the indicator of the cell of the simple
     transposition s_m."""
     return cell_indicator(adjacent_transposition(m, n), n, p)
-
-
-def format_matrix(m: Matrix) -> str:
-    """Row-major digit string, e.g. "[[1,0],[1,1]]"."""
-    return "[" + ",".join("[" + ",".join(str(x) for x in row) + "]" for row in m) + "]"
 
 
 # ---------------------------------------------------------------------------

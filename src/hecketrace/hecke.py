@@ -24,6 +24,7 @@ rational number happens only at the trace / tensor-model boundary.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping, Sequence, Union
 
 from .permutations import (
@@ -34,11 +35,10 @@ from .permutations import (
     identity,
     inverse,
     is_perm,
-    length,
     promote,
     reduced_word,
 )
-from .scalars import QPoly
+from .scalars import QPoly, sparse_sum
 
 Scalar = Union[QPoly, Fraction, int]
 
@@ -56,6 +56,15 @@ def _as_poly(c: Scalar) -> QPoly:
     return c if isinstance(c, QPoly) else QPoly.const(c)
 
 
+def _of_rank(rank: int, terms):
+    """The (w, c) pairs of terms, raising ValueError at any w that is not a
+    permutation of the given rank."""
+    for w, c in terms.items() if isinstance(terms, Mapping) else terms:
+        if not is_perm(w) or len(w) != rank:
+            raise ValueError(f"{w!r} is not a rank-{rank} permutation")
+        yield w, c
+
+
 class HeckeElement:
     """Element of H_n(q): a map from permutations of rank n to QPoly
     coefficients, with zero coefficients never stored."""
@@ -64,14 +73,9 @@ class HeckeElement:
 
     def __init__(self, rank: int, terms: Mapping[Perm, Scalar] = ()):
         self.rank = rank
-        clean: dict[Perm, QPoly] = {}
-        for w, c in dict(terms).items():
-            if not is_perm(w) or len(w) != rank:
-                raise ValueError(f"{w!r} is not a rank-{rank} permutation")
-            p = _as_poly(c)
-            if not p.is_zero():
-                clean[w] = p
-        self.terms = clean
+        self.terms: dict[Perm, QPoly] = {
+            w: _as_poly(c) for w, c in sparse_sum(_of_rank(rank, terms)).items()
+        }
 
     # -- constructors -------------------------------------------------
 
@@ -96,20 +100,10 @@ class HeckeElement:
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         a, b = promote_pair(self, other)
-        out = dict(a.terms)
-        for w, c in b.terms.items():
-            out[w] = out.get(w, QPoly()) + c
-        return HeckeElement(a.rank, out)
-
-    def __neg__(self) -> "HeckeElement":
-        return HeckeElement(self.rank, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + (-other)
+        return HeckeElement(a.rank, chain(a.terms.items(), b.terms.items()))
 
     def scale(self, c: Scalar) -> "HeckeElement":
-        p = _as_poly(c)
-        return HeckeElement(self.rank, {w: p * v for w, v in self.terms.items()})
+        return HeckeElement(self.rank, {w: v * c for w, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (QPoly, Fraction, int)):
@@ -159,9 +153,6 @@ class HeckeElement:
 
     # -- access / output -------------------------------------------------
 
-    def coeff(self, w: Perm) -> QPoly:
-        return self.terms.get(promote(w, self.rank), QPoly())
-
     def support(self) -> list[Perm]:
         return sorted(self.terms)
 
@@ -193,23 +184,21 @@ def gen_mul_left(m: int, x: HeckeElement) -> HeckeElement:
         raise ValueError(f"generator index {m} out of range for rank {n}")
     q = QPoly.var()
     q_minus_1 = q - QPoly.const(1)
-    out: dict[Perm, QPoly] = {}
 
-    def accum(w: Perm, c: QPoly):
-        out[w] = out.get(w, QPoly()) + c
+    def images():
+        for w, c in x.terms.items():
+            sw = list(w)
+            # s_m acts on values: swap the letters m and m+1 in one-line form
+            i, j = w.index(m), w.index(m + 1)
+            sw[i], sw[j] = sw[j], sw[i]
+            swt = tuple(sw)
+            if i < j:  # length(s_m w) = length(w) + 1
+                yield swt, c
+            else:
+                yield w, q_minus_1 * c
+                yield swt, q * c
 
-    for w, c in x.terms.items():
-        sw = list(w)
-        # s_m acts on values: swap the letters m and m+1 in one-line form
-        i, j = w.index(m), w.index(m + 1)
-        sw[i], sw[j] = sw[j], sw[i]
-        swt = tuple(sw)
-        if i < j:  # length(s_m w) = length(w) + 1
-            accum(swt, c)
-        else:
-            accum(w, q_minus_1 * c)
-            accum(swt, q * c)
-    return HeckeElement(n, out)
+    return HeckeElement(n, images())
 
 
 def mul(x: HeckeElement, y: HeckeElement) -> HeckeElement:
@@ -219,13 +208,16 @@ def mul(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     word of w, one generator at a time.
     """
     x, y = promote_pair(x, y)
-    out = HeckeElement.zero(x.rank)
-    for w, c in x.terms.items():
-        acc = y
-        for a in reversed(reduced_word(w)):
-            acc = gen_mul_left(a, acc)
-        out = out + acc.scale(c)
-    return out
+
+    def products():
+        for w, c in x.terms.items():
+            acc = y
+            for a in reversed(reduced_word(w)):
+                acc = gen_mul_left(a, acc)
+            for v, d in acc.terms.items():
+                yield v, c * d
+
+    return HeckeElement(x.rank, products())
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 
-__all__ = ["CheckResult", "all_passed", "format_results"]
+__all__ = ["CheckResult", "all_passed", "format_results", "format_records"]
 
 
 @dataclass(frozen=True)
@@ -26,3 +27,8 @@ def all_passed(results) -> bool:
 def format_results(results) -> list[str]:
     """Canonical report: one line per check, sorted by check name."""
     return [r.line() for r in sorted(results, key=lambda r: r.name)]
+
+
+def format_records(results) -> list[str]:
+    """The canonical report as JSON lines {"name", "passed", "detail"}."""
+    return [json.dumps(asdict(r)) for r in sorted(results, key=lambda r: r.name)]

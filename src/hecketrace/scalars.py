@@ -27,12 +27,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Union
 
 Rat = Union[Fraction, int]
 
 __all__ = [
     "CrossCheckError",
+    "sparse_sum",
     "QPoly",
     "PowerSeries",
     "series_mul",
@@ -61,6 +63,32 @@ def format_fraction(x: Fraction) -> str:
 def parse_fraction(text: str) -> Fraction:
     """Parse "p/q" or "p" (sign on the numerator)."""
     return Fraction(text.strip())
+
+
+def sparse_sum(terms) -> dict:
+    """The sparse linear combination of (key, coefficient) pairs: the
+    coefficients of a repeated key are added, and keys whose sum is zero
+    (falsy) are dropped.  A mapping stands for its items.  Every sparse
+    type of the package (RootElem, TensorState, PermDiagOperator tables,
+    HeckeElement, FqFunction) stores what this returns.
+
+    >>> sparse_sum([("a", 1), ("b", Fraction(1, 2)), ("a", -1), ("b", 1)])
+    {'b': Fraction(3, 2)}
+    """
+    if isinstance(terms, Mapping):
+        terms = terms.items()
+    out = {}
+    for k, c in terms:
+        out[k] = out[k] + c if k in out else c
+    return {k: c for k, c in out.items() if c}
+
+
+def _signed_join(parts: list[str]) -> str:
+    """Join signed terms with " + " / " - ", e.g. ["q", "-2"] -> "q - 2"."""
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +128,9 @@ class QPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def __add__(self, other) -> "QPoly":
         if isinstance(other, (int, Fraction)):
@@ -176,10 +207,7 @@ class QPoly:
                     parts.append(f"-{mono}")
                 else:
                     parts.append(f"{format_fraction(c)}*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed_join(parts)
 
     def to_list(self) -> list[str]:
         """Coefficient strings, lowest degree first."""
@@ -352,31 +380,23 @@ class RootElem:
 
     __slots__ = ("table", "comps")
 
-    def __init__(self, table: SqrtTable, comps: Mapping[frozenset, Fraction]):
+    def __init__(self, table: SqrtTable, comps=()):
         self.table = table
-        self.comps: dict[frozenset, Fraction] = {
-            k: v for k, v in comps.items() if v != 0
-        }
+        self.comps: dict[frozenset, Fraction] = sparse_sum(comps)
 
     def _check(self, other: "RootElem"):
         if self.table is not other.table and not self.table.same_symbols(other.table):
             raise ValueError("operands belong to different symbol tables")
 
-    def is_zero(self) -> bool:
-        return not self.comps
+    def __bool__(self) -> bool:
+        return bool(self.comps)
 
     def __add__(self, other: "RootElem") -> "RootElem":
         self._check(other)
-        out = dict(self.comps)
-        for k, v in other.comps.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return RootElem(self.table, out)
+        return RootElem(self.table, chain(self.comps.items(), other.comps.items()))
 
     def __neg__(self) -> "RootElem":
         return RootElem(self.table, {k: -v for k, v in self.comps.items()})
-
-    def __sub__(self, other: "RootElem") -> "RootElem":
-        return self + (-other)
 
     def __mul__(self, other) -> "RootElem":
         if isinstance(other, (int, Fraction)):
@@ -389,15 +409,16 @@ class RootElem:
             return NotImplemented
         self._check(other)
         values = self.table.formal
-        out: dict[frozenset, Fraction] = {}
-        for ka, va in self.comps.items():
-            for kb, vb in other.comps.items():
-                coeff = va * vb
-                for sym in ka & kb:
-                    coeff *= values[sym]
-                key = ka ^ kb
-                out[key] = out.get(key, Fraction(0)) + coeff
-        return RootElem(self.table, out)
+
+        def products():
+            for ka, va in self.comps.items():
+                for kb, vb in other.comps.items():
+                    coeff = va * vb
+                    for sym in ka & kb:
+                        coeff *= values[sym]
+                    yield ka ^ kb, coeff
+
+        return RootElem(self.table, products())
 
     __rmul__ = __mul__
 
@@ -439,8 +460,5 @@ class RootElem:
                     parts.append(f"-{radical}")
                 else:
                     parts.append(f"{v}*{radical}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return _signed_join(parts)
 

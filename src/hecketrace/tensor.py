@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as _cartesian
+from itertools import chain, product as _cartesian
 from random import Random
 from typing import Iterable, Literal, Mapping
 
@@ -60,7 +60,7 @@ from .permutations import (
     reduced_word,
 )
 from .report import CheckResult
-from .scalars import CrossCheckError, RootElem, SqrtTable
+from .scalars import CrossCheckError, RootElem, SqrtTable, sparse_sum
 from .traces import TraceParams, WeightFunction
 
 Side = Literal["left", "right"]
@@ -156,19 +156,10 @@ class TensorState:
         terms: Mapping[tuple[tuple[int, ...], tuple[int, ...]], RootElem] = (),
     ):
         self.table = table
-        self.terms = {k: v for k, v in dict(terms).items() if not v.is_zero()}
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        self.terms = sparse_sum(terms)
 
     def __add__(self, other: "TensorState") -> "TensorState":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out[k] + v if k in out else v
-        return TensorState(self.table, out)
-
-    def __sub__(self, other: "TensorState") -> "TensorState":
-        return self + other.scale(Fraction(-1))
+        return TensorState(self.table, chain(self.terms.items(), other.terms.items()))
 
     def scale(self, c) -> "TensorState":
         return TensorState(self.table, {k: v * c for k, v in self.terms.items()})
@@ -176,15 +167,9 @@ class TensorState:
     def inner(self, other: "TensorState") -> RootElem:
         """Inner product in the orthonormal eta-basis (coefficients are
         real, so no conjugation is involved)."""
-        small, big = self.terms, other.terms
-        if len(big) < len(small):
-            small, big = big, small
-        acc = self.table.zero()
-        for k, v in small.items():
-            w = big.get(k)
-            if w is not None:
-                acc = acc + v * w
-        return acc
+        small, big = sorted((self.terms, other.terms), key=len)
+        products = ((v * big[k]).comps.items() for k, v in small.items() if k in big)
+        return RootElem(self.table, chain.from_iterable(products))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TensorState) and self.terms == other.terms
@@ -261,15 +246,15 @@ def apply_r(ctx: ModelContext, slot: int, side: Side, state: TensorState) -> Ten
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     r = r_matrix(ctx)
     j = slot - 1
-    out: dict = {}
-    for (ti, tj), c in state.terms.items():
-        tup = ti if side == "left" else tj
-        for (nx, ny), coeff in r[tup[j], tup[j + 1]]:
-            new = tup[:j] + (nx, ny) + tup[j + 2 :]
-            key = (new, tj) if side == "left" else (ti, new)
-            add = c * coeff
-            out[key] = out[key] + add if key in out else add
-    return TensorState(ctx.table, out)
+
+    def images():
+        for (ti, tj), c in state.terms.items():
+            tup = ti if side == "left" else tj
+            for (nx, ny), coeff in r[tup[j], tup[j + 1]]:
+                new = tup[:j] + (nx, ny) + tup[j + 2 :]
+                yield ((new, tj) if side == "left" else (ti, new)), c * coeff
+
+    return TensorState(ctx.table, images())
 
 
 def r_matrix_laws(ctx: ModelContext, side: Side) -> tuple[bool, bool]:
@@ -304,16 +289,19 @@ def apply_hecke(
         raise ValueError(
             f"element of rank {x.rank} needs at least {x.rank} slots, have {ctx.slots}"
         )
-    out = TensorState(ctx.table)
-    for w, poly in x.terms.items():
-        c = poly(ctx.q)
-        if c == 0:
-            continue
-        acc = state
-        for a in reversed(reduced_word(w)):
-            acc = apply_r(ctx, a, side, acc)
-        out = out + acc.scale(c)
-    return out
+
+    def terms():
+        for w, poly in x.terms.items():
+            c = poly(ctx.q)
+            if c == 0:
+                continue
+            acc = state
+            for a in reversed(reduced_word(w)):
+                acc = apply_r(ctx, a, side, acc)
+            for k, v in acc.terms.items():
+                yield k, v * c
+
+    return TensorState(ctx.table, terms())
 
 
 def _pure_rational(value: RootElem, what: str) -> Fraction:
@@ -340,7 +328,8 @@ def matrix_element(ctx: ModelContext, x: HeckeElement) -> Fraction:
 class PermDiagOperator:
     """Operator in normal form sum_sigma T(sigma) D(Phi_sigma), where
     T(sigma) permutes the V-slots and D(Phi) multiplies eta[I; J] by
-    Phi(I).  Tables store only nonzero entries."""
+    Phi(I).  Tables store only nonzero entries, and only nonempty tables
+    are stored."""
 
     __slots__ = ("ctx", "terms")
 
@@ -350,12 +339,8 @@ class PermDiagOperator:
         terms: Mapping[Perm, Mapping[tuple[int, ...], RootElem]] = (),
     ):
         self.ctx = ctx
-        clean: dict[Perm, dict[tuple[int, ...], RootElem]] = {}
-        for sigma, table in dict(terms).items():
-            entries = {i: v for i, v in dict(table).items() if not v.is_zero()}
-            if entries:
-                clean[sigma] = entries
-        self.terms = clean
+        tables = {sigma: sparse_sum(table) for sigma, table in dict(terms).items()}
+        self.terms = {sigma: table for sigma, table in tables.items() if table}
 
     @classmethod
     def identity_op(cls, ctx: ModelContext) -> "PermDiagOperator":
@@ -363,51 +348,30 @@ class PermDiagOperator:
         table = {tup: one for tup in _cartesian(ctx.support, repeat=ctx.slots)}
         return cls(ctx, {identity(ctx.slots): table})
 
-    def __add__(self, other: "PermDiagOperator") -> "PermDiagOperator":
-        out = {s: dict(t) for s, t in self.terms.items()}
-        for sigma, table in other.terms.items():
-            dst = out.setdefault(sigma, {})
-            for i, v in table.items():
-                dst[i] = dst[i] + v if i in dst else v
-        return PermDiagOperator(self.ctx, out)
-
-    def scale(self, c) -> "PermDiagOperator":
-        return PermDiagOperator(
-            self.ctx,
-            {s: {i: v * c for i, v in t.items()} for s, t in self.terms.items()},
-        )
-
     def compose(self, other: "PermDiagOperator") -> "PermDiagOperator":
         """self after other: T(s)D(F) . T(t)D(G) = T(st) D(F o rho_t * G)
         with rho_t the permutation action I -> I o t^{-1} on tuples."""
-        out: dict[Perm, dict[tuple[int, ...], RootElem]] = {}
+        out: dict[Perm, list] = {}
         for sigma, ftab in self.terms.items():
             for tau, gtab in other.terms.items():
-                key = compose(sigma, tau)
                 tinv = inverse(tau)
-                dst = out.setdefault(key, {})
+                pairs = out.setdefault(compose(sigma, tau), [])
                 for i, g in gtab.items():
-                    moved = tuple(i[j - 1] for j in tinv)
-                    f = ftab.get(moved)
-                    if f is None:
-                        continue
-                    v = f * g
-                    dst[i] = dst[i] + v if i in dst else v
+                    f = ftab.get(tuple(i[j - 1] for j in tinv))
+                    if f is not None:
+                        pairs.append((i, f * g))
         return PermDiagOperator(self.ctx, out)
 
     def apply(self, state: TensorState) -> TensorState:
-        out: dict = {}
-        for sigma, table in self.terms.items():
-            sinv = inverse(sigma)
-            for (ti, tj), c in state.terms.items():
-                phi = table.get(ti)
-                if phi is None:
-                    continue
-                moved = tuple(ti[j - 1] for j in sinv)
-                key = (moved, tj)
-                add = c * phi
-                out[key] = out[key] + add if key in out else add
-        return TensorState(self.ctx.table, out)
+        def images():
+            for sigma, table in self.terms.items():
+                sinv = inverse(sigma)
+                for (ti, tj), c in state.terms.items():
+                    phi = table.get(ti)
+                    if phi is not None:
+                        yield (tuple(ti[j - 1] for j in sinv), tj), c * phi
+
+        return TensorState(self.ctx.table, images())
 
     def __repr__(self):
         return f"PermDiagOperator<{len(self.terms)} permutation terms>"
@@ -442,7 +406,7 @@ def normal_form(ctx: ModelContext, x: HeckeElement) -> PermDiagOperator:
             f"element of rank {x.rank} needs at least {x.rank} slots, have {ctx.slots}"
         )
     gens: dict[int, PermDiagOperator] = {}
-    out = PermDiagOperator(ctx)
+    out: dict[Perm, list] = {}
     for w, poly in x.terms.items():
         c = poly(ctx.q)
         if c == 0:
@@ -452,8 +416,9 @@ def normal_form(ctx: ModelContext, x: HeckeElement) -> PermDiagOperator:
             if a not in gens:
                 gens[a] = generator_operator(ctx, a)
             op = op.compose(gens[a])
-        out = out + op.scale(c)
-    return out
+        for sigma, table in op.terms.items():
+            out.setdefault(sigma, []).extend((i, v * c) for i, v in table.items())
+    return PermDiagOperator(ctx, out)
 
 
 def omega_trace(ctx: ModelContext, op: PermDiagOperator) -> Fraction:

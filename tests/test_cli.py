@@ -275,6 +275,76 @@ def test_verify_report_is_sorted_and_deterministic(capsys):
     assert names == sorted(names)
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("--suite", "rmatrix", "--n", "2", "--p", "3"), "--n"),
+        (("--suite", "hecke", "--m", "3"), "--m"),
+        (("--suite", "convolution", "--q", "2", "--alpha", "1"), "--q"),
+        (("--suite", "gram", "-v"), "-v"),
+        (("--suite", "tensor", "--expensive"), "--expensive"),
+    ],
+)
+def test_verify_rejects_flags_its_suite_does_not_read(capsys, argv, flag):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"does not read {flag};" in err
+    assert " and all" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "hecke"),
+        ("--suite", "rmatrix"),
+        ("--suite", "tensor"),
+        ("--suite", "convolution", "--n", "2", "--p", "2"),
+        ("--suite", "rmatrix", "--q", "3/2", "--alpha", "1/2", "--beta", "1/2"),
+        ("--suite", "tensor", "--q", "2", "--alpha", "2/3,1/3"),
+    ],
+)
+def test_verify_accepts_each_suites_own_flags(capsys, argv):
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    assert out.strip().splitlines()[-1].startswith("passed ")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--suite", "rmatrix", "--gamma", "1/2"), "q is required"),
+        (("--suite", "tensor", "--m", "0"), "--m must be >= 1"),
+        (("--suite", "tensor", "-v", "--format", "records"), "-v dumps states"),
+    ],
+)
+def test_verify_bad_flag_values_exit_2(capsys, argv, message):
+    code, _, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert message in err
+
+
+def test_verify_records_format(capsys):
+    _, csv_out, _ = run(capsys, "verify", "--suite", "hecke")
+    code, out, _ = run(capsys, "verify", "--suite", "hecke", "--format", "records")
+    assert code == 0
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    *checks, total = records
+    csv_lines = csv_out.strip().splitlines()
+    assert [c["name"] for c in checks] == [line.split()[1] for line in csv_lines[:-1]]
+    assert all(set(c) == {"name", "passed", "detail"} for c in checks)
+    assert all(c["passed"] is True and c["detail"] == "" for c in checks)
+    assert total == {"passed": len(checks), "total": len(checks)}
+
+
+@pytest.mark.parametrize("command", ["trace", "series", "verify"])
+def test_table_format_exists_only_for_gram(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--format", "table"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'table'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # parameter files
 

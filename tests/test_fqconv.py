@@ -9,7 +9,6 @@ from random import Random
 import numpy as np
 import pytest
 
-from hecketrace import fqconv
 from hecketrace.fqconv import (
     borel_order,
     borel_subgroup,
@@ -258,11 +257,3 @@ def test_brute_force_oracle_agrees_with_cell_product(n, p):
                 coeffs[w] = cell_values.pop()
         assert not values  # nothing outside the group
         assert cell_product(w1, w2, n, p) == coeffs
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_format_matrix():
-    assert fqconv.format_matrix(((1, 0), (1, 1))) == "[[1,0],[1,1]]"
