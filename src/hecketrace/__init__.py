@@ -5,7 +5,9 @@ infinite-rank Hecke algebra (indexed by Thoma-type parameter triples and
 the deformation parameter q) along four independent routes and checks
 them against each other with zero tolerance:
 
-  * the closed partition-sum formula over super-Newton sums (`traces`),
+  * the paper's partition sum over super-Newton sums, regrouped as a
+    division-free recurrence for the cycle values, defined at every q > 0
+    and equal to the classical Thoma character at q = 1 (`traces`),
   * the generating-function product expansion (`traces`),
   * diagonal-operator eigenvalue sums (`traces` and `tensor`),
   * matrix elements of an R-matrix action on a weighted tensor power

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import fqconv, suites, tensor
 from .hecke import check_partition, zeta_partition
@@ -31,13 +30,17 @@ from .traces import (
     generating_series,
     partition_trace,
     series_from_traces,
-    thoma_trace,
 )
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_PARAMS = 2
 EXIT_MISMATCH = 3
+
+# largest cycle length, partition size or series degree accepted: the
+# cycle-value recurrence costs O(m^2) exact operations on numbers whose size
+# grows with m, about 2.5 s at 300 and minutes past 1000
+MAX_SIZE = 300
 
 
 def _split_list(text: str) -> list[str]:
@@ -54,6 +57,11 @@ def _add_param_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--beta", help="comma-separated beta weights")
     sub.add_argument("--gamma", help="remainder weight (default 0)")
     sub.add_argument("--params", help="JSON file with q/alpha/beta/gamma")
+
+
+def _check_size(flag: str, value: int):
+    if value > MAX_SIZE:
+        raise ValueError(f"{flag} must be <= {MAX_SIZE}, got {value}")
 
 
 def _resolve_params(args) -> TraceParams:
@@ -96,16 +104,12 @@ def cmd_trace(args) -> int:
             parts = check_partition(_int_list(args.partition))
         else:
             raise ValueError("one of --m or --partition is required")
+        _check_size("--m" if args.m is not None else "the sum of --partition", sum(parts))
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
 
-    if params.q == 1:
-        value = Fraction(1)
-        for m in parts:
-            value *= thoma_trace(m, params)
-    else:
-        value = partition_trace(parts, params)
+    value = partition_trace(parts, params)
 
     if args.cross_check:
         if params.gamma != 0:
@@ -146,6 +150,7 @@ def cmd_series(args) -> int:
         order = args.degree
         if order is None or order < 0:
             raise ValueError("--degree M with M >= 0 is required")
+        _check_size("--degree", order)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
@@ -153,9 +158,6 @@ def cmd_series(args) -> int:
     product = generating_series(params, order)
     dual = None
     if args.dual_path:
-        if params.q == 1:
-            print("error: --dual-path requires q != 1", file=sys.stderr)
-            return EXIT_BAD_PARAMS
         dual = series_from_traces(params, order)
 
     if args.format == "records":

@@ -156,10 +156,6 @@ class HeckeElement:
     def support(self) -> list[Perm]:
         return sorted(self.terms)
 
-    def to_record(self) -> list[tuple[str, list[str]]]:
-        """Serialize as (one-line permutation, coefficient list) pairs."""
-        return [(format_perm(w), self.terms[w].to_list()) for w in self.support()]
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -209,10 +209,6 @@ class QPoly:
                     parts.append(f"{format_fraction(c)}*{mono}")
         return _signed_join(parts)
 
-    def to_list(self) -> list[str]:
-        """Coefficient strings, lowest degree first."""
-        return [format_fraction(c) for c in self.coeffs]
-
 
 # ---------------------------------------------------------------------------
 # truncated power series in z

@@ -17,7 +17,7 @@ from . import fqconv, tensor
 from .hecke import HeckeElement, gen_mul_left, mul, zeta_interval
 from .permutations import length
 from .report import CheckResult
-from .scalars import PowerSeries, QPoly
+from .scalars import QPoly
 from .tensor import ModelContext
 from .traces import (
     TraceParams,
@@ -151,11 +151,9 @@ def tensor_suite(profiles=None, qs=DEFAULT_QS, m_max: int = 5) -> list[CheckResu
 
 
 def _four_way_checks(name: str, params: TraceParams, m_max: int) -> list[CheckResult]:
-    """The same trace value along independent routes: the closed
-    partition-sum formula, the scalar diagonal sum, the tensor-side
-    diagonal sum, the full R-matrix matrix element, and the normal-form
-    cycle sum.  At q = 1 the closed routes are replaced by the Thoma
-    value, which is what the singular formula degenerates to."""
+    """The same trace value along independent routes: the cycle-value
+    recurrence, the scalar diagonal sum, the tensor-side diagonal sum, the
+    full R-matrix matrix element, and the normal-form cycle sum."""
     out = []
     for m in range(1, m_max + 1):
         slots = max(m, 2)
@@ -164,11 +162,8 @@ def _four_way_checks(name: str, params: TraceParams, m_max: int) -> list[CheckRe
         direct = tensor.matrix_element(ctx, element)
         diag_tensor = tensor.diagonal_zeta(ctx, m)
         omega = tensor.omega_trace(ctx, tensor.normal_form(ctx, element))
-        if params.q == 1:
-            closed = diag_scalar = thoma_trace(m, params)
-        else:
-            closed = zeta_trace(m, params)
-            diag_scalar = zeta_trace_diagonal(m, params)
+        closed = zeta_trace(m, params)
+        diag_scalar = zeta_trace_diagonal(m, params)
         agree = closed == diag_scalar == diag_tensor == direct == omega
         detail = (
             ""
@@ -186,11 +181,7 @@ def _four_way_checks(name: str, params: TraceParams, m_max: int) -> list[CheckRe
 
 def _series_check(name: str, params: TraceParams, order: int = 8) -> CheckResult:
     rhs = generating_series(params, order)
-    if params.q == 1:
-        # all factors cancel at q = 1; the series must be constant
-        lhs = PowerSeries.one(order)
-    else:
-        lhs = series_from_traces(params, order)
+    lhs = series_from_traces(params, order)
     return CheckResult(
         f"tensor.series_identity.{name}.q={params.q}",
         lhs == rhs,

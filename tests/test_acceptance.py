@@ -190,7 +190,7 @@ def test_criterion_10_rationality_invariant():
                 rat, pure = raw.rational_part()
                 if not pure:
                     failures.append(f"{profile[0]} q={q} m={m}: {raw!r}")
-                elif q != 1 and rat != zeta_trace(m, params):
+                elif rat != zeta_trace(m, params):
                     failures.append(f"{profile[0]} q={q} m={m}: value {rat}")
     _report(10, "rationality of tensor-model trace values", not failures,
             "; ".join(failures))

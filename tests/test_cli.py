@@ -1,10 +1,13 @@
 """Command-line surface: outputs, formats, exit codes."""
 
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
-from hecketrace.cli import main
+from hecketrace import suites
+from hecketrace.cli import MAX_SIZE, main
 
 
 def run(capsys, *argv):
@@ -30,6 +33,24 @@ def test_trace_partition(capsys):
     )
     assert code == 0
     assert out.strip() == "25/16"
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["trace", "--m", "301"], "--m"),
+        (["trace", "--partition", "200,101"], "the sum of --partition"),
+        (["series", "--degree", "301"], "--degree"),
+    ],
+    ids=["m", "partition", "degree"],
+)
+def test_size_bound_exit_2_fast(capsys, argv, flag):
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *argv, "--q", "2", "--alpha", "1/2,1/2")
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert f"{flag} must be <= {MAX_SIZE}, got 301" in err
 
 
 def test_trace_thoma_at_q1(capsys):
@@ -120,6 +141,17 @@ def test_series_dual_path_match_column(capsys):
         assert len(parts) == 4
         assert parts[1] == parts[2]
         assert parts[3] == "ok"
+
+
+def test_series_dual_path_at_q1(capsys):
+    code, out, _ = run(
+        capsys,
+        "series", "--q", "1", "--alpha", "1/2", "--beta", "1/2", "--degree", "6", "--dual-path",
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 7
+    assert all(line.endswith(",ok") for line in lines)
 
 
 def test_series_rejects_gamma(capsys):
@@ -231,6 +263,23 @@ def test_verify_tensor_custom(capsys):
     )
     assert code == 0
     assert "PASS tensor.four_way.custom.q=3.m4" in out
+
+
+Q1_TENSOR = ("verify", "--suite", "tensor", "--q", "1", "--alpha", "1/2", "--beta", "1/2")
+
+
+def test_verify_tensor_at_q1(capsys):
+    code, out, _ = run(capsys, *Q1_TENSOR)
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "passed 10/10"
+
+
+@pytest.mark.parametrize("route", ["zeta_trace", "zeta_trace_diagonal"])
+def test_verify_tensor_at_q1_compares_the_closed_routes(capsys, monkeypatch, route):
+    monkeypatch.setattr(suites, route, lambda m, params: Fraction(7))
+    code, out, _ = run(capsys, *Q1_TENSOR)
+    assert code == 1
+    assert "FAIL tensor.four_way.custom.q=1.m1" in out
 
 
 def test_verify_gram_uses_given_parameters(capsys):

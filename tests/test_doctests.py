@@ -4,10 +4,10 @@ import doctest
 
 import pytest
 
-from hecketrace import permutations, scalars
+from hecketrace import permutations, scalars, traces
 
 
-@pytest.mark.parametrize("module", [permutations, scalars], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [permutations, scalars, traces], ids=lambda m: m.__name__)
 def test_module_doctests(module):
     result = doctest.testmod(module)
     assert result.attempted > 0

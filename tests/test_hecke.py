@@ -1,6 +1,5 @@
 """T-basis arithmetic in H_n(q)."""
 
-from fractions import Fraction as F
 from random import Random
 
 import pytest
@@ -12,7 +11,7 @@ from hecketrace.hecke import (
     zeta_interval,
     zeta_partition,
 )
-from hecketrace.permutations import adjacent_transposition, compose, identity
+from hecketrace.permutations import adjacent_transposition, compose
 from hecketrace.scalars import QPoly
 
 Q = QPoly.var()
@@ -207,8 +206,3 @@ def test_generator_index_validation():
         HeckeElement.generator(2, 2)
     with pytest.raises(ValueError):
         gen_mul_left(3, HeckeElement.unit(3))
-
-
-def test_record_serialization():
-    x = HeckeElement(2, {identity(2): QPoly([0, 1]), s(1, 2): QPoly([F(-1, 2)])})
-    assert x.to_record() == [("[1,2]", ["0", "1"]), ("[2,1]", ["-1/2"])]

@@ -1,10 +1,15 @@
 """Closed-form trace evaluators and their internal cross-checks."""
 
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hecketrace.scalars import PowerSeries
+from hecketrace import traces
+from hecketrace.hecke import zeta_interval
+from hecketrace.scalars import CrossCheckError, PowerSeries
+from hecketrace.tensor import ModelContext, matrix_element
 from hecketrace.traces import (
     TraceParams,
     WeightFunction,
@@ -107,7 +112,40 @@ def test_multiplicity_enumeration_counts():
 
 
 # ---------------------------------------------------------------------------
-# the partition-sum formula
+# the cycle-value recurrence against the paper's partition sum
+
+
+def paper_partition_sum(m, p):
+    """The paper's formula, literally: a sum over the partitions of m,
+    divided by (q - 1); singular at q = 1."""
+    q = p.q
+    total = F(0)
+    for mu in enumerate_multiplicities(m):
+        term = F(1)
+        for k, count in mu.items():
+            term *= (q**k - 1) ** count
+            term /= k**count * factorial(count)
+            if k >= 2:
+                term *= super_newton(k, p) ** count
+        total += term
+    return total / (q - 1)
+
+
+@pytest.mark.parametrize("q", ["2", "3", "1/2", "5/3"])
+@pytest.mark.parametrize(
+    "alpha,beta,gamma",
+    [
+        ((1,), (), 0),
+        ((), (1,), 0),
+        ((), (), 1),
+        (("1/2", "1/4"), ("1/8",), "1/8"),
+        (("2/3", "1/6"), ("1/6",), 0),
+    ],
+)
+def test_recurrence_matches_partition_sum(q, alpha, beta, gamma):
+    p = params(q, alpha=alpha, beta=beta, gamma=gamma)
+    for m in range(1, 13):
+        assert zeta_trace(m, p) == paper_partition_sum(m, p)
 
 
 def test_zeta_trace_m1_is_one():
@@ -130,9 +168,19 @@ def test_zeta_trace_flat_pair():
     assert zeta_trace(3, P_FLAT) == F(3, 2)
 
 
-def test_zeta_trace_rejects_q1():
-    with pytest.raises(ValueError, match="thoma"):
-        zeta_trace(2, params(1, alpha=(1,)))
+@pytest.mark.parametrize(
+    "alpha,beta,gamma",
+    [((1,), (), 0), ((), (1,), 0), (("1/2", "1/4"), ("1/8",), "1/8"), (("1/2",), ("1/2",), 0)],
+)
+def test_zeta_trace_at_q1_is_thoma(alpha, beta, gamma):
+    p = params(1, alpha=alpha, beta=beta, gamma=gamma)
+    for m in range(1, 11):
+        assert zeta_trace(m, p) == thoma_trace(m, p)
+
+
+def test_zeta_trace_rejects_m0():
+    with pytest.raises(ValueError):
+        zeta_trace(0, P_FLAT)
 
 
 def test_zeta_trace_accepts_positive_gamma():
@@ -247,8 +295,15 @@ def test_diagonal_route_examples():
 def test_diagonal_route_guards():
     with pytest.raises(ValueError):
         zeta_trace_diagonal(2, params(2, alpha=("1/2",), gamma="1/2"))
-    with pytest.raises(ValueError):
-        zeta_trace_diagonal(2, params(1, alpha=(1,)))
+    for p in (params(1, alpha=(1,)), params(1, alpha=("1/2",), beta=("1/3", "1/6"))):
+        for m in range(1, 7):
+            assert zeta_trace_diagonal(m, p) == thoma_trace(m, p)
+
+
+def test_diagonal_disagreement_names_the_parameters(monkeypatch):
+    monkeypatch.setattr(traces, "_zeta_by_exponents", lambda m, p, q: F(7))
+    with pytest.raises(CrossCheckError, match=r"m=2, params \{'q': '2', 'alpha': \['1/2', '1/2'\]"):
+        zeta_trace_diagonal(2, P_FLAT)
 
 
 @pytest.mark.parametrize("q", ["2", "3", "1/2"])
@@ -266,3 +321,39 @@ def test_diagonal_route_agrees_with_formula(q, alpha, beta):
     p = params(q, alpha=alpha, beta=beta)
     for m in range(1, 7):
         assert zeta_trace_diagonal(m, p) == zeta_trace(m, p)
+
+
+# ---------------------------------------------------------------------------
+# every applicable route on random parameters
+
+
+@st.composite
+def random_params(draw):
+    """Valid (alpha, beta, gamma) with up to 2 alpha and 2 beta weights and
+    an optional positive gamma, and a q > 0, with q = 1 drawn as a branch of
+    its own."""
+    n_alpha = draw(st.integers(0, 2))
+    n_beta = draw(st.integers(0, 2))
+    n_gamma = draw(st.integers(0 if n_alpha + n_beta else 1, 1))
+    size = n_alpha + n_beta + n_gamma
+    raw = draw(st.lists(st.integers(1, 6), min_size=size, max_size=size))
+    weights = [F(r, sum(raw)) for r in raw]
+    alpha = sorted(weights[:n_alpha], reverse=True)
+    beta = sorted(weights[n_alpha : n_alpha + n_beta], reverse=True)
+    gamma = weights[-1] if n_gamma else 0
+    q = draw(st.one_of(st.just(F(1)), st.fractions(F(1, 5), 5, max_denominator=6)))
+    return TraceParams(q=q, alpha=alpha, beta=beta, gamma=gamma)
+
+
+@settings(max_examples=50, deadline=None)
+@given(p=random_params())
+def test_all_routes_agree_on_random_parameters(p):
+    for m in range(1, 9):
+        value = zeta_trace(m, p)
+        assert value == (thoma_trace(m, p) if p.q == 1 else paper_partition_sum(m, p))
+        if p.gamma == 0:
+            assert zeta_trace_diagonal(m, p) == value
+            if m <= 4 and len(p.alpha) + len(p.beta) <= 2:
+                slots = max(m, 2)
+                ctx = ModelContext.create(p, slots=slots)
+                assert matrix_element(ctx, zeta_interval(1, m, rank=slots)) == value
