@@ -42,6 +42,11 @@ EXIT_MISMATCH = 3
 # grows with m, about 2.5 s at 300 and minutes past 1000
 MAX_SIZE = 300
 
+# most basis tensors |S|^slots per side of a tensor model the CLI builds, for
+# |S| nonzero weights: 3^8 takes a few seconds per matrix element, and the
+# cost grows about |S|-fold with each slot
+MAX_TENSOR_SIZE = 3**8
+
 
 def _split_list(text: str) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
@@ -62,6 +67,16 @@ def _add_param_flags(sub: argparse.ArgumentParser):
 def _check_size(flag: str, value: int):
     if value > MAX_SIZE:
         raise ValueError(f"{flag} must be <= {MAX_SIZE}, got {value}")
+
+
+def _check_tensor_size(what: str, alpha, beta, slots: int):
+    weights = sum(1 for a in (*alpha, *beta) if a != 0)
+    # slots > MAX_TENSOR_SIZE decides without forming a huge power
+    if weights > 1 and (slots > MAX_TENSOR_SIZE or weights**slots > MAX_TENSOR_SIZE):
+        raise ValueError(
+            f"{what} builds a tensor model of {weights}^{slots} basis tensors per "
+            f"side, more than MAX_TENSOR_SIZE = {MAX_TENSOR_SIZE}"
+        )
 
 
 def _resolve_params(args) -> TraceParams:
@@ -105,6 +120,11 @@ def cmd_trace(args) -> int:
         else:
             raise ValueError("one of --m or --partition is required")
         _check_size("--m" if args.m is not None else "the sum of --partition", sum(parts))
+        rank = max(sum(parts), 2)
+        if args.cross_check:
+            if params.gamma != 0:
+                raise ValueError("--cross-check requires gamma = 0")
+            _check_tensor_size("--cross-check", params.alpha, params.beta, rank)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
@@ -112,10 +132,6 @@ def cmd_trace(args) -> int:
     value = partition_trace(parts, params)
 
     if args.cross_check:
-        if params.gamma != 0:
-            print("error: --cross-check requires gamma = 0", file=sys.stderr)
-            return EXIT_BAD_PARAMS
-        rank = max(sum(parts), 2)
         ctx = ModelContext.create(params, slots=rank)
         other = tensor.matrix_element(ctx, zeta_partition(parts, rank=rank))
         if other != value:
@@ -190,6 +206,7 @@ def cmd_gram(args) -> int:
         rank = args.n
         if rank is None or not 1 <= rank <= 3:
             raise ValueError("--n N with 1 <= N <= 3 is required")
+        _check_tensor_size("gram", params.alpha, params.beta, rank)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
@@ -261,6 +278,16 @@ def cmd_verify(args) -> int:
                 raise ValueError("verification suites require gamma = 0")
             profiles = [("custom", params.alpha, params.beta)]
             qs = (params.q,)
+        m_max = args.m or 5
+        # slots of the largest tensor model each suite builds on a profile
+        model_slots = {"rmatrix": 3, "tensor": max(m_max, 2), "gram": 4}
+        slots = max(
+            (v for k, v in model_slots.items() if args.suite in (k, "all")), default=0
+        )
+        for name, alpha, beta in profiles or suites.default_profiles():
+            _check_tensor_size(
+                f"verify --suite {args.suite} on profile {name}", alpha, beta, slots
+            )
         cases = None
         if args.n is not None or args.p is not None:
             if args.n is None or args.p is None:
@@ -274,7 +301,7 @@ def cmd_verify(args) -> int:
     results = suites.run_suite(
         args.suite,
         qs=qs,
-        m_max=args.m or 5,
+        m_max=m_max,
         expensive=args.expensive,
         profiles=profiles,
         cases=cases,

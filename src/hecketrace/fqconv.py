@@ -21,10 +21,13 @@ the counts are constant on every Bruhat cell and vanish off the group, and
 the coefficients are the per-cell counts divided once by |B|.
 
 Everything is enumerated directly at desk scale: matrices are tuples of
-tuples of residues, groups are explicit lists, and a size guard rejects
-parameter pairs whose Bruhat table would form more than n! |B|^2 <= 10^6
-matrix products.  Only prime fields are supported; prime powers would need
-extension-field arithmetic without exercising anything new.
+tuples of residues, groups are explicit lists, and each Bruhat cell is built
+once as U_w w B, with U_w the unipotent upper-triangular matrices whose free
+entries sit at the inversions of w, so the whole table takes |GL| matrix
+products.  A size guard rejects parameter pairs with n! |B|^2 > 10^6, an
+upper bound on |GL| (a cell holds p^length(w) |B| <= |B|^2 matrices).  Only
+prime fields are supported; prime powers would need extension-field
+arithmetic without exercising anything new.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .permutations import (
     all_perms,
     format_perm,
     identity,
+    inverse,
     is_perm,
     length,
 )
@@ -53,7 +57,7 @@ from .scalars import sparse_sum
 
 Matrix = tuple[tuple[int, ...], ...]
 
-SIZE_GUARD = 10**6  # max n! |B|^2, the matrix products the Bruhat table forms
+SIZE_GUARD = 10**6  # max n! |B|^2, an upper bound on |GL|
 _CHUNK = 2**18  # matrix products per numpy batch in cell_product
 
 __all__ = [
@@ -97,8 +101,8 @@ def check_size(n: int, p: int):
     cost = factorial(n) * borel_order(n, p) ** 2
     if cost > SIZE_GUARD:
         raise ValueError(
-            f"size guard exceeded: the Bruhat table of GL({n},{p}) forms "
-            f"n! |B|^2 = {cost} matrix products > {SIZE_GUARD}"
+            f"size guard exceeded: GL({n},{p}) has n! |B|^2 = {cost} > {SIZE_GUARD} "
+            f"(n! |B|^2 bounds the group order)"
         )
 
 
@@ -183,21 +187,28 @@ def enumerate_gl(n: int, p: int) -> tuple[Matrix, ...]:
     return tuple(out)
 
 
+def _upper_triangular(n: int, p: int, diagonals, free) -> list[Matrix]:
+    """Every matrix with one of the given diagonals, any residue at the
+    positions `free` above the diagonal, and zero elsewhere."""
+    out = []
+    for diag in diagonals:
+        for values in _cartesian(range(p), repeat=len(free)):
+            m = [[0] * n for _ in range(n)]
+            for i in range(n):
+                m[i][i] = diag[i]
+            for (i, j), v in zip(free, values):
+                m[i][j] = v
+            out.append(tuple(tuple(row) for row in m))
+    return out
+
+
 @lru_cache(maxsize=None)
 def borel_subgroup(n: int, p: int) -> tuple[Matrix, ...]:
     """All invertible upper-triangular matrices, enumerated directly from
     their free coordinates."""
     check_size(n, p)
     above = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out = []
-    for diag in _cartesian(range(1, p), repeat=n):
-        for uppr in _cartesian(range(p), repeat=len(above)):
-            m = [[0] * n for _ in range(n)]
-            for i in range(n):
-                m[i][i] = diag[i]
-            for (i, j), v in zip(above, uppr):
-                m[i][j] = v
-            out.append(tuple(tuple(row) for row in m))
+    out = _upper_triangular(n, p, _cartesian(range(1, p), repeat=n), above)
     if len(out) != borel_order(n, p):
         raise RuntimeError("Borel enumeration does not match the closed formula")
     return tuple(out)
@@ -205,15 +216,20 @@ def borel_subgroup(n: int, p: int) -> tuple[Matrix, ...]:
 
 @lru_cache(maxsize=None)
 def bruhat_table(n: int, p: int) -> dict[Perm, frozenset]:
-    """The Bruhat cells B w B, one per permutation, computed by direct
-    enumeration of products b1 (perm matrix) b2.  Asserts that the cells
-    are disjoint, exhaust the group, and have sizes p^length(w) |B|."""
+    """The Bruhat cells B w B, one per permutation, each enumerated once as
+    U_w (perm matrix of w) B.  U_w is the unipotent upper-triangular group
+    with free entries at the (i, j), i < j, with w^-1(i) > w^-1(j), so the
+    cell takes p^length(w) |B| products and the table |GL| in all.  Asserts
+    that the cells are disjoint, exhaust the group, and have sizes
+    p^length(w) |B|, which also shows that no product repeats."""
     borel = borel_subgroup(n, p)
     cells: dict[Perm, frozenset] = {}
     seen: set[Matrix] = set()
     for w in all_perms(n):
+        winv = inverse(w)
+        free = [(i, j) for i in range(n) for j in range(i + 1, n) if winv[i] > winv[j]]
         pw = perm_matrix(w)
-        left = [mat_mul(b, pw, p) for b in borel]
+        left = [mat_mul(u, pw, p) for u in _upper_triangular(n, p, [(1,) * n], free)]
         cell = {mat_mul(m, b, p) for m in left for b in borel}
         expected = p ** length(w) * len(borel)
         if len(cell) != expected:

@@ -37,6 +37,10 @@ paths used for cross-checking:
     survives in the Xi-matrix element, giving a swap-free evaluation
     (diagonal_zeta).
 
+The Gram matrix G[u][v] = trace(T_v* T_u) is built from the n! states
+T_u Xi as <T_u Xi, T_v Xi>: R is symmetric, so T_v* acts as the adjoint of
+T_v, and the matrix is positive semidefinite by construction.
+
 Trace values must come out rational: every evaluation asserts that all
 formal square-root components cancel and raises CrossCheckError otherwise.
 """
@@ -533,18 +537,14 @@ def bimodule_checks(
 
 def gram_matrix(params: TraceParams, rank: int) -> list[list[Fraction]]:
     """The Gram matrix G[u][v] = trace(T_v* T_u) over the full T-basis of
-    H_rank, evaluated through the tensor model."""
+    H_rank, as the inner products <T_u Xi, T_v Xi> of the rank! states."""
     ctx = ModelContext.create(params, rank)
-    basis = all_perms(rank)
-    gram = []
-    for u in basis:
-        row = []
-        tu = HeckeElement.basis(u)
-        for v in basis:
-            prod = hecke_mul(HeckeElement.basis(v).star(), tu)
-            row.append(matrix_element(ctx, prod))
-        gram.append(row)
-    return gram
+    xi = xi_state(ctx)
+    states = [apply_hecke(ctx, HeckeElement.basis(u), "left", xi) for u in all_perms(rank)]
+    return [
+        [_pure_rational(a.inner(b), f"Gram entry ({i}, {j})") for j, b in enumerate(states)]
+        for i, a in enumerate(states)
+    ]
 
 
 def ldlt_pivots(matrix: list[list[Fraction]]) -> tuple[list[Fraction], bool]:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hecketrace import suites
-from hecketrace.cli import MAX_SIZE, main
+from hecketrace.cli import MAX_SIZE, MAX_TENSOR_SIZE, _check_tensor_size, main
 
 
 def run(capsys, *argv):
@@ -108,6 +108,44 @@ def test_trace_cross_check_rejects_gamma(capsys):
     )
     assert code == 2
     assert "gamma" in err
+
+
+@pytest.mark.parametrize(
+    "argv,power",
+    [
+        (
+            ["trace", "--m", "300", "--q", "2", "--alpha", "1/2,1/2", "--cross-check"],
+            "2^300",
+        ),
+        (
+            ["trace", "--partition", "5,4", "--q", "2", "--alpha", "1/2,1/3",
+             "--beta", "1/6", "--cross-check"],
+            "3^9",
+        ),
+        (["verify", "--suite", "tensor", "--m", "9"], "3^9"),
+        (["gram", "--n", "3", "--q", "2", "--alpha", ",".join(["1/19"] * 19)], "19^3"),
+    ],
+    ids=["trace_m", "trace_partition", "verify_tensor", "gram"],
+)
+def test_tensor_size_bound_exit_2_fast(capsys, argv, power):
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert f"{power} basis tensors per side" in err
+    assert f"more than MAX_TENSOR_SIZE = {MAX_TENSOR_SIZE}" in err
+
+
+def test_tensor_size_bound_admits_seven_slots_of_three_weights():
+    # the largest model the benchmark builds; 3^8 is the last one admitted
+    alpha, beta = (Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 6),)
+    for slots in (7, 8):
+        _check_tensor_size("test", alpha, beta, slots)
+    for slots in (9, 10**9):  # the second is refused without forming 3^slots
+        with pytest.raises(ValueError, match=rf"3\^{slots} basis"):
+            _check_tensor_size("test", alpha, beta, slots)
+    _check_tensor_size("test", (Fraction(1),), (), 10**9)  # one weight, one tensor
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ def test_size_guard_admits(n, p):
 
 @pytest.mark.parametrize("n,p", [(3, 5), (2, 53), (4, 3), (5, 2)])
 def test_size_guard_refuses_by_bruhat_products(n, p):
-    # n! |B|^2 is what the Bruhat table forms: 3.8e8 at (3,5), 4.1e10 at (2,53)
+    # n! |B|^2, the bound on the group order: 3.8e8 at (3,5), 4.1e10 at (2,53)
     t0 = time.monotonic()
     with pytest.raises(ValueError, match=r"n! \|B\|\^2"):
         structure_constants_check(n, p)
@@ -109,6 +109,21 @@ def test_cell_size_law(n, p):
     b = borel_order(n, p)
     for w, cell in table.items():
         assert len(cell) == p ** length(w) * b
+
+
+def _cells_by_borel_products(n, p):
+    """Oracle for bruhat_table: each cell B w B as every product b1 w b2."""
+    borel = borel_subgroup(n, p)
+    cells = {}
+    for w in all_perms(n):
+        left = [mat_mul(b, perm_matrix(w), p) for b in borel]
+        cells[w] = frozenset(mat_mul(m, b, p) for m in left for b in borel)
+    return cells
+
+
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (2, 5)])
+def test_bruhat_table_equals_borel_products(n, p):
+    assert bruhat_table(n, p) == _cells_by_borel_products(n, p)
 
 
 def test_perm_matrix_convention():

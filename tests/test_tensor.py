@@ -1,6 +1,7 @@
 """The R-matrix tensor model and its evaluation paths."""
 
 from fractions import Fraction as F
+from math import factorial, prod
 from random import Random
 
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from hecketrace import tensor
 from hecketrace.hecke import HeckeElement, mul, zeta_interval
-from hecketrace.permutations import identity
+from hecketrace.permutations import all_perms, identity
 from hecketrace.scalars import CrossCheckError
+from hecketrace.suites import default_profiles, profile_params
 from hecketrace.tensor import (
     ModelContext,
     PermDiagOperator,
@@ -426,6 +428,93 @@ def test_gram_diagonal_is_trace_of_star_products():
     # G[u][u] = trace(T_u* T_u) must be positive for a faithful state
     gram = gram_matrix(P_FLAT, 3)
     assert all(gram[i][i] > 0 for i in range(6))
+
+
+def _hecke_gram_entry(ctx, u, v):
+    return matrix_element(ctx, mul(HeckeElement.basis(v).star(), HeckeElement.basis(u)))
+
+
+def _gram_by_hecke_products(p, rank):
+    """Oracle for gram_matrix: each entry trace(T_v* T_u) from a full
+    Hecke product evaluated as one matrix element."""
+    ctx = ModelContext.create(p, rank)
+    basis = all_perms(rank)
+    return [[_hecke_gram_entry(ctx, u, v) for v in basis] for u in basis]
+
+
+@pytest.mark.parametrize("q", ["2", "1/3", "1"])
+@pytest.mark.parametrize("profile", default_profiles(), ids=lambda p: p[0])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_gram_of_states_equals_hecke_products(rank, profile, q):
+    p = profile_params(profile, F(q))
+    assert gram_matrix(p, rank) == _gram_by_hecke_products(p, rank)
+
+
+def test_gram_of_states_equals_hecke_products_sampled_at_n4():
+    # the full n = 4 oracle takes seconds; 24 seeded entries of 576 suffice
+    ctx = ModelContext.create(P_FLAT, 4)
+    gram = gram_matrix(P_FLAT, 4)
+    basis = all_perms(4)
+    rng = Random(4)
+    for _ in range(24):
+        i, j = rng.randrange(24), rng.randrange(24)
+        assert gram[i][j] == _hecke_gram_entry(ctx, basis[i], basis[j])
+
+
+def _partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+    for k in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k, *rest)
+
+
+def _hook_dimension(shape):
+    """f^shape, the number of standard tableaux, by the hook length formula."""
+    conj = [sum(1 for r in shape if r > j) for j in range(shape[0])]
+    hooks = prod(r - j + conj[j] - i - 1 for i, r in enumerate(shape) for j in range(r))
+    return factorial(sum(shape)) // hooks
+
+
+def test_hook_dimensions():
+    assert [_hook_dimension(s) for s in _partitions(4)] == [1, 3, 2, 3, 1]
+    assert sum(_hook_dimension(s) ** 2 for s in _partitions(5)) == factorial(5)
+
+
+# (alpha, beta) with a alpha and b beta weights, for (a, b) = (2, 0), (1, 1),
+# (1, 0), (0, 1), (3, 0), (1, 2)
+RANK_PROFILES = [
+    (("1/2", "1/2"), ()),
+    (("1/2",), ("1/2",)),
+    ((1,), ()),
+    ((), (1,)),
+    (("1/2", "1/3", "1/6"), ()),
+    (("1/2",), ("1/3", "1/6")),
+]
+
+
+@pytest.mark.parametrize(
+    "rank,q",
+    [(3, "2"), (3, "1/3"), (3, "1"), (4, "2")],
+    ids=["n3-q2", "n3-q1/3", "n3-q1", "n4-q2"],
+)
+@pytest.mark.parametrize(
+    "alpha,beta", RANK_PROFILES, ids=[f"a{len(a)}b{len(b)}" for a, b in RANK_PROFILES]
+)
+def test_gram_rank_law(alpha, beta, rank, q):
+    # H_n(q) is semisimple, so the form has rank sum (f^lambda)^2 over the
+    # lambda whose hook Schur coefficient is nonzero: by Berele and Regev
+    # those that fit the (a, b)-hook, lambda_{a+1} <= b
+    a, b = len(alpha), len(beta)
+    want = sum(
+        _hook_dimension(lam) ** 2
+        for lam in _partitions(rank)
+        if (lam[a] if a < len(lam) else 0) <= b
+    )
+    pivots, psd = ldlt_pivots(gram_matrix(params(q, alpha, beta), rank))
+    assert psd
+    assert sum(1 for d in pivots if d != 0) == want
 
 
 def test_ldlt_on_known_matrices():
