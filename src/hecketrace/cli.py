@@ -117,6 +117,8 @@ def cmd_trace(args) -> int:
             parts = (args.m,)
         elif args.partition:
             parts = check_partition(_int_list(args.partition))
+            if not parts:
+                raise ValueError(f"--partition {args.partition!r} has no parts")
         else:
             raise ValueError("one of --m or --partition is required")
         _check_size("--m" if args.m is not None else "the sum of --partition", sum(parts))
@@ -248,7 +250,7 @@ _PARAM_FLAGS = ("q", "alpha", "beta", "gamma", "params")
 _FLAG_READERS = {
     **dict.fromkeys(_PARAM_FLAGS, ("rmatrix", "tensor", "gram")),
     **dict.fromkeys(("m", "verbose"), ("tensor",)),
-    **dict.fromkeys(("n", "p", "expensive"), ("convolution",)),
+    **dict.fromkeys(("n", "p"), ("convolution",)),
 }
 
 
@@ -299,12 +301,7 @@ def cmd_verify(args) -> int:
         return EXIT_BAD_PARAMS
 
     results = suites.run_suite(
-        args.suite,
-        qs=qs,
-        m_max=m_max,
-        expensive=args.expensive,
-        profiles=profiles,
-        cases=cases,
+        args.suite, qs=qs, m_max=m_max, profiles=profiles, cases=cases
     )
     passed = sum(1 for r in results if r.passed)
     if args.format == "records":
@@ -383,11 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--m", type=int, help="largest cycle length to check")
     p_verify.add_argument("--n", type=int, help="matrix size for the convolution suite")
     p_verify.add_argument("--p", type=int, help="prime for the convolution suite")
-    p_verify.add_argument(
-        "--expensive",
-        action="store_true",
-        help="include the large finite-field cases, e.g. GL(3,3)",
-    )
     p_verify.add_argument(
         "-v",
         "--verbose",

@@ -14,11 +14,14 @@ what makes sigma_m^2 = (p-1) sigma_m + p come out exactly.
 
 A bi-invariant function is stored as its exact Fraction coefficients on the
 cell indicators.  Convolution is bilinear, so everything reduces to one
-primitive, `cell_product`: it counts, for every x in the group, the products
-y z = x with y in B w1 B and z in B w2 B.  The counting runs over base-p
-integer ids of the matrices with numpy; `expand_in_cells` then checks that
-the counts are constant on every Bruhat cell and vanish off the group, and
-the coefficients are the per-cell counts divided once by |B|.
+primitive, `cell_product`, a lookup in one structure-constant table per
+group.  The coefficient of the cell of w in (B w1 B) * (B w2 B) is the
+product's value at x = perm_matrix(w): |B|^{-1} times the number of g with
+x g in B w1 B and g^{-1} in B w2 B.  One numpy bincount per w over the pairs
+(cell of x g, cell of g^{-1}) fills the table in n! |GL| matrix products.
+One point per cell suffices because every cell is B-bi-invariant: labelling
+the cells asserts that left multiplication by each generator of B keeps
+every cell, and right closure holds as each cell is built as U_w w B.
 
 Everything is enumerated directly at desk scale: matrices are tuples of
 tuples of residues, groups are explicit lists, and each Bruhat cell is built
@@ -58,7 +61,6 @@ from .scalars import sparse_sum
 Matrix = tuple[tuple[int, ...], ...]
 
 SIZE_GUARD = 10**6  # max n! |B|^2, an upper bound on |GL|
-_CHUNK = 2**18  # matrix products per numpy batch in cell_product
 
 __all__ = [
     "FqFunction",
@@ -145,11 +147,11 @@ def perm_matrix(w: Perm) -> Matrix:
     )
 
 
-def _digits(a: np.ndarray, base: int) -> np.ndarray:
-    """Read the last axis of an integer array as base-`base` digits, most
-    significant first.  Applied twice to (k, n, n) matrices (base p, then
-    base p^n) it gives their row-major ids in [0, p^(n^2))."""
-    return a @ (base ** np.arange(a.shape[-1], dtype=np.int64))[::-1]
+def _ids(mats: np.ndarray, p: int) -> np.ndarray:
+    """Row-major base-p ids in [0, p^(n^2)) of a (k, n, n) array of matrices,
+    the first entry most significant."""
+    flat = mats.reshape(len(mats), -1)
+    return flat @ (p ** np.arange(flat.shape[1], dtype=np.int64))[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +248,42 @@ def bruhat_table(n: int, p: int) -> dict[Perm, frozenset]:
 
 
 @lru_cache(maxsize=None)
-def _cell_arrays(n: int, p: int):
-    """Each Bruhat cell as a (k, n, n) integer array with the base-p ids of
-    its matrices, plus a mask over all p^(n^2) ids marking the singular
-    matrices."""
-    cells = {}
-    singular = np.ones(p ** (n * n), dtype=bool)
-    for w, cell in bruhat_table(n, p).items():
-        mats = np.array(list(cell), dtype=np.int64).reshape(-1, n, n)
-        ids = _digits(_digits(mats, p), p**n)
-        singular[ids] = False
-        cells[w] = (mats, ids)
-    return cells, singular
+def _cell_labels(n: int, p: int):
+    """(perms, mats, cells, labels): the group as a (|GL|, n, n) array, the
+    index in perms of each matrix's Bruhat cell, and that index over all
+    p^(n^2) ids (-1 on singular matrices).  Raises RuntimeError unless left
+    multiplication by every generator of B (I + c E_ij for i < j, and the
+    diagonal matrices with one entry c != 1) keeps every cell."""
+    table = bruhat_table(n, p)
+    perms = tuple(table)
+    mats = np.array([m for cell in table.values() for m in cell], dtype=np.int64)
+    cells = np.repeat(np.arange(len(perms)), [len(cell) for cell in table.values()])
+    labels = np.full(p ** (n * n), -1, dtype=np.int64)
+    labels[_ids(mats, p)] = cells
+    for i, j, c in _cartesian(range(n), range(n), range(1, p)):
+        if i > j or (i == j and c == 1):
+            continue
+        g = np.eye(n, dtype=np.int64)
+        g[i, j] = c
+        if (labels[_ids(g @ mats % p, p)] != cells).any():
+            raise RuntimeError(
+                f"left multiplication by {g.tolist()} moves a matrix out of its Bruhat cell"
+            )
+    return perms, mats, cells, labels
+
+
+@lru_cache(maxsize=None)
+def _structure_table(n: int, p: int):
+    """counts[i1, i2, i] = |B| times the coefficient of cell i in the product
+    of cells i1 and i2: the number of g in GL with perm_matrix(perms[i]) g in
+    cell i1 and g^-1 in cell i2."""
+    perms, mats, cells, labels = _cell_labels(n, p)
+    k = len(perms)
+    index = {w: i for i, w in enumerate(perms)}
+    cells_of_inverse = np.array([index[inverse(w)] for w in perms])[cells]
+    cells_of_xg = (labels[_ids(np.array(perm_matrix(w)) @ mats % p, p)] for w in perms)
+    counts = [np.bincount(c * k + cells_of_inverse, minlength=k * k) for c in cells_of_xg]
+    return index, np.stack(counts, axis=-1).reshape(k, k, k)
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +331,12 @@ def expand_in_cells(counts: np.ndarray, n: int, p: int) -> dict[Perm, int]:
     """The per-cell values of a vector indexed by the base-p ids of all
     n x n matrices; raises ValueError if the vector is not constant on some
     Bruhat cell or is nonzero on a singular matrix."""
-    cells, singular = _cell_arrays(n, p)
-    if counts[singular].any():
+    perms, _, _, labels = _cell_labels(n, p)
+    if counts[labels < 0].any():
         raise ValueError("function supported outside the enumerated group")
     coeffs: dict[Perm, int] = {}
-    for w, (_, ids) in cells.items():
-        vals = counts[ids]
+    for i, w in enumerate(perms):
+        vals = counts[labels == i]
         if (vals != vals[0]).any():
             raise ValueError(f"function is not constant on the cell of {format_perm(w)}")
         if vals[0]:
@@ -321,26 +347,12 @@ def expand_in_cells(counts: np.ndarray, n: int, p: int) -> dict[Perm, int]:
 @lru_cache(maxsize=None)
 def cell_product(w1: Perm, w2: Perm, n: int, p: int) -> Mapping[Perm, Fraction]:
     """Cell coefficients of the convolution of the indicators of B w1 B and
-    B w2 B: every product y z is counted at its id, the counts are expanded
-    in cells, and the result is divided by |B|.
-
-    Row i of y z is (row i of y) z, so each z in B w2 B first gets a table of
-    the ids of r z for all p^n row vectors r; the id of y z is then a sum of
-    n table lookups, one per row of y."""
-    cells, singular = _cell_arrays(n, p)
-    y, z = cells[w1][0], cells[w2][0]
-    vectors = np.array(list(_cartesian(range(p), repeat=n)), dtype=np.int64)
-    row_ids = _digits((vectors @ z) % p, p)  # (|z|, p^n)
-    y_rows = _digits(y, p)  # (|y|, n): y's rows as indices into the tables
-    weights = (p ** (n * np.arange(n, dtype=np.int64)))[::-1]
-    counts = np.zeros(singular.size, dtype=np.int64)
-    step = max(1, _CHUNK // len(z))
-    for lo in range(0, len(y), step):
-        ids = sum(weights[i] * row_ids[:, y_rows[lo : lo + step, i]] for i in range(n))
-        counts += np.bincount(ids.ravel(), minlength=counts.size)
+    B w2 B, read from the structure-constant table of GL(n, F_p)."""
+    index, counts = _structure_table(n, p)
+    row = counts[index[w1], index[w2]]
     norm = borel_order(n, p)
     return MappingProxyType(
-        {w: Fraction(c, norm) for w, c in expand_in_cells(counts, n, p).items()}
+        {w: Fraction(int(row[i]), norm) for w, i in index.items() if row[i]}
     )
 
 

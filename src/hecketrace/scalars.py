@@ -61,8 +61,11 @@ def format_fraction(x: Fraction) -> str:
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse "p/q" or "p" (sign on the numerator)."""
-    return Fraction(text.strip())
+    """Parse "p/q" or "p" (sign on the numerator); ValueError if malformed."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def sparse_sum(terms) -> dict:

@@ -45,8 +45,7 @@ SUITE_NAMES = ("hecke", "rmatrix", "tensor", "convolution", "gram", "all")
 
 DEFAULT_QS = (Fraction(2), Fraction(3), Fraction(1, 2))
 
-CONVOLUTION_CASES = ((2, 2), (2, 3), (2, 5), (3, 2))
-EXPENSIVE_CONVOLUTION_CASES = ((3, 3),)
+CONVOLUTION_CASES = ((2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2))
 
 # weight profiles: (name, alpha, beta); the q value is supplied separately
 _H = Fraction(1, 2)
@@ -238,10 +237,9 @@ def _shift_checks() -> list[CheckResult]:
 # finite-field realization
 
 
-def convolution_suite(cases=CONVOLUTION_CASES, expensive: bool = False) -> list[CheckResult]:
+def convolution_suite(cases=CONVOLUTION_CASES) -> list[CheckResult]:
     results = []
-    all_cases = tuple(cases) + (EXPENSIVE_CONVOLUTION_CASES if expensive else ())
-    for n, p in all_cases:
+    for n, p in cases:
         tag = f"convolution.gl({n},{p})"
         gl = fqconv.enumerate_gl(n, p)
         results.append(
@@ -282,6 +280,13 @@ def convolution_suite(cases=CONVOLUTION_CASES, expensive: bool = False) -> list[
                 for m in range(1, n - 1)
             )
             results.append(CheckResult(f"{tag}.braid", ok))
+        if n >= 4:
+            ok = all(
+                fqconv.convolve(sigmas[a], sigmas[b]) == fqconv.convolve(sigmas[b], sigmas[a])
+                for a in range(1, n)
+                for b in range(a + 2, n)
+            )
+            results.append(CheckResult(f"{tag}.distant_commute", ok))
 
         structure = fqconv.structure_constants_check(n, p)
         bad = [r for r in structure if not r.passed]
@@ -292,13 +297,6 @@ def convolution_suite(cases=CONVOLUTION_CASES, expensive: bool = False) -> list[
                 bad[0].detail if bad else "",
             )
         )
-    if expensive:
-        # distant commutation needs rank 4; (4,2) is the smallest instance
-        sigmas = {m: fqconv.sigma_element(m, 4, 2) for m in (1, 3)}
-        ok = fqconv.convolve(sigmas[1], sigmas[3]) == fqconv.convolve(
-            sigmas[3], sigmas[1]
-        )
-        results.append(CheckResult("convolution.gl(4,2).distant_commute", ok))
     return results
 
 
@@ -340,7 +338,6 @@ def run_suite(
     suite: str,
     qs=DEFAULT_QS,
     m_max: int = 5,
-    expensive: bool = False,
     profiles=None,
     cases=None,
 ) -> list[CheckResult]:
@@ -351,9 +348,7 @@ def run_suite(
     if suite == "tensor":
         return tensor_suite(profiles=profiles, qs=qs, m_max=m_max)
     if suite == "convolution":
-        return convolution_suite(
-            cases=CONVOLUTION_CASES if cases is None else cases, expensive=expensive
-        )
+        return convolution_suite(CONVOLUTION_CASES if cases is None else cases)
     if suite == "gram":
         # without given parameters the gram suite keeps its own default,
         # q = 2 only, not the three default q values of the other suites
@@ -364,14 +359,7 @@ def run_suite(
         out = []
         for name in SUITE_NAMES[:-1]:
             out.extend(
-                run_suite(
-                    name,
-                    qs=qs,
-                    m_max=m_max,
-                    expensive=expensive,
-                    profiles=profiles,
-                    cases=cases,
-                )
+                run_suite(name, qs=qs, m_max=m_max, profiles=profiles, cases=cases)
             )
         return out
     raise ValueError(f"unknown suite {suite!r}; choose one of {', '.join(SUITE_NAMES)}")

@@ -109,6 +109,9 @@ class TraceParams:
 
     @classmethod
     def from_record(cls, rec: Mapping) -> "TraceParams":
+        for key in ("alpha", "beta"):
+            if not isinstance(rec.get(key, ()), (list, tuple)):
+                raise ValueError(f"{key} must be a list of weights, got {rec[key]!r}")
         return cls(
             q=parse_fraction(str(rec["q"])),
             alpha=tuple(parse_fraction(str(a)) for a in rec.get("alpha", ())),

@@ -9,8 +9,6 @@ import time
 from fractions import Fraction as F
 from random import Random
 
-import pytest
-
 from hecketrace import fqconv, suites, tensor
 from hecketrace.hecke import zeta_interval
 from hecketrace.permutations import all_perms, length
@@ -165,7 +163,7 @@ def test_criterion_9_finite_field_realization():
             len(cell) != p ** length(w) * len(borel) for w, cell in table.items()
         ):
             failures.append(f"Bruhat cells ({n},{p})")
-    results = suites.convolution_suite(cases=cases, expensive=False)
+    results = suites.convolution_suite(cases=cases)
     failures.extend(r.line() for r in results if not r.passed)
     _budget(9, t0, 10.0)
     _report(9, "finite-field double-coset realization", not failures, "; ".join(failures))
@@ -195,9 +193,3 @@ def test_criterion_10_rationality_invariant():
     _report(10, "rationality of tensor-model trace values", not failures,
             "; ".join(failures))
 
-
-@pytest.mark.expensive
-def test_expensive_gl33_structure_constants():
-    results = suites.convolution_suite(cases=(), expensive=True)
-    bad = [r.line() for r in results if not r.passed]
-    assert not bad, bad

@@ -91,6 +91,14 @@ def test_trace_requires_m_or_partition(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("partition", [",", " , ,"])
+def test_trace_empty_partition_exit_2(capsys, partition):
+    code, out, err = run(capsys, "trace", "--partition", partition, "--q", "2", "--alpha", "1")
+    assert code == 2
+    assert out == ""
+    assert "has no parts" in err
+
+
 @pytest.mark.parametrize("m", ["0", "-2"])
 @pytest.mark.parametrize("extra", [[], ["--cross-check"]], ids=["plain", "cross_check"])
 def test_trace_m_below_one_exit_2(capsys, m, extra):
@@ -267,6 +275,14 @@ def test_verify_convolution_single_case(capsys):
     assert "PASS convolution.gl(2,2).quadratic_at_q=p" in out
 
 
+@pytest.mark.parametrize("n,p,count", [("2", "7", 6), ("3", "2", 7), ("4", "2", 8)])
+def test_verify_convolution_check_counts(capsys, n, p, count):
+    code, out, _ = run(capsys, "verify", "--suite", "convolution", "--n", n, "--p", p)
+    assert code == 0
+    assert out.strip().splitlines()[-1] == f"passed {count}/{count}"
+    assert ("distant_commute" in out) == (n == "4")
+
+
 def test_verify_convolution_rank_one_has_no_vacuous_checks(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "convolution", "--n", "1", "--p", "3"
@@ -369,7 +385,6 @@ def test_verify_report_is_sorted_and_deterministic(capsys):
         (("--suite", "hecke", "--m", "3"), "--m"),
         (("--suite", "convolution", "--q", "2", "--alpha", "1"), "--q"),
         (("--suite", "gram", "-v"), "-v"),
-        (("--suite", "tensor", "--expensive"), "--expensive"),
     ],
 )
 def test_verify_rejects_flags_its_suite_does_not_read(capsys, argv, flag):
@@ -378,6 +393,14 @@ def test_verify_rejects_flags_its_suite_does_not_read(capsys, argv, flag):
     assert out == ""
     assert f"does not read {flag};" in err
     assert " and all" in err
+
+
+def test_verify_rejects_the_retired_expensive_flag(capsys):
+    # every convolution case runs by default; --expensive is an unknown flag
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "convolution", "--expensive"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --expensive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -457,3 +480,40 @@ def test_params_file_flag_override_warns(tmp_path, capsys):
 def test_missing_params_file(capsys):
     code, _, err = run(capsys, "trace", "--m", "2", "--params", "/nonexistent.json")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trace", "--m", "3", "--q", "2", "--alpha", "1/0"),
+        ("trace", "--m", "3", "--q", "1/0", "--alpha", "1"),
+        ("series", "--degree", "2", "--q", "2", "--alpha", "1", "--beta", "1/0"),
+        ("gram", "--n", "2", "--q", "2", "--alpha", "1", "--gamma", "1/0"),
+        ("verify", "--suite", "tensor", "--q", "1/0", "--alpha", "1"),
+    ],
+    ids=["trace_alpha", "trace_q", "series", "gram", "verify"],
+)
+def test_zero_denominator_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "zero denominator in '1/0'" in err
+
+
+def test_params_file_zero_denominator_exit_2(tmp_path, capsys):
+    f = tmp_path / "params.json"
+    f.write_text(json.dumps({"q": "3/0", "alpha": ["1"]}))
+    code, out, err = run(capsys, "trace", "--m", "2", "--params", str(f))
+    assert code == 2
+    assert out == ""
+    assert "zero denominator in '3/0'" in err
+
+
+@pytest.mark.parametrize("key", ["alpha", "beta"])
+def test_params_file_weights_must_be_a_list(tmp_path, capsys, key):
+    f = tmp_path / "params.json"
+    f.write_text(json.dumps({"q": "2", key: "1/2,1/2"}))
+    code, out, err = run(capsys, "trace", "--m", "2", "--params", str(f))
+    assert code == 2
+    assert out == ""
+    assert f"{key} must be a list of weights, got '1/2,1/2'" in err

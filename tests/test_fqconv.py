@@ -9,6 +9,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from hecketrace import fqconv, suites
 from hecketrace.fqconv import (
     borel_order,
     borel_subgroup,
@@ -212,6 +213,27 @@ def test_expand_in_cells_detects_non_invariance():
         expand_in_cells(counts, 2, 2)
 
 
+def test_cell_labels_catch_a_matrix_in_the_wrong_cell(monkeypatch):
+    # swap one matrix of the s1 cell of GL(3,2) with one of the s2 cell:
+    # both cells hold 16 matrices, so sizes, disjointness and exhaustion
+    # still hold, and only left-B-invariance can see the swap
+    table = dict(bruhat_table(3, 2))
+    s1, s2 = (2, 1, 3), (1, 3, 2)
+    y, z = min(table[s1]), min(table[s2])
+    table[s1] = table[s1] - {y} | {z}
+    table[s2] = table[s2] - {z} | {y}
+    assert len(table[s1]) == len(table[s2]) == 16
+    assert sum(len(c) for c in table.values()) == len(frozenset().union(*table.values()))
+    assert frozenset().union(*table.values()) == frozenset(enumerate_gl(3, 2))
+    monkeypatch.setattr(fqconv, "bruhat_table", lambda n, p: table)
+    fqconv._cell_labels.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="out of its Bruhat cell"):
+            fqconv._cell_labels(3, 2)
+    finally:
+        fqconv._cell_labels.cache_clear()
+
+
 def test_expand_in_cells_detects_support_outside_group():
     counts = np.zeros(2**4, dtype=np.int64)
     counts[_ids([((1, 1), (1, 1))], 2)] = 1  # singular
@@ -244,7 +266,7 @@ def test_structure_constants_length_additive_product():
     assert got == {(2, 3, 1): F(1)}  # the single cell of s1 s2
 
 
-@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (2, 5), (3, 2), (2, 7), (3, 3), (4, 2)])
 def test_structure_constants_full(n, p):
     results = structure_constants_check(n, p)
     assert len(results) == len(all_perms(n)) ** 2
@@ -252,7 +274,7 @@ def test_structure_constants_full(n, p):
     assert not bad, bad
 
 
-@pytest.mark.parametrize("n,p", [(2, 2), (2, 3)])
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])
 def test_brute_force_oracle_agrees_with_cell_product(n, p):
     # independent oracle: (f * g)(x) = |B|^{-1} sum over pairs y z = x,
     # accumulated matrix by matrix as exact Fractions
@@ -272,3 +294,10 @@ def test_brute_force_oracle_agrees_with_cell_product(n, p):
                 coeffs[w] = cell_values.pop()
         assert not values  # nothing outside the group
         assert cell_product(w1, w2, n, p) == coeffs
+
+
+def test_convolution_suite_at_gl33_and_gl42():
+    results = suites.convolution_suite(cases=((3, 3), (4, 2)))
+    assert len(results) == 7 + 8
+    bad = [r.line() for r in results if not r.passed]
+    assert not bad, bad
