@@ -119,27 +119,6 @@ def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
     )
 
 
-def _det_mod(a: Matrix, p: int) -> int:
-    n = len(a)
-    m = [list(row) for row in a]
-    det = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        inv = pow(m[col][col], p - 2, p)
-        det = det * m[col][col] % p
-        for r in range(col + 1, n):
-            f = m[r][col] * inv % p
-            if f:
-                for c in range(col, n):
-                    m[r][c] = (m[r][c] - f * m[col][c]) % p
-    return det % p
-
-
 def perm_matrix(w: Perm) -> Matrix:
     n = len(w)
     return tuple(
@@ -173,20 +152,35 @@ def borel_order(n: int, p: int) -> int:
 
 @lru_cache(maxsize=None)
 def enumerate_gl(n: int, p: int) -> tuple[Matrix, ...]:
-    """Every invertible n x n matrix over F_p exactly once; the count is
-    asserted against the closed-form group order."""
+    """Every invertible n x n matrix over F_p exactly once, in lexicographic
+    order of the row-major entries; the count is asserted against the
+    closed-form group order.
+
+    All p^(n^2) matrices are tested at once, each as its base-p id: the
+    determinant is the exact integer Leibniz sum over the n! permutations
+    (at most n! (p-1)^n in size), reduced mod p."""
     check_size(n, p)
-    out = []
-    for entries in _cartesian(range(p), repeat=n * n):
-        m = tuple(entries[i * n : (i + 1) * n] for i in range(n))
-        if _det_mod(m, p) != 0:
-            out.append(m)
+    ids = np.arange(p ** (n * n), dtype=np.int64)
+    # entry[i * n + j] holds the (i, j) entry of every matrix
+    entry = ids // p ** np.arange(n * n - 1, -1, -1, dtype=np.int64)[:, None] % p
+    det = np.zeros(len(ids), dtype=np.int64)
+    for w in all_perms(n):
+        term = (-1) ** length(w)
+        for i in range(n):
+            term = term * entry[i * n + w[i] - 1]
+        det += term
+    # row i of a matrix is digit n-1-i of its id in base p^n, and rows[r]
+    # is the row whose entries are the base-p digits of r
+    rows = list(_cartesian(range(p), repeat=n))
+    row_base = p ** (n * np.arange(n - 1, -1, -1, dtype=np.int64))
+    row_ids = ids[det % p != 0] // row_base[:, None] % p**n
+    out = tuple(zip(*(map(rows.__getitem__, r) for r in row_ids.tolist())))
     expected = general_linear_order(n, p)
     if len(out) != expected:
         raise RuntimeError(
             f"enumeration of GL({n},{p}) found {len(out)} elements, expected {expected}"
         )
-    return tuple(out)
+    return out
 
 
 def _upper_triangular(n: int, p: int, diagonals, free) -> list[Matrix]:

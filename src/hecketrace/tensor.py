@@ -37,9 +37,13 @@ paths used for cross-checking:
     survives in the Xi-matrix element, giving a swap-free evaluation
     (diagonal_zeta).
 
-The Gram matrix G[u][v] = trace(T_v* T_u) is built from the n! states
-T_u Xi as <T_u Xi, T_v Xi>: R is symmetric, so T_v* acts as the adjoint of
-T_v, and the matrix is positive semidefinite by construction.
+R is a symmetric table, so T_u* acts as the adjoint of T_u for the inner
+product of the eta-basis.  matrix_element uses this to meet in the middle:
+it splits a reduced word of each w at its midpoint, w = u v, and takes
+<T_v Xi, T_u* Xi>, two half-length walks from Xi in place of one
+full-length walk.  The Gram matrix G[u][v] = trace(T_v* T_u) is built from
+the n! states T_u Xi as <T_u Xi, T_v Xi>, so it is positive semidefinite by
+construction.
 
 Trace values must come out rational: every evaluation asserts that all
 formal square-root components cancel and raises CrossCheckError otherwise.
@@ -195,18 +199,18 @@ class TensorState:
 
 def xi_state(ctx: ModelContext) -> TensorState:
     """The distinguished unit vector: sum over I in S^n of
-    prod_k sqrt(a_{i_k}) times eta[I; I].  <Xi, Xi> = 1 exactly."""
+    prod_k sqrt(a_{i_k}) times eta[I; I].  <Xi, Xi> = 1 exactly.
+
+    The coefficients are extended one slot at a time from the |S| roots,
+    so each is one product more than the coefficient of its prefix."""
     cached = ctx._cache.get("xi")
     if cached is not None:
         return cached
-    live = [i for i in ctx.support if ctx.weight(i) != 0]
-    terms = {}
-    for tup in _cartesian(live, repeat=ctx.slots):
-        coeff = ctx.table.one()
-        for i in tup:
-            coeff = coeff * ctx.sqrt_weight(i)
-        terms[(tup, tup)] = coeff
-    state = TensorState(ctx.table, terms)
+    roots = [(i, ctx.sqrt_weight(i)) for i in ctx.support if ctx.weight(i) != 0]
+    coeffs = {(): ctx.table.one()}
+    for _ in range(ctx.slots):
+        coeffs = {tup + (i,): c * root for tup, c in coeffs.items() for i, root in roots}
+    state = TensorState(ctx.table, {(tup, tup): c for tup, c in coeffs.items()})
     ctx._cache["xi"] = state
     return state
 
@@ -283,46 +287,81 @@ def r_matrix_laws(ctx: ModelContext, side: Side) -> tuple[bool, bool]:
     return quadratic, braid
 
 
+def _check_rank(ctx: ModelContext, x: HeckeElement):
+    if x.rank > ctx.slots:
+        raise ValueError(
+            f"element of rank {x.rank} needs at least {x.rank} slots, have {ctx.slots}"
+        )
+
+
+def _walk(
+    ctx: ModelContext, slots: Iterable[int], side: Side, state: TensorState
+) -> TensorState:
+    """Apply R at each slot in turn, the first slot first."""
+    for a in slots:
+        state = apply_r(ctx, a, side, state)
+    return state
+
+
 def apply_hecke(
     ctx: ModelContext, x: HeckeElement, side: Side, state: TensorState
 ) -> TensorState:
     """Apply a Hecke element through the R-matrix representation, with q
     evaluated at the context's rational value.  Each T_w acts along a
     reduced word of w."""
-    if x.rank > ctx.slots:
-        raise ValueError(
-            f"element of rank {x.rank} needs at least {x.rank} slots, have {ctx.slots}"
-        )
+    _check_rank(ctx, x)
 
     def terms():
         for w, poly in x.terms.items():
             c = poly(ctx.q)
             if c == 0:
                 continue
-            acc = state
-            for a in reversed(reduced_word(w)):
-                acc = apply_r(ctx, a, side, acc)
-            for k, v in acc.terms.items():
-                yield k, v * c
+            acc = _walk(ctx, reversed(reduced_word(w)), side, state)
+            if c == 1:
+                yield from acc.terms.items()
+            else:
+                yield from ((k, v * c) for k, v in acc.terms.items())
 
     return TensorState(ctx.table, terms())
 
 
-def _pure_rational(value: RootElem, what: str) -> Fraction:
+def _pure_rational(ctx: ModelContext, value: RootElem, route: str) -> Fraction:
     rat, pure = value.rational_part()
     if not pure:
         raise CrossCheckError(
-            f"{what} has non-cancelling square-root components: {value!r}"
+            f"{route} has non-cancelling square-root components: {value!r} "
+            f"(params {ctx.params.to_record()}, {ctx.slots} slots)"
         )
     return rat
 
 
 def matrix_element(ctx: ModelContext, x: HeckeElement) -> Fraction:
-    """<X Xi, Xi> for the left action; this is the trace value of X.  The
-    result must be purely rational, which is asserted, not assumed."""
+    """<X Xi, Xi> for the left action; this is the trace value of X.
+
+    Each term c T_w is evaluated as c <T_v Xi, T_u* Xi>, where w = u v
+    splits a reduced word a_1 .. a_k of w at its midpoint: T_v Xi applies
+    R at a_k, .., a_{h+1} and T_u* Xi applies R at a_1, .., a_h, both
+    starting from Xi.  This equals <T_w Xi, Xi> because R is symmetric, so
+    T_u* acts as the adjoint of T_u.  The terms are summed before the
+    result is checked to be purely rational, which is asserted, not
+    assumed."""
+    _check_rank(ctx, x)
     xi = xi_state(ctx)
-    val = apply_hecke(ctx, x, "left", xi).inner(xi)
-    return _pure_rational(val, f"matrix element of {x!r}")
+
+    def values():
+        for w, poly in x.terms.items():
+            c = poly(ctx.q)
+            if c == 0:
+                continue
+            word = reduced_word(w)
+            h = len(word) // 2
+            left = _walk(ctx, reversed(word[h:]), "left", xi)
+            right = _walk(ctx, word[:h], "left", xi)
+            value = left.inner(right)
+            yield from (value if c == 1 else value * c).comps.items()
+
+    total = RootElem(ctx.table, values())
+    return _pure_rational(ctx, total, f"matrix element of {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +444,7 @@ def normal_form(ctx: ModelContext, x: HeckeElement) -> PermDiagOperator:
     """Normal form of a lifted Hecke element, accumulated generator by
     generator along reduced words.  Applying the result to any state
     agrees with apply_hecke on the left side."""
-    if x.rank > ctx.slots:
-        raise ValueError(
-            f"element of rank {x.rank} needs at least {x.rank} slots, have {ctx.slots}"
-        )
+    _check_rank(ctx, x)
     gens: dict[int, PermDiagOperator] = {}
     out: dict[Perm, list] = {}
     for w, poly in x.terms.items():
@@ -444,7 +480,7 @@ def omega_trace(ctx: ModelContext, op: PermDiagOperator) -> Fraction:
             phi = table.get(tuple(img))
             if phi is not None:
                 acc = acc + phi * weight
-    return _pure_rational(acc, "omega trace")
+    return _pure_rational(ctx, acc, "omega trace")
 
 
 def diagonal_zeta(ctx: ModelContext, m: int) -> Fraction:
@@ -464,7 +500,7 @@ def diagonal_zeta(ctx: ModelContext, m: int) -> Fraction:
                 nxt[(ti, tj)] = c * d
         terms = nxt
     acted = TensorState(ctx.table, terms)
-    return _pure_rational(acted.inner(xi), f"diagonal route for m={m}")
+    return _pure_rational(ctx, acted.inner(xi), f"diagonal route for m={m}")
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +537,7 @@ def bimodule_checks(
         b = _random_basis_element(rng, n)
         lhs = apply_hecke(ctx, a, "left", apply_hecke(ctx, b, "left", xi)).inner(xi)
         rhs = apply_hecke(ctx, b, "left", apply_hecke(ctx, a, "left", xi)).inner(xi)
-        _pure_rational(lhs, "trace-property matrix element")
+        _pure_rational(ctx, lhs, "trace-property matrix element")
         if lhs != rhs:
             ok, witness = False, f"A={a!r} B={b!r}"
             break
@@ -522,7 +558,7 @@ def bimodule_checks(
         a, b, c, d = (_random_basis_element(rng, n) for _ in range(4))
         left_state = apply_hecke(ctx, b, "right", apply_hecke(ctx, a, "left", xi))
         right_state = apply_hecke(ctx, d, "right", apply_hecke(ctx, c, "left", xi))
-        lhs = _pure_rational(left_state.inner(right_state), "bimodule Gram element")
+        lhs = _pure_rational(ctx, left_state.inner(right_state), "bimodule Gram element")
         prod = hecke_mul(
             hecke_mul(c.star(), a),
             hecke_mul(b.transpose(), d.star().transpose()),
@@ -542,7 +578,7 @@ def gram_matrix(params: TraceParams, rank: int) -> list[list[Fraction]]:
     xi = xi_state(ctx)
     states = [apply_hecke(ctx, HeckeElement.basis(u), "left", xi) for u in all_perms(rank)]
     return [
-        [_pure_rational(a.inner(b), f"Gram entry ({i}, {j})") for j, b in enumerate(states)]
+        [_pure_rational(ctx, a.inner(b), f"Gram entry ({i}, {j})") for j, b in enumerate(states)]
         for i, a in enumerate(states)
     ]
 

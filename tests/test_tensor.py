@@ -1,6 +1,7 @@
 """The R-matrix tensor model and its evaluation paths."""
 
 from fractions import Fraction as F
+from itertools import product as cartesian
 from math import factorial, prod
 from random import Random
 
@@ -27,6 +28,7 @@ from hecketrace.tensor import (
     matrix_element,
     normal_form,
     omega_trace,
+    r_matrix,
     r_matrix_laws,
     xi_state,
 )
@@ -85,6 +87,45 @@ def test_xi_flat_pair_coefficients():
     mixed = xi.terms[((1, 2), (1, 2))]
     assert mixed.rational_part() == (F(0), False)
     assert mixed == ctx.sqrt_weight(1) * ctx.sqrt_weight(2)
+
+
+def _xi_by_tuples(ctx):
+    """Oracle for xi_state: each coefficient as the product of its slot
+    roots, formed afresh for every tuple."""
+    live = [i for i in ctx.support if ctx.weight(i) != 0]
+    terms = {}
+    for tup in cartesian(live, repeat=ctx.slots):
+        coeff = ctx.table.one()
+        for i in tup:
+            coeff = coeff * ctx.sqrt_weight(i)
+        terms[(tup, tup)] = coeff
+    return TensorState(ctx.table, terms)
+
+
+@pytest.mark.parametrize(
+    "p,extra",
+    [
+        (P_WIDE, ()),
+        (P_MIX, ()),
+        (params(2, alpha=("1/2", "1/4"), beta=("1/4",)), ()),  # sqrt(1/4) = 1/2
+        (P_FLAT, (5, -2)),
+    ],
+    ids=["wide", "mix", "square_weight", "zero_weight_extras"],
+)
+@pytest.mark.parametrize("slots", [1, 2, 4])
+def test_xi_by_slot_products_equals_per_tuple_products(p, extra, slots):
+    ctx = ModelContext.create(p, slots, extra)
+    xi = xi_state(ctx)
+    assert xi == _xi_by_tuples(ctx)
+    assert len(xi.terms) == len(p.alpha + p.beta) ** slots
+    assert not any(i in extra for ti, _ in xi.terms for i in ti)
+
+
+def test_xi_resolves_a_square_weight_to_a_rational_root():
+    ctx = ModelContext.create(params(2, alpha=("3/4", "1/4")), slots=2)
+    xi = xi_state(ctx)
+    assert xi.terms[((2, 2), (2, 2))] == ctx.table.from_rational(F(1, 4))
+    assert xi.terms[((1, 2), (1, 2))] == ctx.table.sqrt("sqrt_a1") * F(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +216,51 @@ def test_lift_rank_guard():
     ctx = ModelContext.create(P_FLAT, slots=2)
     with pytest.raises(ValueError):
         apply_hecke(ctx, HeckeElement.unit(3), "left", xi_state(ctx))
+    with pytest.raises(ValueError):
+        matrix_element(ctx, HeckeElement.unit(3))
+
+
+@pytest.mark.parametrize("p", [P_MIX, P_WIDE], ids=["pair", "three_mixed"])
+@pytest.mark.parametrize("q", ["2", "1/3", "1"])
+@pytest.mark.parametrize("rank", [3, 4])
+def test_matrix_element_equals_one_walk_inner_product(rank, q, p):
+    # the midpoint split against the one-walk oracle <T_w Xi, Xi>
+    ctx = ModelContext.create(TraceParams(q=F(q), alpha=p.alpha, beta=p.beta), rank)
+    xi = xi_state(ctx)
+
+    def one_walk(x):
+        return tensor._pure_rational(ctx, apply_hecke(ctx, x, "left", xi).inner(xi), "oracle")
+
+    for w in all_perms(rank):
+        x = HeckeElement.basis(w)
+        assert matrix_element(ctx, x) == one_walk(x)
+    # T_w T_s = (q-1) T_w + q T_ws when l(ws) < l(w); the first coefficient
+    # vanishes at q = 1
+    t3 = HeckeElement.generator(rank - 1, rank)
+    x = mul(HeckeElement.basis(tuple(range(rank, 0, -1))), t3)
+    assert len(x.terms) == 2
+    assert matrix_element(ctx, x) == one_walk(x)
+
+
+@pytest.mark.parametrize("q", ["2", "1/3", "1"])
+@pytest.mark.parametrize("profile", default_profiles(), ids=lambda p: p[0])
+def test_r_matrix_is_symmetric(profile, q):
+    # the premise of the adjoint step in matrix_element and gram_matrix:
+    # the coefficient of (x', y') in R(x, y) is that of (x, y) in R(x', y')
+    ctx = ModelContext.create(profile_params(profile, F(q)), 2, extra_indices=(7, -7))
+    coeff = {(src, img): c for src, images in r_matrix(ctx).items() for img, c in images}
+    assert all(coeff.get((img, src)) == c for (src, img), c in coeff.items())
+
+
+def test_matrix_element_purity_guard_names_the_parameters():
+    ctx = ModelContext.create(P_FLAT, slots=2)
+    r_matrix(ctx)
+    ctx._cache["r"][(1, 1)] = [((1, 1), ctx.sqrt_q())]
+    with pytest.raises(CrossCheckError) as err:
+        matrix_element(ctx, HeckeElement.generator(1, 2))
+    message = str(err.value)
+    assert "matrix element" in message
+    assert str(P_FLAT.to_record()) in message and "2 slots" in message
 
 
 def test_matrix_element_of_unit():
@@ -313,7 +399,7 @@ def test_omega_trace_purity_guard():
         for tup in [(i, j) for i in ctx.support for j in ctx.support]
     }
     op = PermDiagOperator(ctx, {identity(2): table})
-    with pytest.raises(CrossCheckError):
+    with pytest.raises(CrossCheckError, match="omega trace .* 2 slots"):
         omega_trace(ctx, op)
 
 
