@@ -34,7 +34,6 @@ from .scalars import (
 )
 from .tensor import (
     ModelContext,
-    PermDiagOperator,
     TensorState,
     apply_hecke,
     apply_r,
@@ -66,7 +65,6 @@ __all__ = [
     "CrossCheckError",
     "HeckeElement",
     "ModelContext",
-    "PermDiagOperator",
     "PowerSeries",
     "QPoly",
     "RootElem",

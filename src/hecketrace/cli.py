@@ -281,11 +281,7 @@ def cmd_verify(args) -> int:
             profiles = [("custom", params.alpha, params.beta)]
             qs = (params.q,)
         m_max = args.m or 5
-        # slots of the largest tensor model each suite builds on a profile
-        model_slots = {"rmatrix": 3, "tensor": max(m_max, 2), "gram": 4}
-        slots = max(
-            (v for k, v in model_slots.items() if args.suite in (k, "all")), default=0
-        )
+        slots = suites.model_slots(args.suite, m_max)
         for name, alpha, beta in profiles or suites.default_profiles():
             _check_tensor_size(
                 f"verify --suite {args.suite} on profile {name}", alpha, beta, slots

@@ -72,8 +72,8 @@ def sparse_sum(terms) -> dict:
     """The sparse linear combination of (key, coefficient) pairs: the
     coefficients of a repeated key are added, and keys whose sum is zero
     (falsy) are dropped.  A mapping stands for its items.  Every sparse
-    type of the package (RootElem, TensorState, PermDiagOperator tables,
-    HeckeElement, FqFunction) stores what this returns.
+    type of the package (RootElem, TensorState, HeckeElement, FqFunction)
+    stores what this returns, and so do the normal-form tables.
 
     >>> sparse_sum([("a", 1), ("b", Fraction(1, 2)), ("a", -1), ("b", 1)])
     {'b': Fraction(3, 2)}

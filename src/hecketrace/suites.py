@@ -33,6 +33,7 @@ __all__ = [
     "DEFAULT_QS",
     "default_profiles",
     "profile_params",
+    "model_slots",
     "hecke_suite",
     "rmatrix_suite",
     "tensor_suite",
@@ -112,6 +113,15 @@ def hecke_suite(ranks=range(2, 6), seed: int = 20260810) -> list[CheckResult]:
     return results
 
 
+def model_slots(suite: str, m_max: int = 5) -> int:
+    """Slots of the largest tensor model `suite` builds on a weight profile:
+    3 for the R-matrix laws, max(m_max, 2) for the tensor suite's cycles up
+    to length m_max, 4 for the gram suite's bimodule checks, the largest of
+    these for `all`, and 0 for a suite that builds none."""
+    slots = {"rmatrix": 3, "tensor": max(m_max, 2), "gram": 4}
+    return max(slots.values()) if suite == "all" else slots.get(suite, 0)
+
+
 # ---------------------------------------------------------------------------
 # R-matrix laws
 
@@ -124,7 +134,7 @@ def rmatrix_suite(profiles=None, qs=DEFAULT_QS) -> list[CheckResult]:
     for q in qs:
         for profile in profiles if profiles is not None else default_profiles():
             name = profile[0]
-            ctx = ModelContext.create(profile_params(profile, q), slots=3)
+            ctx = ModelContext.create(profile_params(profile, q), model_slots("rmatrix"))
             s = len(ctx.support)
             quadratic, braid = tensor.r_matrix_laws(ctx, "left")
             results.append(CheckResult(f"rmatrix.quadratic.{name}.s{s}.q={q}", quadratic))
@@ -155,7 +165,7 @@ def _four_way_checks(name: str, params: TraceParams, m_max: int) -> list[CheckRe
     full R-matrix matrix element, and the normal-form cycle sum."""
     out = []
     for m in range(1, m_max + 1):
-        slots = max(m, 2)
+        slots = model_slots("tensor", m)
         ctx = ModelContext.create(params, slots=slots)
         element = zeta_interval(1, m, rank=slots)
         direct = tensor.matrix_element(ctx, element)
@@ -325,7 +335,7 @@ def gram_suite(
                     "" if psd else f"pivots {pivots}",
                 )
             )
-    ctx = ModelContext.create(profile_params(profiles[0], qs[0]), slots=4)
+    ctx = ModelContext.create(profile_params(profiles[0], qs[0]), model_slots("gram"))
     results.extend(tensor.bimodule_checks(ctx, Random(seed)))
     return results
 

@@ -18,8 +18,8 @@ action) by
 which satisfies both the quadratic Hecke relation R^2 = (q-1) R + q and
 the braid relation, so sigma_j -> R at slots (j, j+1) extends to the whole
 Hecke algebra along reduced words.  R is written down once per model, as
-the |S|^2 table of r_matrix, which both apply_r and generator_operator
-read; r_matrix_laws checks the two relations on apply_r itself.  The
+the |S|^2 table of r_matrix, which both apply_r and normal_form read;
+r_matrix_laws checks the two relations on apply_r itself.  The
 distinguished state Xi (the n-fold product of the weighted diagonal
 vector xi) turns matrix elements into trace values: <X Xi, Xi> is the
 trace of X at the parameters behind the weights.
@@ -28,10 +28,11 @@ Besides the direct action the module implements two structured evaluation
 paths used for cross-checking:
 
   * every operator in the algebra generated by V-permutations and
-    V-diagonal operators has a normal form sum_sigma T(sigma) D(Phi_sigma)
-    (PermDiagOperator below); its Xi-matrix element is a weighted sum of
-    the diagonal tables over the index tuples constant on the cycles of
-    each sigma (omega_trace);
+    V-diagonal operators has a normal form sum_sigma T(sigma) D(Phi_sigma),
+    which normal_form returns as plain tables {sigma: {I: Phi_sigma(I)}},
+    built by one walk of the r_matrix table along each reduced word; its
+    Xi-matrix element is a weighted sum of the diagonal tables over the
+    index tuples constant on the cycles of each sigma (omega_trace);
 
   * for the descending cycle elements only the diagonal part of each R
     survives in the Xi-matrix element, giving a swap-free evaluation
@@ -61,10 +62,8 @@ from .hecke import HeckeElement, mul as hecke_mul
 from .permutations import (
     Perm,
     all_perms,
-    compose,
     cycles,
     identity,
-    inverse,
     reduced_word,
 )
 from .report import CheckResult
@@ -76,14 +75,12 @@ Side = Literal["left", "right"]
 __all__ = [
     "ModelContext",
     "TensorState",
-    "PermDiagOperator",
     "xi_state",
     "diag_coeff",
     "r_matrix",
     "apply_r",
     "apply_hecke",
     "matrix_element",
-    "generator_operator",
     "normal_form",
     "omega_trace",
     "diagonal_zeta",
@@ -224,7 +221,10 @@ def diag_coeff(q: Fraction, x: int, y: int) -> Fraction:
 
 def r_matrix(ctx: ModelContext) -> dict:
     """R on V tensor V over the support, as the table {(x, y): [((x', y'),
-    coeff), ...]} of the images of each basis pair.  This is the one place
+    coeff), ...]} of the images of each basis pair.  The diagonal
+    coefficients q, -1 and q - 1 stay Fractions, so an image that keeps
+    the pair scales a coefficient instead of multiplying two RootElems;
+    the swap coefficient -sqrt(q) is a RootElem.  This is the one place
     the R coefficients are formed; the table is cached on the context."""
     table = ctx._cache.get("r")
     if table is not None:
@@ -236,7 +236,7 @@ def r_matrix(ctx: ModelContext) -> dict:
             images = []
             diag = diag_coeff(ctx.q, x, y)
             if diag != 0:
-                images.append(((x, y), ctx.table.from_rational(diag)))
+                images.append(((x, y), diag))
             if x != y:
                 images.append(((y, x), minus_sqrt_q))
             table[(x, y)] = images
@@ -368,105 +368,74 @@ def matrix_element(ctx: ModelContext, x: HeckeElement) -> Fraction:
 # normal form: sums of permutation times V-diagonal operators
 
 
-class PermDiagOperator:
-    """Operator in normal form sum_sigma T(sigma) D(Phi_sigma), where
-    T(sigma) permutes the V-slots and D(Phi) multiplies eta[I; J] by
-    Phi(I).  Tables store only nonzero entries, and only nonempty tables
-    are stored."""
+def normal_form(
+    ctx: ModelContext, x: HeckeElement
+) -> dict[Perm, dict[tuple[int, ...], RootElem]]:
+    """Normal form sum_sigma T(sigma) D(Phi_sigma) of a lifted Hecke
+    element, as the tables {sigma: {I: Phi_sigma(I)}}: T(sigma) permutes
+    the V-slots and D(Phi) multiplies eta[I; J] by Phi(I).  No table holds
+    a zero entry and no table is empty.
 
-    __slots__ = ("ctx", "terms")
+    Each term c T_w starts as c times the identity, the entries (id, I) for
+    every I in S^n, and is multiplied on the right by R at a_1, .., a_k
+    along a reduced word of w.  At each step every entry (sigma, I) goes
+    through the r_matrix images of its pair (I_a, I_{a+1}): an image equal
+    to the pair scales the entry in place, and the -sqrt(q) image moves it
+    to (sigma s_a, s_a I), since D(Phi) T(s_a) = T(s_a) D(Phi o s_a) and R
+    is symmetric.
 
-    def __init__(
-        self,
-        ctx: ModelContext,
-        terms: Mapping[Perm, Mapping[tuple[int, ...], RootElem]] = (),
-    ):
-        self.ctx = ctx
-        tables = {sigma: sparse_sum(table) for sigma, table in dict(terms).items()}
-        self.terms = {sigma: table for sigma, table in tables.items() if table}
-
-    @classmethod
-    def identity_op(cls, ctx: ModelContext) -> "PermDiagOperator":
-        one = ctx.table.one()
-        table = {tup: one for tup in _cartesian(ctx.support, repeat=ctx.slots)}
-        return cls(ctx, {identity(ctx.slots): table})
-
-    def compose(self, other: "PermDiagOperator") -> "PermDiagOperator":
-        """self after other: T(s)D(F) . T(t)D(G) = T(st) D(F o rho_t * G)
-        with rho_t the permutation action I -> I o t^{-1} on tuples."""
-        out: dict[Perm, list] = {}
-        for sigma, ftab in self.terms.items():
-            for tau, gtab in other.terms.items():
-                tinv = inverse(tau)
-                pairs = out.setdefault(compose(sigma, tau), [])
-                for i, g in gtab.items():
-                    f = ftab.get(tuple(i[j - 1] for j in tinv))
-                    if f is not None:
-                        pairs.append((i, f * g))
-        return PermDiagOperator(self.ctx, out)
-
-    def apply(self, state: TensorState) -> TensorState:
-        def images():
-            for sigma, table in self.terms.items():
-                sinv = inverse(sigma)
-                for (ti, tj), c in state.terms.items():
-                    phi = table.get(ti)
-                    if phi is not None:
-                        yield (tuple(ti[j - 1] for j in sinv), tj), c * phi
-
-        return TensorState(self.ctx.table, images())
-
-    def __repr__(self):
-        return f"PermDiagOperator<{len(self.terms)} permutation terms>"
-
-
-def generator_operator(ctx: ModelContext, m: int) -> PermDiagOperator:
-    """Normal form of the R-matrix at slots (m, m+1): the entries of the
-    r_matrix table that keep the pair go on the identity permutation, the
-    -sqrt(q) entries on the slot swap."""
-    n = ctx.slots
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"generator index {m} out of range for {n} slots")
-    r = r_matrix(ctx)
-    diag_table = {}
-    swap_table = {}
-    for tup in _cartesian(ctx.support, repeat=n):
-        pair = tup[m - 1 : m + 1]
-        for image, coeff in r[pair]:
-            (diag_table if image == pair else swap_table)[tup] = coeff
-    swap = tuple(
-        m + 1 if k == m else m if k == m + 1 else k for k in range(1, n + 1)
-    )
-    return PermDiagOperator(ctx, {identity(n): diag_table, swap: swap_table})
-
-
-def normal_form(ctx: ModelContext, x: HeckeElement) -> PermDiagOperator:
-    """Normal form of a lifted Hecke element, accumulated generator by
-    generator along reduced words.  Applying the result to any state
-    agrees with apply_hecke on the left side."""
+    >>> ctx = ModelContext.create(TraceParams(q=Fraction(2), alpha=(Fraction(1),)), 2)
+    >>> op = normal_form(ctx, HeckeElement.generator(1, 2))
+    >>> op
+    {(1, 2): {(1, 1): 2}}
+    >>> print(omega_trace(ctx, op))
+    2
+    """
     _check_rank(ctx, x)
-    gens: dict[int, PermDiagOperator] = {}
-    out: dict[Perm, list] = {}
-    for w, poly in x.terms.items():
-        c = poly(ctx.q)
-        if c == 0:
-            continue
-        op = PermDiagOperator.identity_op(ctx)
-        for a in reduced_word(w):
-            if a not in gens:
-                gens[a] = generator_operator(ctx, a)
-            op = op.compose(gens[a])
-        for sigma, table in op.terms.items():
-            out.setdefault(sigma, []).extend((i, v * c) for i, v in table.items())
-    return PermDiagOperator(ctx, out)
+    n = ctx.slots
+    r = r_matrix(ctx)
+    tuples = list(_cartesian(ctx.support, repeat=n))
+
+    def times_r(entries: dict, j: int) -> dict:
+        # R at slots (j + 1, j + 2); sigma s_a swaps the entries j, j + 1 of sigma
+        def swap(sigma: Perm) -> Perm:
+            return sigma[:j] + (sigma[j + 1], sigma[j]) + sigma[j + 2 :]
+
+        def images():
+            for (sigma, tup), c in entries.items():
+                pair = tup[j : j + 2]
+                for image, coeff in r[pair]:
+                    key = sigma if image == pair else swap(sigma)
+                    yield (key, tup[:j] + image + tup[j + 2 :]), c * coeff
+
+        return sparse_sum(images())
+
+    def terms():
+        for w, poly in x.terms.items():
+            c = poly(ctx.q)
+            if c == 0:
+                continue
+            start = ctx.table.from_rational(c)
+            entries = {(identity(n), tup): start for tup in tuples}
+            for a in reduced_word(w):
+                entries = times_r(entries, a - 1)
+            yield from entries.items()
+
+    out: dict[Perm, dict[tuple[int, ...], RootElem]] = {}
+    for (sigma, tup), v in sparse_sum(terms()).items():
+        out.setdefault(sigma, {})[tup] = v
+    return out
 
 
-def omega_trace(ctx: ModelContext, op: PermDiagOperator) -> Fraction:
-    """Xi-matrix element of a normal-form operator, summed combinatorially:
-    only index tuples constant on the cycles of each permutation term
-    contribute, weighted by prod_k a_{i_k} times the diagonal table."""
+def omega_trace(
+    ctx: ModelContext, op: Mapping[Perm, Mapping[tuple[int, ...], RootElem]]
+) -> Fraction:
+    """Xi-matrix element of a normal form {sigma: table}, summed
+    combinatorially: only index tuples constant on the cycles of each
+    permutation term contribute, weighted by prod_k a_{i_k} times the
+    diagonal table."""
     acc = ctx.table.zero()
-    for sigma, table in op.terms.items():
+    for sigma, table in op.items():
         sigma_cycles = cycles(sigma)
         for values in _cartesian(ctx.support, repeat=len(sigma_cycles)):
             img = [0] * ctx.slots

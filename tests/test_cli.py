@@ -156,6 +156,28 @@ def test_tensor_size_bound_admits_seven_slots_of_three_weights():
     _check_tensor_size("test", (Fraction(1),), (), 10**9)  # one weight, one tensor
 
 
+@pytest.mark.parametrize("suite", ["rmatrix", "tensor", "gram", "all"])
+def test_model_slots_is_the_largest_model_a_suite_builds_on_the_profile(monkeypatch, suite):
+    # the bound cmd_verify checks is the model the suite really builds
+    from hecketrace.tensor import ModelContext
+
+    custom = (Fraction(2, 3), Fraction(1, 3))
+    built = []
+    create = ModelContext.create.__func__
+
+    def spy(cls, params, slots, *rest):
+        if params.alpha == custom:
+            built.append(slots)
+        return create(cls, params, slots, *rest)
+
+    monkeypatch.setattr(ModelContext, "create", classmethod(spy))
+    suites.run_suite(
+        suite, qs=(Fraction(2),), m_max=3, profiles=[("custom", custom, ())], cases=((1, 2),)
+    )
+    assert max(built) == suites.model_slots(suite, 3)
+    assert suites.model_slots("hecke") == suites.model_slots("convolution") == 0
+
+
 # ---------------------------------------------------------------------------
 # series
 

@@ -4,10 +4,12 @@ import doctest
 
 import pytest
 
-from hecketrace import permutations, scalars, traces
+from hecketrace import permutations, scalars, tensor, traces
 
 
-@pytest.mark.parametrize("module", [permutations, scalars, traces], ids=lambda m: m.__name__)
+@pytest.mark.parametrize(
+    "module", [permutations, scalars, tensor, traces], ids=lambda m: m.__name__
+)
 def test_module_doctests(module):
     result = doctest.testmod(module)
     assert result.attempted > 0

@@ -1,4 +1,4 @@
-"""scalars.sparse_sum, and the five sparse types that store what it returns."""
+"""scalars.sparse_sum, and the four sparse types that store what it returns."""
 
 from fractions import Fraction as F
 
@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hecketrace.fqconv import FqFunction
 from hecketrace.hecke import HeckeElement
 from hecketrace.scalars import QPoly, RootElem, SqrtTable, sparse_sum
-from hecketrace.tensor import ModelContext, PermDiagOperator, TensorState
-from hecketrace.traces import TraceParams
+from hecketrace.tensor import TensorState
 
 coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 pairs = st.lists(st.tuples(st.sampled_from("abcd"), coefficients), max_size=12)
@@ -27,16 +26,12 @@ def test_sparse_sum_is_the_keywise_sum(terms, cancelling, rng):
 
 
 TABLE = SqrtTable({"x": 2})
-CTX = ModelContext.create(TraceParams(q=F(2), alpha=(F(1),)), slots=2, extra_indices=(-1,))
 
 # type -> (build from pairs and return the stored dict, key a, key b, coefficient)
 CONSTRUCTORS = {
     "RootElem": (lambda t: RootElem(TABLE, t).comps, frozenset({"x"}), frozenset(), F(3, 2)),
     "TensorState": (
         lambda t: TensorState(TABLE, t).terms, ((1,), (1,)), ((1,), (-1,)), TABLE.sqrt("x")
-    ),
-    "PermDiagOperator": (
-        lambda t: PermDiagOperator(CTX, {(2, 1): t}).terms[(2, 1)], (1, 1), (1, -1), CTX.sqrt_q()
     ),
     "HeckeElement": (lambda t: HeckeElement(2, t).terms, (1, 2), (2, 1), QPoly([1, -1])),
     "FqFunction": (lambda t: FqFunction(2, 2, t).values, (1, 2), (2, 1), F(1, 3)),
@@ -47,12 +42,6 @@ CONSTRUCTORS = {
 def test_constructor_sums_repeated_keys_and_drops_cancelled_ones(name):
     stored, a, b, c = CONSTRUCTORS[name]
     assert stored([(a, c), (b, c), (a, c), (b, -c)]) == {a: c + c}
-
-
-def test_perm_diag_operator_drops_a_cancelled_table():
-    c = CTX.sqrt_q()
-    op = PermDiagOperator(CTX, {(2, 1): [((1, 1), c), ((1, 1), -c)], (1, 2): {(1, 1): c}})
-    assert list(op.terms) == [(1, 2)]
 
 
 def test_hecke_element_checks_cancelled_keys_too():

@@ -10,19 +10,17 @@ from hypothesis import given, settings, strategies as st
 
 from hecketrace import tensor
 from hecketrace.hecke import HeckeElement, mul, zeta_interval
-from hecketrace.permutations import all_perms, identity
-from hecketrace.scalars import CrossCheckError
+from hecketrace.permutations import all_perms, compose, identity, inverse, reduced_word
+from hecketrace.scalars import CrossCheckError, sparse_sum
 from hecketrace.suites import default_profiles, profile_params
 from hecketrace.tensor import (
     ModelContext,
-    PermDiagOperator,
     TensorState,
     apply_hecke,
     apply_r,
     bimodule_checks,
     diag_coeff,
     diagonal_zeta,
-    generator_operator,
     gram_matrix,
     ldlt_pivots,
     matrix_element,
@@ -320,46 +318,158 @@ def test_truncation_exactness_zero_weight_index():
 # normal form and the cycle-sum evaluation
 
 
+def _normal_form_by_composition(ctx, x):
+    """Oracle for normal_form: the operator algebra on {sigma: table}
+    normal forms, composing one generator operator per letter of each
+    reduced word."""
+
+    def operator(terms):
+        tables = {sigma: sparse_sum(table) for sigma, table in dict(terms).items()}
+        return {sigma: table for sigma, table in tables.items() if table}
+
+    def identity_op():
+        one = ctx.table.one()
+        table = {tup: one for tup in cartesian(ctx.support, repeat=ctx.slots)}
+        return operator({identity(ctx.slots): table})
+
+    def compose_ops(left, right):
+        # T(s)D(F) . T(t)D(G) = T(st) D(F o rho_t * G), with rho_t the
+        # permutation action I -> I o t^{-1} on tuples
+        out = {}
+        for sigma, ftab in left.items():
+            for tau, gtab in right.items():
+                tinv = inverse(tau)
+                pairs = out.setdefault(compose(sigma, tau), [])
+                for i, g in gtab.items():
+                    f = ftab.get(tuple(i[j - 1] for j in tinv))
+                    if f is not None:
+                        pairs.append((i, f * g))
+        return operator(out)
+
+    def generator_operator(m):
+        n = ctx.slots
+        r = r_matrix(ctx)
+        diag_table = {}
+        swap_table = {}
+        for tup in cartesian(ctx.support, repeat=n):
+            pair = tup[m - 1 : m + 1]
+            for image, coeff in r[pair]:
+                (diag_table if image == pair else swap_table)[tup] = coeff
+        swap = tuple(m + 1 if k == m else m if k == m + 1 else k for k in range(1, n + 1))
+        return operator({identity(n): diag_table, swap: swap_table})
+
+    out = {}
+    for w, poly in x.terms.items():
+        c = poly(ctx.q)
+        if c == 0:
+            continue
+        op = identity_op()
+        for a in reduced_word(w):
+            op = compose_ops(op, generator_operator(a))
+        for sigma, table in op.items():
+            out.setdefault(sigma, []).extend((i, v * c) for i, v in table.items())
+    return operator(out)
+
+
+def _apply_normal_form(ctx, op, state):
+    """The operator sum_sigma T(sigma) D(Phi_sigma) applied to a state."""
+
+    def images():
+        for sigma, table in op.items():
+            sinv = inverse(sigma)
+            for (ti, tj), c in state.terms.items():
+                phi = table.get(ti)
+                if phi is not None:
+                    yield (tuple(ti[j - 1] for j in sinv), tj), c * phi
+
+    return TensorState(ctx.table, images())
+
+
 def test_normal_form_of_unit():
     ctx = ModelContext.create(P_FLAT, slots=2)
     op = normal_form(ctx, HeckeElement.unit(2))
-    assert set(op.terms) == {identity(2)}
-    assert all(v == ctx.table.one() for v in op.terms[identity(2)].values())
+    assert set(op) == {identity(2)}
+    assert all(v == ctx.table.one() for v in op[identity(2)].values())
 
 
 def test_normal_form_of_generator():
     ctx = ModelContext.create(P_FLAT, slots=2)
     op = normal_form(ctx, HeckeElement.generator(1, 2))
     swap = (2, 1)
-    assert set(op.terms) == {identity(2), swap}
-    diag = op.terms[identity(2)]
+    assert set(op) == {identity(2), swap}
+    diag = op[identity(2)]
     assert diag[(1, 1)] == ctx.table.from_rational(F(2))
     assert diag[(1, 2)] == ctx.table.from_rational(F(1))  # q - 1
     assert (2, 1) not in diag  # decreasing pairs carry 0
-    off = op.terms[swap]
+    off = op[swap]
     assert off[(1, 2)] == -ctx.sqrt_q()
     assert off[(2, 1)] == -ctx.sqrt_q()
     assert (1, 1) not in off
 
 
+# P5 and the (alpha, beta) pair P4, each with one extra index of weight 0
+NORMAL_FORM_MODELS = [(P_WIDE, (3,)), (P_MIX, (-2,))]
+
+
+@pytest.mark.parametrize("p,extra", NORMAL_FORM_MODELS, ids=["P5", "pair"])
+@pytest.mark.parametrize("q", ["2", "1/3", "1"])
+@pytest.mark.parametrize("rank", [3, 4])
+def test_normal_form_walk_equals_composition(rank, q, p, extra):
+    ctx = ModelContext.create(TraceParams(q=F(q), alpha=p.alpha, beta=p.beta), rank, extra)
+    for w in all_perms(rank):
+        x = HeckeElement.basis(w)
+        assert normal_form(ctx, x) == _normal_form_by_composition(ctx, x), w
+    # two terms whose T_w tables overlap on the identity permutation
+    x = HeckeElement.basis(tuple(range(rank, 0, -1))) + HeckeElement.generator(1, rank).scale(
+        F(-3, 2)
+    )
+    assert normal_form(ctx, x) == _normal_form_by_composition(ctx, x)
+
+
+@pytest.mark.parametrize("p,extra", NORMAL_FORM_MODELS, ids=["P5", "pair"])
+@pytest.mark.parametrize("q", ["2", "1/3", "1"])
+def test_normal_form_tables_are_nonempty_and_nonzero(p, extra, q):
+    ctx = ModelContext.create(TraceParams(q=F(q), alpha=p.alpha, beta=p.beta), 3, extra)
+    perms = set(all_perms(3))
+    for w in all_perms(3):
+        for x in (HeckeElement.basis(w), HeckeElement.basis(w) + HeckeElement.generator(1, 3)):
+            op = normal_form(ctx, x)
+            assert op and set(op) <= perms
+            assert all(table and all(table.values()) for table in op.values())
+            assert all(len(tup) == 3 for table in op.values() for tup in table)
+
+
+def test_normal_form_drops_a_cancelled_table():
+    # with a single index every T_w acts as q^length(w) on the identity
+    # table, so T_w - q^length(w) has the empty normal form
+    ctx = ModelContext.create(P_TRIV, slots=3)
+    x = HeckeElement.basis((3, 2, 1)) + HeckeElement.unit(3).scale(-(ctx.q**3))
+    assert normal_form(ctx, x) == {}
+    assert normal_form(ctx, HeckeElement.basis((3, 2, 1))) == {
+        identity(3): {(1, 1, 1): ctx.table.from_rational(ctx.q**3)}
+    }
+
+
 def test_generator_operator_matches_apply_r():
-    ctx = ModelContext.create(P_WIDE, slots=3)
+    ctx = ModelContext.create(P_WIDE, slots=4)
     rng = Random(31)
-    for m in (1, 2):
-        op = generator_operator(ctx, m)
+    for m in (1, 2, 3):
+        op = normal_form(ctx, HeckeElement.generator(m, 4))
         for _ in range(3):
             state = random_state(ctx, rng)
-            assert op.apply(state) == apply_r(ctx, m, "left", state)
+            assert _apply_normal_form(ctx, op, state) == apply_r(ctx, m, "left", state)
 
 
 def test_operator_composition_matches_sequential_application():
-    ctx = ModelContext.create(P_FLAT, slots=3)
+    # the walk composes R along a reduced word; apply_hecke applies it
+    ctx = ModelContext.create(P_WIDE, slots=3)
     rng = Random(8)
-    g1, g2 = generator_operator(ctx, 1), generator_operator(ctx, 2)
-    comp = g1.compose(g2)
-    for _ in range(5):
-        state = random_state(ctx, rng)
-        assert comp.apply(state) == apply_r(ctx, 1, "left", apply_r(ctx, 2, "left", state))
+    for w in all_perms(3):
+        x = HeckeElement.basis(w)
+        op = normal_form(ctx, x)
+        for _ in range(3):
+            state = random_state(ctx, rng)
+            assert _apply_normal_form(ctx, op, state) == apply_hecke(ctx, x, "left", state)
 
 
 def test_normal_form_agrees_with_lift():
@@ -368,12 +478,12 @@ def test_normal_form_agrees_with_lift():
     xi = xi_state(ctx)
     for _ in range(5):
         x = HeckeElement.basis(tuple(rng.sample(range(1, 4), 3)))
-        assert normal_form(ctx, x).apply(xi) == apply_hecke(ctx, x, "left", xi)
+        assert _apply_normal_form(ctx, normal_form(ctx, x), xi) == apply_hecke(ctx, x, "left", xi)
 
 
 def test_omega_trace_of_identity_table():
     ctx = ModelContext.create(P_WIDE, slots=3)
-    assert omega_trace(ctx, PermDiagOperator.identity_op(ctx)) == 1
+    assert omega_trace(ctx, normal_form(ctx, HeckeElement.unit(3))) == 1
 
 
 def test_omega_trace_of_bare_swap():
@@ -383,8 +493,7 @@ def test_omega_trace_of_bare_swap():
         tup: ctx.table.one()
         for tup in [(i, j) for i in ctx.support for j in ctx.support]
     }
-    op = PermDiagOperator(ctx, {(2, 1): table})
-    assert omega_trace(ctx, op) == F(1, 2)
+    assert omega_trace(ctx, {(2, 1): table}) == F(1, 2)
 
 
 def test_omega_trace_of_zeta2():
@@ -398,7 +507,7 @@ def test_omega_trace_purity_guard():
         tup: ctx.sqrt_q()
         for tup in [(i, j) for i in ctx.support for j in ctx.support]
     }
-    op = PermDiagOperator(ctx, {identity(2): table})
+    op = {identity(2): table}
     with pytest.raises(CrossCheckError, match="omega trace .* 2 slots"):
         omega_trace(ctx, op)
 
@@ -479,7 +588,8 @@ def test_r_matrix_laws_and_generator_operator_on_random_models(ctx, m, seed):
     assert r_matrix_laws(ctx, "left") == (True, True)
     assert r_matrix_laws(ctx, "right") == (True, True)
     state = random_state(ctx, Random(seed))
-    assert generator_operator(ctx, m).apply(state) == apply_r(ctx, m, "left", state)
+    op = normal_form(ctx, HeckeElement.generator(m, 3))
+    assert _apply_normal_form(ctx, op, state) == apply_r(ctx, m, "left", state)
 
 
 # ---------------------------------------------------------------------------
