@@ -84,6 +84,8 @@ def _resolve_params(args) -> TraceParams:
     if args.params:
         with open(args.params) as fh:
             record = json.load(fh)
+        if not isinstance(record, dict):
+            raise ValueError(f"params file {args.params} must hold a JSON object")
     flags = {
         "q": args.q,
         "alpha": None if args.alpha is None else _split_list(args.alpha),

@@ -31,8 +31,8 @@ paths used for cross-checking:
     V-diagonal operators has a normal form sum_sigma T(sigma) D(Phi_sigma),
     which normal_form returns as plain tables {sigma: {I: Phi_sigma(I)}},
     built by one walk of the r_matrix table along each reduced word; its
-    Xi-matrix element is a weighted sum of the diagonal tables over the
-    index tuples constant on the cycles of each sigma (omega_trace);
+    Xi-matrix element is a weighted sum of the table entries whose
+    permutation fixes their index tuple (omega_trace);
 
   * for the descending cycle elements only the diagonal part of each R
     survives in the Xi-matrix element, giving a swap-free evaluation
@@ -55,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product as _cartesian
+from math import prod
 from random import Random
 from typing import Iterable, Literal, Mapping
 
@@ -62,7 +63,6 @@ from .hecke import HeckeElement, mul as hecke_mul
 from .permutations import (
     Perm,
     all_perms,
-    cycles,
     identity,
     reduced_word,
 )
@@ -431,25 +431,19 @@ def omega_trace(
     ctx: ModelContext, op: Mapping[Perm, Mapping[tuple[int, ...], RootElem]]
 ) -> Fraction:
     """Xi-matrix element of a normal form {sigma: table}, summed
-    combinatorially: only index tuples constant on the cycles of each
-    permutation term contribute, weighted by prod_k a_{i_k} times the
-    diagonal table."""
-    acc = ctx.table.zero()
-    for sigma, table in op.items():
-        sigma_cycles = cycles(sigma)
-        for values in _cartesian(ctx.support, repeat=len(sigma_cycles)):
-            img = [0] * ctx.slots
-            weight = Fraction(1)
-            for cyc, v in zip(sigma_cycles, values):
-                for pos in cyc:
-                    img[pos - 1] = v
-                weight *= ctx.weight(v) ** len(cyc)
-            if weight == 0:
-                continue
-            phi = table.get(tuple(img))
-            if phi is not None:
-                acc = acc + phi * weight
-    return _pure_rational(ctx, acc, "omega trace")
+    combinatorially over the entries (sigma, I) whose permutation fixes
+    their tuple, that is I constant on the cycles of sigma: each such entry
+    contributes prod_k a_{I_k} times Phi_sigma(I), and no other entry
+    contributes."""
+
+    def contributions():
+        for sigma, table in op.items():
+            for tup, phi in table.items():
+                if all(tup[s - 1] == i for s, i in zip(sigma, tup)):
+                    yield from (phi * prod(map(ctx.weight, tup))).comps.items()
+
+    total = RootElem(ctx.table, contributions())
+    return _pure_rational(ctx, total, "omega trace")
 
 
 def diagonal_zeta(ctx: ModelContext, m: int) -> Fraction:

@@ -539,3 +539,14 @@ def test_params_file_weights_must_be_a_list(tmp_path, capsys, key):
     assert code == 2
     assert out == ""
     assert f"{key} must be a list of weights, got '1/2,1/2'" in err
+
+
+@pytest.mark.parametrize("content", ["null", "5", '"q"', "[1, 2]"])
+@pytest.mark.parametrize("flags", [(), ("--q", "2", "--alpha", "1")], ids=["file", "flags"])
+def test_params_file_must_hold_an_object(tmp_path, capsys, content, flags):
+    f = tmp_path / "params.json"
+    f.write_text(content)
+    code, out, err = run(capsys, "trace", "--m", "2", "--params", str(f), *flags)
+    assert code == 2
+    assert out == ""
+    assert f"params file {f} must hold a JSON object" in err

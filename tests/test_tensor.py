@@ -4,13 +4,21 @@ from fractions import Fraction as F
 from itertools import product as cartesian
 from math import factorial, prod
 from random import Random
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hecketrace import tensor
 from hecketrace.hecke import HeckeElement, mul, zeta_interval
-from hecketrace.permutations import all_perms, compose, identity, inverse, reduced_word
+from hecketrace.permutations import (
+    all_perms,
+    compose,
+    cycles,
+    identity,
+    inverse,
+    reduced_word,
+)
 from hecketrace.scalars import CrossCheckError, sparse_sum
 from hecketrace.suites import default_profiles, profile_params
 from hecketrace.tensor import (
@@ -371,6 +379,28 @@ def _normal_form_by_composition(ctx, x):
     return operator(out)
 
 
+def _omega_by_cycle_tuples(ctx, op):
+    """Oracle for omega_trace: for each permutation term, enumerate every
+    index tuple constant on its cycles, weight it by prod_k a_{i_k} and
+    look it up in the diagonal table."""
+    acc = ctx.table.zero()
+    for sigma, table in op.items():
+        sigma_cycles = cycles(sigma)
+        for values in cartesian(ctx.support, repeat=len(sigma_cycles)):
+            img = [0] * ctx.slots
+            weight = F(1)
+            for cyc, v in zip(sigma_cycles, values):
+                for pos in cyc:
+                    img[pos - 1] = v
+                weight *= ctx.weight(v) ** len(cyc)
+            if weight == 0:
+                continue
+            phi = table.get(tuple(img))
+            if phi is not None:
+                acc = acc + phi * weight
+    return tensor._pure_rational(ctx, acc, "omega trace")
+
+
 def _apply_normal_form(ctx, op, state):
     """The operator sum_sigma T(sigma) D(Phi_sigma) applied to a state."""
 
@@ -418,12 +448,16 @@ def test_normal_form_walk_equals_composition(rank, q, p, extra):
     ctx = ModelContext.create(TraceParams(q=F(q), alpha=p.alpha, beta=p.beta), rank, extra)
     for w in all_perms(rank):
         x = HeckeElement.basis(w)
-        assert normal_form(ctx, x) == _normal_form_by_composition(ctx, x), w
+        op = normal_form(ctx, x)
+        assert op == _normal_form_by_composition(ctx, x), w
+        assert omega_trace(ctx, op) == _omega_by_cycle_tuples(ctx, op), w
     # two terms whose T_w tables overlap on the identity permutation
     x = HeckeElement.basis(tuple(range(rank, 0, -1))) + HeckeElement.generator(1, rank).scale(
         F(-3, 2)
     )
-    assert normal_form(ctx, x) == _normal_form_by_composition(ctx, x)
+    op = normal_form(ctx, x)
+    assert op == _normal_form_by_composition(ctx, x)
+    assert omega_trace(ctx, op) == _omega_by_cycle_tuples(ctx, op)
 
 
 @pytest.mark.parametrize("p,extra", NORMAL_FORM_MODELS, ids=["P5", "pair"])
@@ -499,6 +533,18 @@ def test_omega_trace_of_bare_swap():
 def test_omega_trace_of_zeta2():
     ctx = ModelContext.create(P_FLAT, slots=2)
     assert omega_trace(ctx, normal_form(ctx, zeta_interval(1, 2))) == F(5, 4)
+
+
+def test_omega_trace_reads_only_the_given_entries():
+    # one entry per table at |S| = 8 and 6 slots: the cost must follow the
+    # two entries, not the 8^6 tuples constant on the identity's cycles;
+    # (2, 1, 3, ..) does not fix (1, 2, 1, ..), so that entry contributes 0
+    ctx = ModelContext.create(TraceParams(q=F(2), alpha=(F(1, 8),) * 8), slots=6)
+    one = ctx.table.one()
+    op = {identity(6): {(1,) * 6: one}, (2, 1, 3, 4, 5, 6): {(1, 2, 1, 1, 1, 1): one}}
+    start = perf_counter()
+    assert omega_trace(ctx, op) == F(1, 8) ** 6
+    assert perf_counter() - start < 1
 
 
 def test_omega_trace_purity_guard():
