@@ -16,6 +16,7 @@ JSON file via --params; flags win on conflict, with a warning on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -331,7 +332,9 @@ def _dump_states(profiles, qs):
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused."""
     parser = argparse.ArgumentParser(
         prog="hecketrace",
         description="Exact traces on Iwahori-Hecke algebras, cross-checked "

@@ -10,22 +10,21 @@ arithmetic).  On top of those this module provides:
   PowerSeries formal series in z truncated at a fixed order M, coefficients
               of degree 0..M only;
   SqrtTable / RootElem
-              the commutative ring Q[sqrt(x_1), ..., sqrt(x_s)] for a fixed
-              finite set of positive rationals x_i.  An element is a map
-              from subsets of the symbol set to rational coefficients;
-              multiplication combines subsets by symmetric difference, with
-              every squared symbol contributing its bound value.  Symbols
-              whose bound value is a perfect rational square are resolved
-              to that square root when the table is built, so every value
-              has exactly one representation and equality is a plain
-              component comparison.
+              the commutative ring Q[s_1, ..., s_s] / (s_i^2 - x_i) of
+              formal square roots of a fixed finite set of positive
+              rationals x_i.  An element is a map from subsets of the
+              symbol set to rational coefficients; multiplication combines
+              subsets by symmetric difference, with every squared symbol
+              contributing its bound value.  Every symbol stays formal, also
+              when its value is a perfect rational square, so the
+              rationality check (all components off the empty subset
+              vanish) is the same formal check at every parameter value.
 
 All values are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Mapping, Union
@@ -41,7 +40,6 @@ __all__ = [
     "series_linear_fraction",
     "SqrtTable",
     "RootElem",
-    "exact_sqrt",
     "format_fraction",
     "parse_fraction",
 ]
@@ -300,49 +298,39 @@ def series_linear_fraction(b: Rat, c: Rat, order: int) -> PowerSeries:
 # formal square roots
 
 
-def exact_sqrt(x: Fraction):
-    """The rational square root of x, or None when x is not a perfect
-    square.  x must be nonnegative."""
-    if x < 0:
-        raise ValueError("exact_sqrt of a negative rational")
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 class SqrtTable:
     """Symbol table of a square-root extension ring.
 
     Binds each symbol name to a positive rational value; the ring element
-    sqrt(name) squares to that value.  Names whose value is a perfect
-    rational square never become formal symbols: sqrt(name) is resolved to
-    the exact root instead (so e.g. binding q = 1 makes sqrt_q the plain
-    rational 1, and representations stay canonical).
+    sqrt(name) squares to that value.  Every name is a formal symbol, also
+    when its value is a perfect rational square: sqrt(4) is not the
+    rational 2 but a symbol that squares to 4, so a rationality check on
+    these elements is formal at every bound value.
+
+    >>> t = SqrtTable({"sqrt_q": 4})
+    >>> t.sqrt("sqrt_q")
+    sqrt_q
+    >>> t.sqrt("sqrt_q") * t.sqrt("sqrt_q")
+    4
+    >>> t.sqrt("sqrt_q") == t.from_rational(2)
+    False
     """
 
-    __slots__ = ("formal", "resolved", "_zero", "_one")
+    __slots__ = ("formal", "_zero", "_one")
 
     def __init__(self, bindings: Mapping[str, Rat]):
         formal: dict[str, Fraction] = {}
-        resolved: dict[str, Fraction] = {}
         for name, raw in bindings.items():
             val = Fraction(raw)
             if val <= 0:
                 raise ValueError(f"symbol {name!r} must bind a positive value")
-            root = exact_sqrt(val)
-            if root is None:
-                formal[name] = val
-            else:
-                resolved[name] = root
+            formal[name] = val
         self.formal = formal
-        self.resolved = resolved
         self._zero = RootElem(self, {})
         self._one = RootElem(self, {frozenset(): Fraction(1)})
 
     def same_symbols(self, other: "SqrtTable") -> bool:
-        return self.formal == other.formal and self.resolved == other.resolved
+        return self.formal == other.formal
 
     def zero(self) -> "RootElem":
         return self._zero
@@ -358,15 +346,12 @@ class SqrtTable:
 
     def sqrt(self, name: str) -> "RootElem":
         """The element sqrt(value bound to name)."""
-        if name in self.resolved:
-            return self.from_rational(self.resolved[name])
         if name not in self.formal:
             raise KeyError(f"unknown square-root symbol {name!r}")
         return RootElem(self, {frozenset((name,)): Fraction(1)})
 
     def __repr__(self):
-        bound = {**{k: v * v for k, v in self.resolved.items()}, **self.formal}
-        items = ", ".join(f"{k}={v}" for k, v in sorted(bound.items()))
+        items = ", ".join(f"{k}={v}" for k, v in sorted(self.formal.items()))
         return f"SqrtTable({items})"
 
 

@@ -175,8 +175,11 @@ def test_criterion_10_rationality_invariant():
     # on every evaluation in criteria 3, 5, 6 and 8)
     t0 = time.monotonic()
     failures = []
-    for profile in (P3, P4, PROFILES[4]):
-        for q in (F(2), F(1, 2), F(1)):
+    # q = 1, q = 4 and the weights 1/4 are perfect squares; their roots stay
+    # formal, so the check can fail there too
+    square_weights = ("SQ", (F(1, 2), F(1, 4)), (F(1, 4),))
+    for profile in (P3, P4, PROFILES[4], square_weights):
+        for q in (F(2), F(1, 2), F(1), F(4)):
             params = suites.profile_params(profile, q)
             for m in range(1, 5):
                 slots = max(m, 2)

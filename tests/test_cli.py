@@ -1,5 +1,6 @@
 """Command-line surface: outputs, formats, exit codes."""
 
+import argparse
 import json
 import time
 from fractions import Fraction
@@ -398,6 +399,26 @@ def test_verify_report_is_sorted_and_deterministic(capsys):
     lines = out1.strip().splitlines()[:-1]
     names = [line.split()[1] for line in lines]
     assert names == sorted(names)
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    run(capsys, "trace", "--m", "2", "--q", "2", "--alpha", "1")
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (
+        ["trace", "--m", "5", "--q", "2", "--alpha", "1/2,1/2"],
+        ["series", "--degree", "3", "--q", "2", "--alpha", "1"],
+        ["verify", "--suite", "hecke"],
+    ):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+    assert built == []
 
 
 @pytest.mark.parametrize(

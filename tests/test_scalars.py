@@ -10,7 +10,6 @@ from hecketrace.scalars import (
     QPoly,
     RootElem,
     SqrtTable,
-    exact_sqrt,
     format_fraction,
     parse_fraction,
     series_linear_fraction,
@@ -147,20 +146,15 @@ def test_rational_part():
     assert t.zero().rational_part() == (F(0), True)
 
 
-def test_perfect_square_resolution():
-    # sqrt(1/4) carries no formal symbol: it is the rational 1/2
-    t = SqrtTable({"sqrt_a1": F(1, 4)})
-    assert not t.formal
-    assert t.sqrt("sqrt_a1") == t.from_rational(F(1, 2))
-    # q = 1 resolves sqrt_q to 1
-    t1 = SqrtTable({"sqrt_q": 1})
-    assert t1.sqrt("sqrt_q") == t1.one()
-
-
-def test_exact_sqrt():
-    assert exact_sqrt(F(9, 16)) == F(3, 4)
-    assert exact_sqrt(F(1, 2)) is None
-    assert exact_sqrt(F(0)) == 0
+def test_square_values_stay_formal():
+    # sqrt(1/4) and sqrt(1) are formal symbols, not the rationals 1/2 and 1
+    t = SqrtTable({"sqrt_a1": F(1, 4), "sqrt_q": 1})
+    assert t.formal == {"sqrt_a1": F(1, 4), "sqrt_q": F(1)}
+    for name, root in (("sqrt_a1", F(1, 2)), ("sqrt_q", F(1))):
+        s = t.sqrt(name)
+        assert s.rational_part() == (F(0), False)
+        assert s * s == t.from_rational(root * root)
+        assert s != t.from_rational(root)
 
 
 def test_mismatched_tables_rejected():

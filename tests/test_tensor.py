@@ -73,7 +73,8 @@ def test_xi_single_weight():
     ctx = ModelContext.create(P_TRIV, slots=3)
     xi = xi_state(ctx)
     assert list(xi.terms) == [((1, 1, 1), (1, 1, 1))]
-    assert xi.terms[((1, 1, 1), (1, 1, 1))] == ctx.table.one()
+    # a_1 = 1 on three slots: sqrt_a1 cubed is sqrt_a1, not 1
+    assert xi.terms[((1, 1, 1), (1, 1, 1))] == ctx.table.sqrt("sqrt_a1")
 
 
 @pytest.mark.parametrize("p", [P_FLAT, P_TRIV, P_SIGN, P_MIX, P_WIDE])
@@ -113,7 +114,7 @@ def _xi_by_tuples(ctx):
     [
         (P_WIDE, ()),
         (P_MIX, ()),
-        (params(2, alpha=("1/2", "1/4"), beta=("1/4",)), ()),  # sqrt(1/4) = 1/2
+        (params(2, alpha=("1/2", "1/4"), beta=("1/4",)), ()),  # square weights
         (P_FLAT, (5, -2)),
     ],
     ids=["wide", "mix", "square_weight", "zero_weight_extras"],
@@ -127,11 +128,13 @@ def test_xi_by_slot_products_equals_per_tuple_products(p, extra, slots):
     assert not any(i in extra for ti, _ in xi.terms for i in ti)
 
 
-def test_xi_resolves_a_square_weight_to_a_rational_root():
+def test_xi_keeps_a_square_weight_formal():
     ctx = ModelContext.create(params(2, alpha=("3/4", "1/4")), slots=2)
     xi = xi_state(ctx)
     assert xi.terms[((2, 2), (2, 2))] == ctx.table.from_rational(F(1, 4))
-    assert xi.terms[((1, 2), (1, 2))] == ctx.table.sqrt("sqrt_a1") * F(1, 2)
+    assert xi.terms[((1, 2), (1, 2))] == ctx.table.sqrt("sqrt_a1") * ctx.table.sqrt(
+        "sqrt_a2"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +270,27 @@ def test_matrix_element_purity_guard_names_the_parameters():
     message = str(err.value)
     assert "matrix element" in message
     assert str(P_FLAT.to_record()) in message and "2 slots" in message
+
+
+@pytest.mark.parametrize("q", [1, 4, 2])
+def test_rationality_check_holds_at_square_q(q):
+    # R(2, 2) becomes (q - 1 + sqrt(q)) (2, 2), which equals the true image
+    # q (2, 2) at q = 1 if sqrt(q) were read as the rational root; a formal
+    # sqrt(q) leaves a root component that must not cancel at any q
+    p = params(q, alpha=("2/3", "1/6"), beta=("1/6",))
+    x = HeckeElement.generator(1, 3)
+    routes = {
+        "matrix element": lambda ctx: matrix_element(ctx, x),
+        "omega trace": lambda ctx: omega_trace(ctx, normal_form(ctx, x)),
+    }
+    for route, evaluate in routes.items():
+        ctx = ModelContext.create(p, slots=3)
+        r_matrix(ctx)[(2, 2)] = [((2, 2), ctx.table.from_rational(q - 1) + ctx.sqrt_q())]
+        with pytest.raises(CrossCheckError) as err:
+            evaluate(ctx)
+        message = str(err.value)
+        assert route in message
+        assert f"'q': '{q}'" in message and "3 slots" in message
 
 
 def test_matrix_element_of_unit():
