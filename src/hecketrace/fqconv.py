@@ -15,26 +15,25 @@ what makes sigma_m^2 = (p-1) sigma_m + p come out exactly.
 A bi-invariant function is stored as its exact Fraction coefficients on the
 cell indicators.  Convolution is bilinear, so everything reduces to one
 primitive, `cell_product`, a lookup in one structure-constant table per
-group.  The coefficient of the cell of w in (B w1 B) * (B w2 B) is the
-product's value at x = perm_matrix(w): |B|^{-1} times the number of g with
-x g in B w1 B and g^{-1} in B w2 B.  One numpy bincount per w over the pairs
-(cell of x g, cell of g^{-1}) fills the table in n! |GL| matrix products.
-One point per cell suffices because every cell is B-bi-invariant: labelling
-the cells asserts that left multiplication by each generator of B keeps
-every cell, and right closure holds as each cell is built as U_w w B.
+group.  B w1 B is the disjoint union of the cosets u w1 B, u in U_w1, so
+the coefficient of the cell of w in (B w1 B) * (B w2 B) is the number of u
+with P(w1)^-1 u P(w) in B w2 B (P the permutation matrix), a cell that
+`bruhat_cell` names by elimination: n! [n]_p! eliminations in all, and no
+group enumerated.  Every product must satisfy the counting identity
+sum_w c_w p^length(w) = p^(length(w1) + length(w2)) (its mass over |B|).
 
-Everything is enumerated directly at desk scale: matrices are tuples of
-tuples of residues, groups are explicit lists, and each Bruhat cell is built
-once as U_w w B, with U_w the unipotent upper-triangular matrices whose free
-entries sit at the inversions of w, so the whole table takes |GL| matrix
-products.  A size guard rejects parameter pairs with n! |B|^2 > 10^6, an
-upper bound on |GL| (a cell holds p^length(w) |B| <= |B|^2 matrices).  Only
-prime fields are supported; prime powers would need extension-field
-arithmetic without exercising anything new.
+The groups themselves are enumerated directly at desk scale, as explicit
+lists of tuples of tuples of residues, and each Bruhat cell is built once
+as U_w w B, U_w the unipotent upper-triangular matrices with free entries
+at the inversions of w.  A size guard rejects parameter pairs with
+n! |B|^2 > 10^6, an upper bound on |GL| (a cell holds p^length(w) |B| <=
+|B|^2 matrices).  Only prime fields are supported; prime powers would need
+extension-field arithmetic without exercising anything new.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product as _cartesian
@@ -42,16 +41,13 @@ from math import factorial
 from types import MappingProxyType
 from typing import Mapping
 
-import numpy as np
-
-from .hecke import HeckeElement, mul as hecke_mul
+from .hecke import HeckeElement, _of_rank, mul as hecke_mul
 from .permutations import (
     Perm,
     adjacent_transposition,
     all_perms,
     format_perm,
     identity,
-    inverse,
     is_perm,
     length,
 )
@@ -75,6 +71,7 @@ __all__ = [
     "cell_indicator",
     "sigma_element",
     "bruhat_table",
+    "bruhat_cell",
     "expand_in_cells",
     "structure_constants_check",
     "mat_mul",
@@ -126,13 +123,6 @@ def perm_matrix(w: Perm) -> Matrix:
     )
 
 
-def _ids(mats: np.ndarray, p: int) -> np.ndarray:
-    """Row-major base-p ids in [0, p^(n^2)) of a (k, n, n) array of matrices,
-    the first entry most significant."""
-    flat = mats.reshape(len(mats), -1)
-    return flat @ (p ** np.arange(flat.shape[1], dtype=np.int64))[::-1]
-
-
 # ---------------------------------------------------------------------------
 # group enumeration
 
@@ -154,33 +144,27 @@ def borel_order(n: int, p: int) -> int:
 def enumerate_gl(n: int, p: int) -> tuple[Matrix, ...]:
     """Every invertible n x n matrix over F_p exactly once, in lexicographic
     order of the row-major entries; the count is asserted against the
-    closed-form group order.
-
-    All p^(n^2) matrices are tested at once, each as its base-p id: the
-    determinant is the exact integer Leibniz sum over the n! permutations
-    (at most n! (p-1)^n in size), reduced mod p."""
+    closed-form group order.  Each row is any row outside the span of the
+    rows above it, and the span grows by one row at a time."""
     check_size(n, p)
-    ids = np.arange(p ** (n * n), dtype=np.int64)
-    # entry[i * n + j] holds the (i, j) entry of every matrix
-    entry = ids // p ** np.arange(n * n - 1, -1, -1, dtype=np.int64)[:, None] % p
-    det = np.zeros(len(ids), dtype=np.int64)
-    for w in all_perms(n):
-        term = (-1) ** length(w)
-        for i in range(n):
-            term = term * entry[i * n + w[i] - 1]
-        det += term
-    # row i of a matrix is digit n-1-i of its id in base p^n, and rows[r]
-    # is the row whose entries are the base-p digits of r
     rows = list(_cartesian(range(p), repeat=n))
-    row_base = p ** (n * np.arange(n - 1, -1, -1, dtype=np.int64))
-    row_ids = ids[det % p != 0] // row_base[:, None] % p**n
-    out = tuple(zip(*(map(rows.__getitem__, r) for r in row_ids.tolist())))
+    out: list[Matrix] = [()]
+    for _ in range(n):
+        grown = []
+        for m in out:
+            span = {rows[0]}
+            for r in m:
+                span = {
+                    tuple((a + c * b) % p for a, b in zip(v, r)) for v in span for c in range(p)
+                }
+            grown += [m + (r,) for r in rows if r not in span]
+        out = grown
     expected = general_linear_order(n, p)
     if len(out) != expected:
         raise RuntimeError(
             f"enumeration of GL({n},{p}) found {len(out)} elements, expected {expected}"
         )
-    return out
+    return tuple(out)
 
 
 def _upper_triangular(n: int, p: int, diagonals, free) -> list[Matrix]:
@@ -210,22 +194,27 @@ def borel_subgroup(n: int, p: int) -> tuple[Matrix, ...]:
     return tuple(out)
 
 
+def _unipotent(w: Perm, p: int) -> list[Matrix]:
+    """U_w: the unipotent upper-triangular matrices with free entries at the
+    (w(b), w(a)) for the inversions a < b, w(a) > w(b) of w.  It is a group of
+    order p^length(w), and B w B is the disjoint union of its cosets u w B."""
+    n = len(w)
+    free = [(w[b] - 1, w[a] - 1) for a in range(n) for b in range(a + 1, n) if w[a] > w[b]]
+    return _upper_triangular(n, p, [(1,) * n], free)
+
+
 @lru_cache(maxsize=None)
 def bruhat_table(n: int, p: int) -> dict[Perm, frozenset]:
     """The Bruhat cells B w B, one per permutation, each enumerated once as
-    U_w (perm matrix of w) B.  U_w is the unipotent upper-triangular group
-    with free entries at the (i, j), i < j, with w^-1(i) > w^-1(j), so the
-    cell takes p^length(w) |B| products and the table |GL| in all.  Asserts
-    that the cells are disjoint, exhaust the group, and have sizes
-    p^length(w) |B|, which also shows that no product repeats."""
+    U_w (perm matrix of w) B, so the table takes |GL| products.  Asserts that
+    the cells are disjoint, exhaust the group, and have sizes p^length(w) |B|,
+    which also shows that no product repeats."""
     borel = borel_subgroup(n, p)
     cells: dict[Perm, frozenset] = {}
     seen: set[Matrix] = set()
     for w in all_perms(n):
-        winv = inverse(w)
-        free = [(i, j) for i in range(n) for j in range(i + 1, n) if winv[i] > winv[j]]
         pw = perm_matrix(w)
-        left = [mat_mul(u, pw, p) for u in _upper_triangular(n, p, [(1,) * n], free)]
+        left = [mat_mul(u, pw, p) for u in _unipotent(w, p)]
         cell = {mat_mul(m, b, p) for m in left for b in borel}
         expected = p ** length(w) * len(borel)
         if len(cell) != expected:
@@ -241,43 +230,54 @@ def bruhat_table(n: int, p: int) -> dict[Perm, frozenset]:
     return cells
 
 
+def bruhat_cell(g: Matrix, p: int) -> Perm | None:
+    """The permutation w with g in B w B, or None if g is singular, found
+    column by column: the pivot is the lowest unused row with a nonzero
+    entry, row operations from below (b g) clear the column above it, and
+    column operations from the left (g b) clear the pivot row to its right
+    (a column is not read again, so only entries right of it are updated)."""
+    n = len(g)
+    m = [list(row) for row in g]
+    w = []
+    for j in range(n):
+        for i in range(n - 1, -1, -1):
+            if m[i][j] and i + 1 not in w:
+                break
+        else:
+            return None
+        pivot = m[i]
+        for row in m[:i]:
+            if row[j]:
+                c = row[j] * pow(pivot[j], -1, p) % p
+                for k in range(j + 1, n):
+                    row[k] = (row[k] - c * pivot[k]) % p
+        pivot[j + 1 :] = [0] * (n - j - 1)
+        w.append(i + 1)
+    return tuple(w)
+
+
 @lru_cache(maxsize=None)
-def _cell_labels(n: int, p: int):
-    """(perms, mats, cells, labels): the group as a (|GL|, n, n) array, the
-    index in perms of each matrix's Bruhat cell, and that index over all
-    p^(n^2) ids (-1 on singular matrices).  Raises RuntimeError unless left
-    multiplication by every generator of B (I + c E_ij for i < j, and the
-    diagonal matrices with one entry c != 1) keeps every cell."""
-    table = bruhat_table(n, p)
-    perms = tuple(table)
-    mats = np.array([m for cell in table.values() for m in cell], dtype=np.int64)
-    cells = np.repeat(np.arange(len(perms)), [len(cell) for cell in table.values()])
-    labels = np.full(p ** (n * n), -1, dtype=np.int64)
-    labels[_ids(mats, p)] = cells
-    for i, j, c in _cartesian(range(n), range(n), range(1, p)):
-        if i > j or (i == j and c == 1):
-            continue
-        g = np.eye(n, dtype=np.int64)
-        g[i, j] = c
-        if (labels[_ids(g @ mats % p, p)] != cells).any():
+def _structure_table(n: int, p: int) -> dict[tuple[Perm, Perm], Counter]:
+    """counts[w1, w2][w] = the coefficient of the cell of w in the product of
+    the cells of w1 and w2: the number of u in U_w1 (a group, so u stands for
+    u^-1) with P(w1)^-1 u P(w), entry (i, j) = u[w1(i)][w(j)], in B w2 B.
+    Raises RuntimeError at a product that breaks the counting identity."""
+    perms = all_perms(n)
+    table = defaultdict(Counter)
+    for w1 in perms:
+        for u in _unipotent(w1, p):
+            rows = [u[i - 1] for i in w1]
+            for w in perms:
+                w2 = bruhat_cell(tuple(tuple(row[j - 1] for j in w) for row in rows), p)
+                table[w1, w2][w] += 1
+    for w1, w2 in _cartesian(perms, repeat=2):
+        mass = sum(c * p ** length(w) for w, c in table.get((w1, w2), {}).items())
+        if mass != p ** (length(w1) + length(w2)):
             raise RuntimeError(
-                f"left multiplication by {g.tolist()} moves a matrix out of its Bruhat cell"
+                f"GL({n},{p}) {format_perm(w1)}*{format_perm(w2)} breaks the counting "
+                f"identity: sum_w c_w p^length(w) = {mass}, not p^(l(w1) + l(w2))"
             )
-    return perms, mats, cells, labels
-
-
-@lru_cache(maxsize=None)
-def _structure_table(n: int, p: int):
-    """counts[i1, i2, i] = |B| times the coefficient of cell i in the product
-    of cells i1 and i2: the number of g in GL with perm_matrix(perms[i]) g in
-    cell i1 and g^-1 in cell i2."""
-    perms, mats, cells, labels = _cell_labels(n, p)
-    k = len(perms)
-    index = {w: i for i, w in enumerate(perms)}
-    cells_of_inverse = np.array([index[inverse(w)] for w in perms])[cells]
-    cells_of_xg = (labels[_ids(np.array(perm_matrix(w)) @ mats % p, p)] for w in perms)
-    counts = [np.bincount(c * k + cells_of_inverse, minlength=k * k) for c in cells_of_xg]
-    return index, np.stack(counts, axis=-1).reshape(k, k, k)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +286,7 @@ def _structure_table(n: int, p: int):
 
 class FqFunction:
     """A Borel-bi-invariant function on GL(n, F_p), stored as its exact
-    coefficients on the Bruhat-cell indicators, keyed by permutation."""
+    coefficients on the Bruhat-cell indicators, keyed by rank-n permutation."""
 
     __slots__ = ("n", "p", "values")
 
@@ -294,7 +294,7 @@ class FqFunction:
         self.n = n
         self.p = p
         self.values: dict[Perm, Fraction] = {
-            w: Fraction(v) for w, v in sparse_sum(values).items()
+            w: Fraction(v) for w, v in sparse_sum(_of_rank(n, values)).items()
         }
 
     def __eq__(self, other) -> bool:
@@ -321,33 +321,32 @@ class FqFunction:
         return f"FqFunction<GL({self.n},{self.p}), {len(self.values)} cells>"
 
 
-def expand_in_cells(counts: np.ndarray, n: int, p: int) -> dict[Perm, int]:
-    """The per-cell values of a vector indexed by the base-p ids of all
-    n x n matrices; raises ValueError if the vector is not constant on some
-    Bruhat cell or is nonzero on a singular matrix."""
-    perms, _, _, labels = _cell_labels(n, p)
-    if counts[labels < 0].any():
+def expand_in_cells(values: Mapping[Matrix, object], n: int, p: int) -> dict[Perm, object]:
+    """The per-cell values of a function {matrix: value} on the n x n
+    matrices over F_p, an absent matrix standing for 0; raises ValueError
+    if the function is nonzero on a singular matrix or is not constant on
+    some Bruhat cell."""
+    cells: dict[Perm | None, list] = {}
+    for m, v in values.items():
+        if v:
+            cells.setdefault(bruhat_cell(m, p), []).append(v)
+    if None in cells:
         raise ValueError("function supported outside the enumerated group")
-    coeffs: dict[Perm, int] = {}
-    for i, w in enumerate(perms):
-        vals = counts[labels == i]
-        if (vals != vals[0]).any():
+    for w, vals in cells.items():
+        if len(vals) != p ** length(w) * borel_order(n, p) or len(set(vals)) != 1:
             raise ValueError(f"function is not constant on the cell of {format_perm(w)}")
-        if vals[0]:
-            coeffs[w] = int(vals[0])
-    return coeffs
+    return {w: vals[0] for w, vals in cells.items()}
 
 
 @lru_cache(maxsize=None)
 def cell_product(w1: Perm, w2: Perm, n: int, p: int) -> Mapping[Perm, Fraction]:
     """Cell coefficients of the convolution of the indicators of B w1 B and
     B w2 B, read from the structure-constant table of GL(n, F_p)."""
-    index, counts = _structure_table(n, p)
-    row = counts[index[w1], index[w2]]
-    norm = borel_order(n, p)
-    return MappingProxyType(
-        {w: Fraction(int(row[i]), norm) for w, i in index.items() if row[i]}
-    )
+    check_size(n, p)
+    for w in (w1, w2):
+        if not (is_perm(w) and len(w) == n):
+            raise ValueError(f"{w!r} is not a rank-{n} permutation")
+    return MappingProxyType({w: Fraction(c) for w, c in _structure_table(n, p)[w1, w2].items()})
 
 
 def convolve(f: FqFunction, g: FqFunction) -> FqFunction:
@@ -364,8 +363,6 @@ def convolve(f: FqFunction, g: FqFunction) -> FqFunction:
 
 
 def cell_indicator(w: Perm, n: int, p: int) -> FqFunction:
-    if not (is_perm(w) and len(w) == n):
-        raise ValueError(f"{w!r} is not a permutation of rank {n}")
     return FqFunction(n, p, {w: Fraction(1)})
 
 

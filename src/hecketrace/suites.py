@@ -263,10 +263,12 @@ def convolution_suite(cases=CONVOLUTION_CASES) -> list[CheckResult]:
             CheckResult(f"{tag}.borel_order", len(borel) == fqconv.borel_order(n, p))
         )
         table = fqconv.bruhat_table(n, p)
-        sizes_ok = len(table) == factorial(n) and all(
-            len(cell) == p ** length(w) * len(borel) for w, cell in table.items()
+        ok = len(table) == factorial(n) and all(
+            len(cell) == p ** length(w) * len(borel)
+            and all(fqconv.bruhat_cell(m, p) == w for m in cell)
+            for w, cell in table.items()
         )
-        results.append(CheckResult(f"{tag}.bruhat_cells", sizes_ok))
+        results.append(CheckResult(f"{tag}.bruhat_cells", ok))
 
         unit = fqconv.unit_function(n, p)
         sigmas = {m: fqconv.sigma_element(m, n, p) for m in range(1, n)}

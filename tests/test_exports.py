@@ -1,7 +1,11 @@
-"""Every exported name resolves, so no stale export survives a deletion."""
+"""Every exported name resolves, so no stale export survives a deletion,
+and importing the package pulls in no third-party dependency."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -18,3 +22,10 @@ MODULES = [hecketrace] + [
 )
 def test_every_name_in_all_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def test_import_loads_no_numpy():
+    src = os.path.dirname(os.path.dirname(hecketrace.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import hecketrace, hecketrace.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

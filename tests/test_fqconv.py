@@ -6,13 +6,14 @@ from fractions import Fraction as F
 from itertools import product as cartesian
 from random import Random
 
-import numpy as np
 import pytest
 
 from hecketrace import fqconv, suites
 from hecketrace.fqconv import (
+    FqFunction,
     borel_order,
     borel_subgroup,
+    bruhat_cell,
     bruhat_table,
     cell_indicator,
     cell_product,
@@ -27,11 +28,29 @@ from hecketrace.fqconv import (
     structure_constants_check,
     unit_function,
 )
-from hecketrace.permutations import all_perms, length
+from hecketrace.permutations import all_perms, identity, length
 
 
 # ---------------------------------------------------------------------------
 # enumeration
+
+
+def _det(m):
+    """The Leibniz determinant of an integer matrix."""
+    n = len(m)
+    total = 0
+    for w in all_perms(n):
+        term = (-1) ** length(w)
+        for i in range(n):
+            term *= m[i][w[i] - 1]
+        total += term
+    return total
+
+
+def _all_matrices(n, p):
+    """Every n x n matrix over F_p, in lexicographic order of the row-major
+    entries."""
+    return list(cartesian(cartesian(range(p), repeat=n), repeat=n))
 
 
 def test_gl22_brute_force():
@@ -42,7 +61,10 @@ def test_gl22_brute_force():
         if (a * d - b * c) % 2 != 0
     ]
     assert len(invertible) == 6
-    assert set(enumerate_gl(2, 2)) == set(invertible)
+    assert list(enumerate_gl(2, 2)) == invertible
+    # and the Leibniz determinant filter, which also checks the order
+    for n, p in [(2, 3), (3, 2), (2, 5)]:
+        assert list(enumerate_gl(n, p)) == [m for m in _all_matrices(n, p) if _det(m) % p]
 
 
 @pytest.mark.parametrize("n,p,count", [(2, 2, 6), (2, 3, 48), (3, 2, 168)])
@@ -127,6 +149,13 @@ def test_bruhat_table_equals_borel_products(n, p):
     assert bruhat_table(n, p) == _cells_by_borel_products(n, p)
 
 
+@pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (2, 5), (3, 3)])
+def test_bruhat_cell_names_the_cell_of_every_matrix(n, p):
+    labels = {m: w for w, cell in bruhat_table(n, p).items() for m in cell}
+    for m in _all_matrices(n, p):
+        assert bruhat_cell(m, p) == labels.get(m), m  # None on singular matrices
+
+
 def test_perm_matrix_convention():
     # rows are images: P e_j = e_{w(j)}
     assert perm_matrix((2, 1)) == ((0, 1), (1, 0))
@@ -163,24 +192,16 @@ def test_braid_relation_32():
     assert convolve(convolve(s1, s2), s1) == convolve(convolve(s2, s1), s2)
 
 
-def _ids(mats, p):
-    """Base-p ids of matrices, row-major with the first entry most
-    significant (p < 10 here)."""
-    return [int("".join(str(x) for row in m for x in row), p) for m in mats]
-
-
 def test_biinvariance_closed_under_convolution():
     # count the products of two random cells of GL(3,2) matrix by matrix:
-    # the count vector must pass the constancy check and give cell_product
+    # the counts must pass the constancy check and give cell_product
     rng = Random(7)
     perms = all_perms(3)
     table = bruhat_table(3, 2)
     for _ in range(5):
         w1, w2 = rng.choice(perms), rng.choice(perms)
-        hits = Counter(_ids([mat_mul(y, z, 2) for y in table[w1] for z in table[w2]], 2))
-        counts = np.zeros(2**9, dtype=np.int64)
-        counts[list(hits)] = list(hits.values())
-        coeffs = expand_in_cells(counts, 3, 2)
+        hits = Counter(mat_mul(y, z, 2) for y in table[w1] for z in table[w2])
+        coeffs = expand_in_cells(hits, 3, 2)
         b = borel_order(3, 2)
         assert {w: F(c, b) for w, c in coeffs.items()} == cell_product(w1, w2, 3, 2)
 
@@ -203,20 +224,26 @@ def test_cell_indicator_rejects_wrong_rank():
         cell_indicator((2, 1), 3, 2)
 
 
+def test_keys_must_be_rank_n_permutations():
+    with pytest.raises(ValueError, match="rank-2 permutation"):
+        FqFunction(2, 2, {(1, 3): 1})
+    with pytest.raises(ValueError, match="rank-2 permutation"):
+        cell_product((1, 2), (1, 2, 3), 2, 2)
+
+
 def test_expand_in_cells_detects_non_invariance():
     table = bruhat_table(2, 2)
-    counts = np.zeros(2**4, dtype=np.int64)
-    counts[_ids(table[(2, 1)], 2)] = 3
-    assert expand_in_cells(counts, 2, 2) == {(2, 1): 3}
-    counts[_ids([next(iter(table[(1, 2)]))], 2)] = 1  # one matrix of B only
+    values = dict.fromkeys(table[(2, 1)], 3)
+    assert expand_in_cells(values, 2, 2) == {(2, 1): 3}
+    values[next(iter(table[(1, 2)]))] = 1  # one matrix of B only
     with pytest.raises(ValueError, match="not constant"):
-        expand_in_cells(counts, 2, 2)
+        expand_in_cells(values, 2, 2)
 
 
 def test_cell_labels_catch_a_matrix_in_the_wrong_cell(monkeypatch):
     # swap one matrix of the s1 cell of GL(3,2) with one of the s2 cell:
     # both cells hold 16 matrices, so sizes, disjointness and exhaustion
-    # still hold, and only left-B-invariance can see the swap
+    # still hold, and only the labels found by elimination can see the swap
     table = dict(bruhat_table(3, 2))
     s1, s2 = (2, 1, 3), (1, 3, 2)
     y, z = min(table[s1]), min(table[s2])
@@ -226,19 +253,33 @@ def test_cell_labels_catch_a_matrix_in_the_wrong_cell(monkeypatch):
     assert sum(len(c) for c in table.values()) == len(frozenset().union(*table.values()))
     assert frozenset().union(*table.values()) == frozenset(enumerate_gl(3, 2))
     monkeypatch.setattr(fqconv, "bruhat_table", lambda n, p: table)
-    fqconv._cell_labels.cache_clear()
+    results = {r.name: r.passed for r in suites.convolution_suite(cases=((3, 2),))}
+    assert [name for name, passed in results.items() if not passed] == [
+        "convolution.gl(3,2).bruhat_cells"
+    ]
+
+
+def test_structure_table_asserts_the_counting_identity(monkeypatch):
+    # label the s1 cell of GL(3,2) as the identity: every product that
+    # meets it loses mass, so the table must refuse to build
+    label = fqconv.bruhat_cell
+
+    def mislabel(g, p):
+        w = label(g, p)
+        return identity(3) if w == (2, 1, 3) else w
+
+    monkeypatch.setattr(fqconv, "bruhat_cell", mislabel)
+    fqconv._structure_table.cache_clear()
     try:
-        with pytest.raises(RuntimeError, match="out of its Bruhat cell"):
-            fqconv._cell_labels(3, 2)
+        with pytest.raises(RuntimeError, match=r"sum_w c_w p\^length\(w\)"):
+            fqconv._structure_table(3, 2)
     finally:
-        fqconv._cell_labels.cache_clear()
+        fqconv._structure_table.cache_clear()
 
 
 def test_expand_in_cells_detects_support_outside_group():
-    counts = np.zeros(2**4, dtype=np.int64)
-    counts[_ids([((1, 1), (1, 1))], 2)] = 1  # singular
     with pytest.raises(ValueError, match="outside"):
-        expand_in_cells(counts, 2, 2)
+        expand_in_cells({((1, 1), (1, 1)): 1}, 2, 2)  # singular
 
 
 # ---------------------------------------------------------------------------
