@@ -115,10 +115,11 @@ def hecke_suite(ranks=range(2, 6), seed: int = 20260810) -> list[CheckResult]:
 
 def model_slots(suite: str, m_max: int = 5) -> int:
     """Slots of the largest tensor model `suite` builds on a weight profile:
-    3 for the R-matrix laws, max(m_max, 2) for the tensor suite's cycles up
-    to length m_max, 4 for the gram suite's bimodule checks, the largest of
-    these for `all`, and 0 for a suite that builds none."""
-    slots = {"rmatrix": 3, "tensor": max(m_max, 2), "gram": 4}
+    3 for the R-matrix laws, max(m_max, 5) for the tensor suite's cycles up
+    to length m_max and its shift checks on up to 5 slots, 4 for the gram
+    suite's bimodule checks, the largest of these for `all`, and 0 for a
+    suite that builds none."""
+    slots = {"rmatrix": 3, "tensor": max(m_max, 5), "gram": 4}
     return max(slots.values()) if suite == "all" else slots.get(suite, 0)
 
 
@@ -155,7 +156,8 @@ def tensor_suite(profiles=None, qs=DEFAULT_QS, m_max: int = 5) -> list[CheckResu
             results.extend(_four_way_checks(profile[0], params, m_max))
             results.append(_series_check(profile[0], params))
     results.extend(_thoma_checks(profiles, m_max=min(m_max, 4)))
-    results.extend(_shift_checks())
+    widest = max(profiles, key=lambda p: sum(1 for a in (*p[1], *p[2]) if a != 0))
+    results.extend(_shift_checks(profile_params(widest, qs[0])))
     return results
 
 
@@ -165,7 +167,7 @@ def _four_way_checks(name: str, params: TraceParams, m_max: int) -> list[CheckRe
     full R-matrix matrix element, and the normal-form cycle sum."""
     out = []
     for m in range(1, m_max + 1):
-        slots = model_slots("tensor", m)
+        slots = max(m, 2)
         ctx = ModelContext.create(params, slots=slots)
         element = zeta_interval(1, m, rank=slots)
         direct = tensor.matrix_element(ctx, element)
@@ -220,11 +222,12 @@ def _thoma_checks(profiles, m_max: int = 4) -> list[CheckResult]:
     return out
 
 
-def _shift_checks() -> list[CheckResult]:
+def _shift_checks(params: TraceParams) -> list[CheckResult]:
     """Trace values of interval cycles do not depend on where the interval
-    sits: shifting [1, m] to [1+k, m+k] leaves the matrix element alone."""
+    sits: shifting [1, m] to [1+k, m+k] leaves the matrix element alone.
+    The tensor suite runs them on its profile with the most nonzero weights
+    (the first on a tie) at its first q, on models of up to 5 slots."""
     out = []
-    params = profile_params(_PROFILES[2], Fraction(2))  # flat alpha pair
     for m in (2, 3):
         for k in (1, 2):
             slots = m + k

@@ -18,8 +18,8 @@ action) by
 which satisfies both the quadratic Hecke relation R^2 = (q-1) R + q and
 the braid relation, so sigma_j -> R at slots (j, j+1) extends to the whole
 Hecke algebra along reduced words.  R is written down once per model, as
-the |S|^2 table of r_matrix, which both apply_r and normal_form read;
-r_matrix_laws checks the two relations on apply_r itself.  The
+the |S|^2 table of r_matrix, which apply_r, normal_form and the integer
+walks read; r_matrix_laws checks the two relations on apply_r itself.  The
 distinguished state Xi (the n-fold product of the weighted diagonal
 vector xi) turns matrix elements into trace values: <X Xi, Xi> is the
 trace of X at the parameters behind the weights.
@@ -46,6 +46,18 @@ full-length walk.  The Gram matrix G[u][v] = trace(T_v* T_u) is built from
 the n! states T_u Xi as <T_u Xi, T_v Xi>, so it is positive semidefinite by
 construction.
 
+matrix_element and gram_matrix walk in exact integers.  Write Xi = S Xi_1,
+where Xi_1 = sum_J eta[J; J] is the diagonal with every coefficient 1 over
+the tuples of nonzero-weight indices and S multiplies eta[I; J] by
+sqrt(a_J).  The left action never touches J, so S commutes with it, and the
+weights a_J enter only in the pairing.  With q = a/b the walks apply b R,
+reading sqrt(q) as t = b sqrt(q) with t^2 = a b, so every coefficient is
+a, -b, a - b or -t and every walk coefficient an int; one division by
+b^(steps) d^slots per term, for d the common denominator of the weights,
+returns to true units.  apply_r, apply_hecke and xi_state keep the
+RootElem states: the bimodule checks and r_matrix_laws use them, and the
+tests hold them as the oracle of the integer walks.
+
 Trace values must come out rational: every evaluation asserts that all
 formal square-root components cancel and raises CrossCheckError otherwise.
 """
@@ -55,7 +67,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product as _cartesian
-from math import prod
+from math import lcm, prod
 from random import Random
 from typing import Iterable, Literal, Mapping
 
@@ -91,6 +103,9 @@ __all__ = [
 ]
 
 
+_SQRT_Q = "sqrt_q"
+
+
 def _weight_symbol(i: int) -> str:
     return f"sqrt_a{i}"
 
@@ -123,7 +138,7 @@ class ModelContext:
         for i in extra_indices:
             weights.setdefault(i, Fraction(0))
         weights_fn = WeightFunction(weights)
-        bindings = {"sqrt_q": params.q}
+        bindings = {_SQRT_Q: params.q}
         for i, a in weights_fn.weights.items():
             if a != 0:
                 bindings[_weight_symbol(i)] = a
@@ -138,7 +153,7 @@ class ModelContext:
         return self.weights.support
 
     def sqrt_q(self) -> RootElem:
-        return self.table.sqrt("sqrt_q")
+        return self.table.sqrt(_SQRT_Q)
 
     def sqrt_weight(self, i: int) -> RootElem:
         if self.weights(i) == 0:
@@ -294,15 +309,6 @@ def _check_rank(ctx: ModelContext, x: HeckeElement):
         )
 
 
-def _walk(
-    ctx: ModelContext, slots: Iterable[int], side: Side, state: TensorState
-) -> TensorState:
-    """Apply R at each slot in turn, the first slot first."""
-    for a in slots:
-        state = apply_r(ctx, a, side, state)
-    return state
-
-
 def apply_hecke(
     ctx: ModelContext, x: HeckeElement, side: Side, state: TensorState
 ) -> TensorState:
@@ -316,7 +322,9 @@ def apply_hecke(
             c = poly(ctx.q)
             if c == 0:
                 continue
-            acc = _walk(ctx, reversed(reduced_word(w)), side, state)
+            acc = state
+            for a in reversed(reduced_word(w)):
+                acc = apply_r(ctx, a, side, acc)
             if c == 1:
                 yield from acc.terms.items()
             else:
@@ -335,18 +343,122 @@ def _pure_rational(ctx: ModelContext, value: RootElem, route: str) -> Fraction:
     return rat
 
 
+# ---------------------------------------------------------------------------
+# integer walks from the unweighted diagonal Xi_1 (see the module docstring):
+# <X Xi, Y Xi> = sum_(I, J) a_J c_X(I, J) c_Y(I, J) for the coefficients c of
+# X Xi_1 and Y Xi_1.  A walk state is a flat dict {(I, J, k): coefficient},
+# k the subset of symbols the term carries.
+
+
+class _SymbolProducts(dict):
+    """(k1, k2) -> (k1 ^ k2, product of the squares of the symbols in both),
+    filled on first use; t = b sqrt(q) squares to a b."""
+
+    def __init__(self, ctx: ModelContext):
+        super().__init__()
+        self.squares = {**ctx.table.formal, _SQRT_Q: ctx.q.numerator * ctx.q.denominator}
+
+    def __missing__(self, key):
+        k1, k2 = key
+        value = self[key] = (k1 ^ k2, prod(self.squares[s] for s in k1 & k2))
+        return value
+
+
+def _scaled_r(ctx: ModelContext) -> dict:
+    """b R for q = a/b with sqrt(q) read as t, as the flat table {(x, y):
+    [((x', y'), k, v), ...]}: the image (x', y') gets v times the symbols in
+    k.  Built from r_matrix as it stands on every call; a component that
+    does not scale to an integer stays a Fraction."""
+    b = ctx.q.denominator
+    table = {}
+    for pair, images in r_matrix(ctx).items():
+        rows = table[pair] = []
+        for image, coeff in images:
+            comps = coeff.comps if isinstance(coeff, RootElem) else {frozenset(): coeff}
+            for k, v in comps.items():
+                v = Fraction(v) if _SQRT_Q in k else b * Fraction(v)
+                rows.append((image, k, v.numerator if v.denominator == 1 else v))
+    return table
+
+
+def _unit_diagonal(ctx: ModelContext) -> tuple[dict, dict, int]:
+    """Xi_1 as a flat state, the numerators n_J = prod_k n_{J_k} of the
+    weights a_i = n_i / d over the tuples J, and d^slots."""
+    live = {i: ctx.weight(i) for i in ctx.support if ctx.weight(i) != 0}
+    d = lcm(*(a.denominator for a in live.values()))
+    live = {i: (a * d).numerator for i, a in live.items()}
+    nums = {(): 1}
+    for _ in range(ctx.slots):
+        nums = {tup + (i,): n * m for tup, n in nums.items() for i, m in live.items()}
+    return {(tup, tup, frozenset()): 1 for tup in nums}, nums, d**ctx.slots
+
+
+def _int_walk(table: dict, times: _SymbolProducts, slots: Iterable[int], state: dict) -> dict:
+    """Apply b R at each slot in turn, the first slot first, to a flat state."""
+    for a in slots:
+        j = a - 1
+        out: dict = {}
+        for (ti, tj, k), c in state.items():
+            head, tail = ti[:j], ti[j + 2 :]
+            for image, k2, v in table[ti[j : j + 2]]:
+                if k2:
+                    k3, f = times[k, k2]
+                    key, v = (head + image + tail, tj, k3), v * f
+                else:
+                    key = (head + image + tail, tj, k)
+                out[key] = out.get(key, 0) + c * v
+        state = {key: c for key, c in out.items() if c}
+    return state
+
+
+def _by_pair(state: dict) -> dict:
+    """A flat state indexed by (I, J): {(I, J): [(k, coefficient), ...]}."""
+    out: dict = {}
+    for (ti, tj, k), c in state.items():
+        out.setdefault((ti, tj), []).append((k, c))
+    return out
+
+
+def _pairing(
+    ctx: ModelContext,
+    left: dict,
+    right: dict,
+    nums: dict,
+    times: _SymbolProducts,
+    scale: int,
+):
+    """The components (subset, rational) of sum_(I, J) a_J c_L(I, J) c_R(I, J)
+    for a flat state left and a state right indexed by (I, J), divided by
+    scale = b^(walk steps) d^slots: a t-component v is the sqrt(q)-component
+    v b / scale."""
+    raw: dict = {}
+    for (ti, tj, k), c in left.items():
+        row = right.get((ti, tj))
+        if row:
+            c *= nums[tj]
+            for k2, c2 in row:
+                raw[k, k2] = raw.get((k, k2), 0) + c * c2
+    b = ctx.q.denominator
+    for pair, v in raw.items():
+        k, f = times[pair]
+        yield k, Fraction(v * f * (b if _SQRT_Q in k else 1), scale)
+
+
 def matrix_element(ctx: ModelContext, x: HeckeElement) -> Fraction:
     """<X Xi, Xi> for the left action; this is the trace value of X.
 
     Each term c T_w is evaluated as c <T_v Xi, T_u* Xi>, where w = u v
     splits a reduced word a_1 .. a_k of w at its midpoint: T_v Xi applies
-    R at a_k, .., a_{h+1} and T_u* Xi applies R at a_1, .., a_h, both
-    starting from Xi.  This equals <T_w Xi, Xi> because R is symmetric, so
-    T_u* acts as the adjoint of T_u.  The terms are summed before the
-    result is checked to be purely rational, which is asserted, not
-    assumed."""
+    R at a_k, .., a_{h+1} and T_u* Xi applies R at a_1, .., a_h.  This
+    equals <T_w Xi, Xi> because R is symmetric, so T_u* acts as the adjoint
+    of T_u.  Both walks start from the unweighted diagonal Xi_1, with Xi =
+    S Xi_1, and apply b R in exact integers; the weights a_J enter only in
+    the pairing, and one division by b^k d^slots per term returns to true
+    units.  The terms are summed before the result is checked to be purely
+    rational, which is asserted, not assumed."""
     _check_rank(ctx, x)
-    xi = xi_state(ctx)
+    table, times = _scaled_r(ctx), _SymbolProducts(ctx)
+    xi1, nums, d_slots = _unit_diagonal(ctx)
 
     def values():
         for w, poly in x.terms.items():
@@ -355,10 +467,10 @@ def matrix_element(ctx: ModelContext, x: HeckeElement) -> Fraction:
                 continue
             word = reduced_word(w)
             h = len(word) // 2
-            left = _walk(ctx, reversed(word[h:]), "left", xi)
-            right = _walk(ctx, word[:h], "left", xi)
-            value = left.inner(right)
-            yield from (value if c == 1 else value * c).comps.items()
+            left = _int_walk(table, times, reversed(word[h:]), xi1)
+            right = _by_pair(_int_walk(table, times, word[:h], xi1))
+            scale = ctx.q.denominator ** len(word) * d_slots
+            yield from ((k, v * c) for k, v in _pairing(ctx, left, right, nums, times, scale))
 
     total = RootElem(ctx.table, values())
     return _pure_rational(ctx, total, f"matrix element of {x!r}")
@@ -536,14 +648,28 @@ def bimodule_checks(
 
 def gram_matrix(params: TraceParams, rank: int) -> list[list[Fraction]]:
     """The Gram matrix G[u][v] = trace(T_v* T_u) over the full T-basis of
-    H_rank, as the inner products <T_u Xi, T_v Xi> of the rank! states."""
+    H_rank, as the inner products <T_u Xi, T_v Xi> of the rank! states.
+
+    Each state is walked once from the unweighted diagonal Xi_1 (Xi =
+    S Xi_1) by b R in exact integers, and each entry is the pairing
+    weighted by a_J, divided by b^(l(u) + l(v)) d^rank.  The pairing is
+    symmetric, so the entries below the diagonal are copied from above;
+    the first entry of the matrix that fails the rationality check lies on
+    or above the diagonal."""
     ctx = ModelContext.create(params, rank)
-    xi = xi_state(ctx)
-    states = [apply_hecke(ctx, HeckeElement.basis(u), "left", xi) for u in all_perms(rank)]
-    return [
-        [_pure_rational(ctx, a.inner(b), f"Gram entry ({i}, {j})") for j, b in enumerate(states)]
-        for i, a in enumerate(states)
-    ]
+    table, times = _scaled_r(ctx), _SymbolProducts(ctx)
+    xi1, nums, d_slots = _unit_diagonal(ctx)
+    words = [reduced_word(u) for u in all_perms(rank)]
+    states = [_int_walk(table, times, reversed(word), xi1) for word in words]
+    indexed = [_by_pair(state) for state in states]
+    b = ctx.q.denominator
+    gram = [[Fraction(0)] * len(words) for _ in words]
+    for i, state in enumerate(states):
+        for j in range(i, len(words)):
+            scale = b ** (len(words[i]) + len(words[j])) * d_slots
+            value = RootElem(ctx.table, _pairing(ctx, state, indexed[j], nums, times, scale))
+            gram[i][j] = gram[j][i] = _pure_rational(ctx, value, f"Gram entry ({i}, {j})")
+    return gram
 
 
 def ldlt_pivots(matrix: list[list[Fraction]]) -> tuple[list[Fraction], bool]:

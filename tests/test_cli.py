@@ -179,6 +179,43 @@ def test_model_slots_is_the_largest_model_a_suite_builds_on_the_profile(monkeypa
     assert suites.model_slots("hecke") == suites.model_slots("convolution") == 0
 
 
+def test_tensor_suite_builds_models_only_on_its_own_parameters(monkeypatch):
+    # the shift checks included: no model on a default profile or q
+    from hecketrace.tensor import ModelContext
+    from hecketrace.traces import TraceParams
+
+    custom = TraceParams(q=Fraction(5, 4), alpha=(Fraction(2, 3),), beta=(Fraction(1, 3),))
+    built = []
+    create = ModelContext.create.__func__
+
+    def spy(cls, params, slots, *rest):
+        built.append((params, slots))
+        return create(cls, params, slots, *rest)
+
+    monkeypatch.setattr(ModelContext, "create", classmethod(spy))
+    results = suites.tensor_suite(
+        profiles=[("custom", custom.alpha, custom.beta)], qs=(custom.q,), m_max=2
+    )
+    assert [r.name for r in results if ".shift." in r.name] == [
+        "tensor.shift.m2.k1", "tensor.shift.m2.k2", "tensor.shift.m3.k1", "tensor.shift.m3.k2"
+    ]
+    assert all(r.passed for r in results)
+    assert {params for params, _ in built} == {custom}
+    assert max(slots for _, slots in built) == suites.model_slots("tensor", 2) == 5
+
+
+def test_verify_tensor_bounds_the_shift_models_by_the_profile(capsys):
+    # six weights: the cycles at m = 2 need 6^2 tensors, the shift checks 6^5
+    six = ",".join(["1/6"] * 6)
+    code, out, err = run(
+        capsys, "verify", "--suite", "tensor", "--m", "2", "--q", "2", "--alpha", six
+    )
+    assert code == 2
+    assert out == ""
+    assert "6^5 basis tensors per side" in err
+    assert f"more than MAX_TENSOR_SIZE = {MAX_TENSOR_SIZE}" in err
+
+
 # ---------------------------------------------------------------------------
 # series
 

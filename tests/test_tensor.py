@@ -19,7 +19,7 @@ from hecketrace.permutations import (
     inverse,
     reduced_word,
 )
-from hecketrace.scalars import CrossCheckError, sparse_sum
+from hecketrace.scalars import CrossCheckError, RootElem, sparse_sum
 from hecketrace.suites import default_profiles, profile_params
 from hecketrace.tensor import (
     ModelContext,
@@ -229,12 +229,17 @@ def test_lift_rank_guard():
         matrix_element(ctx, HeckeElement.unit(3))
 
 
-@pytest.mark.parametrize("p", [P_MIX, P_WIDE], ids=["pair", "three_mixed"])
-@pytest.mark.parametrize("q", ["2", "1/3", "1"])
+@pytest.mark.parametrize(
+    "p,extra",
+    [(P_MIX, ()), (P_WIDE, ()), (P_MIX, (2, -2))],
+    ids=["pair", "three_mixed", "pair_zero_weight_extras"],
+)
+@pytest.mark.parametrize("q", ["2", "1/3", "1", "3/2"])
 @pytest.mark.parametrize("rank", [3, 4])
-def test_matrix_element_equals_one_walk_inner_product(rank, q, p):
-    # the midpoint split against the one-walk oracle <T_w Xi, Xi>
-    ctx = ModelContext.create(TraceParams(q=F(q), alpha=p.alpha, beta=p.beta), rank)
+def test_matrix_element_equals_one_walk_inner_product(rank, q, p, extra):
+    # the midpoint split of integer walks from the unweighted diagonal
+    # against the one-walk oracle <T_w Xi, Xi> on RootElem states
+    ctx = ModelContext.create(TraceParams(q=F(q), alpha=p.alpha, beta=p.beta), rank, extra)
     xi = xi_state(ctx)
 
     def one_walk(x):
@@ -272,11 +277,14 @@ def test_matrix_element_purity_guard_names_the_parameters():
     assert str(P_FLAT.to_record()) in message and "2 slots" in message
 
 
-@pytest.mark.parametrize("q", [1, 4, 2])
+@pytest.mark.parametrize("q", ["1", "4", "2", "9/4", "1/4"])
 def test_rationality_check_holds_at_square_q(q):
     # R(2, 2) becomes (q - 1 + sqrt(q)) (2, 2), which equals the true image
     # q (2, 2) at q = 1 if sqrt(q) were read as the rational root; a formal
-    # sqrt(q) leaves a root component that must not cancel at any q
+    # sqrt(q) leaves a root component that must not cancel at any q, also
+    # when the walk reads it as t = b sqrt(q) with b > 1 (at 9/4, t^2 = 36
+    # is itself a square)
+    q = F(q)
     p = params(q, alpha=("2/3", "1/6"), beta=("1/6",))
     x = HeckeElement.generator(1, 3)
     routes = {
@@ -694,6 +702,53 @@ def test_gram_diagonal_is_trace_of_star_products():
     # G[u][u] = trace(T_u* T_u) must be positive for a faithful state
     gram = gram_matrix(P_FLAT, 3)
     assert all(gram[i][i] > 0 for i in range(6))
+
+
+def test_matrix_element_multiplies_no_root_elements_per_walk_step(monkeypatch):
+    # the walks and the pairing run on plain integers: at most one RootElem
+    # product per term of the Hecke element, where RootElem walks make
+    # thousands on this model
+    ctx = ModelContext.create(profile_params(default_profiles()[4], F(2)), slots=6)
+    x = mul(HeckeElement.basis((3, 6, 1, 5, 2, 4)), HeckeElement.basis((4, 2, 6, 1, 5, 3)))
+    assert len(x.terms) > 1
+    calls = []
+    for name in ("__mul__", "__rmul__"):
+        original = getattr(RootElem, name)
+
+        def counted(self, other, original=original):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(RootElem, name, counted)
+    matrix_element(ctx, x)
+    assert len(calls) <= len(x.terms)
+
+
+def _gram_of_xi_states(p, rank):
+    """Oracle for gram_matrix: the inner products <T_u Xi, T_v Xi> of the
+    rank! RootElem states T_u Xi, every entry checked to be rational."""
+    ctx = ModelContext.create(p, rank)
+    xi = xi_state(ctx)
+    states = [apply_hecke(ctx, HeckeElement.basis(u), "left", xi) for u in all_perms(rank)]
+    return [
+        [
+            tensor._pure_rational(ctx, a.inner(b), f"Gram entry ({i}, {j})")
+            for j, b in enumerate(states)
+        ]
+        for i, a in enumerate(states)
+    ]
+
+
+@pytest.mark.parametrize("q", ["2", "2/3"])
+@pytest.mark.parametrize("profile", default_profiles(), ids=lambda p: p[0])
+def test_gram_of_integer_walks_equals_gram_of_xi_states(profile, q):
+    p = profile_params(profile, F(q))
+    assert gram_matrix(p, 3) == _gram_of_xi_states(p, 3)
+
+
+def test_gram_of_integer_walks_equals_gram_of_xi_states_at_n4():
+    p = profile_params(default_profiles()[2], F(2, 3))
+    assert gram_matrix(p, 4) == _gram_of_xi_states(p, 4)
 
 
 def _hecke_gram_entry(ctx, u, v):
