@@ -129,8 +129,8 @@ def model_slots(suite: str, m_max: int = 5) -> int:
 
 def rmatrix_suite(profiles=None, qs=DEFAULT_QS) -> list[CheckResult]:
     """R^2 = (q-1) R + q and the braid identity, checked exactly on the
-    left action apply_r itself over every basis tensor of the three-slot
-    space (tensor.r_matrix_laws)."""
+    left integer walk that every tensor route applies, over every basis
+    tensor of the three-slot space (tensor.r_matrix_laws)."""
     results = []
     for q in qs:
         for profile in profiles if profiles is not None else default_profiles():

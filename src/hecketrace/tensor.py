@@ -18,11 +18,11 @@ action) by
 which satisfies both the quadratic Hecke relation R^2 = (q-1) R + q and
 the braid relation, so sigma_j -> R at slots (j, j+1) extends to the whole
 Hecke algebra along reduced words.  R is written down once per model, as
-the |S|^2 table of r_matrix, which apply_r, normal_form and the integer
-walks read; r_matrix_laws checks the two relations on apply_r itself.  The
-distinguished state Xi (the n-fold product of the weighted diagonal
-vector xi) turns matrix elements into trace values: <X Xi, Xi> is the
-trace of X at the parameters behind the weights.
+the |S|^2 table of r_matrix, which apply_r and the integer walks read;
+r_matrix_laws checks the two relations on the integer walk that every
+evaluation route uses.  The distinguished state Xi (the n-fold product of
+the weighted diagonal vector xi) turns matrix elements into trace values:
+<X Xi, Xi> is the trace of X at the parameters behind the weights.
 
 Besides the direct action the module implements two structured evaluation
 paths used for cross-checking:
@@ -46,16 +46,18 @@ full-length walk.  The Gram matrix G[u][v] = trace(T_v* T_u) is built from
 the n! states T_u Xi as <T_u Xi, T_v Xi>, so it is positive semidefinite by
 construction.
 
-matrix_element and gram_matrix walk in exact integers.  Write Xi = S Xi_1,
-where Xi_1 = sum_J eta[J; J] is the diagonal with every coefficient 1 over
-the tuples of nonzero-weight indices and S multiplies eta[I; J] by
-sqrt(a_J).  The left action never touches J, so S commutes with it, and the
-weights a_J enter only in the pairing.  With q = a/b the walks apply b R,
-reading sqrt(q) as t = b sqrt(q) with t^2 = a b, so every coefficient is
-a, -b, a - b or -t and every walk coefficient an int; one division by
-b^(steps) d^slots per term, for d the common denominator of the weights,
-returns to true units.  apply_r, apply_hecke and xi_state keep the
-RootElem states: the bimodule checks and r_matrix_laws use them, and the
+Every route walks in exact integers.  Write Xi = S Xi_1, where Xi_1 =
+sum_J eta[J; J] is the diagonal with every coefficient 1 over the tuples
+of nonzero-weight indices and S multiplies eta[I; J] by sqrt(a_J).  The
+left action never touches J, and the right action only permutes it, which
+leaves prod_k sqrt(a_{J_k}) alone; so S commutes with both actions, and
+the weights a_J enter only in the pairing.  With q = a/b the walks apply
+b R, reading sqrt(q) as t = b sqrt(q) with t^2 = a b, so every coefficient
+is a, -b, a - b or -t and every walk coefficient an int; one division by
+b^(steps) d^slots per value, for d the common denominator of the weights,
+returns to true units.  The right action is the left walk on the
+transposed keys (J, I).  apply_r, apply_hecke and xi_state keep the
+RootElem states as the reference action: verify -v prints Xi, and the
 tests hold them as the oracle of the integer walks.
 
 Trace values must come out rational: every evaluation asserts that all
@@ -75,7 +77,6 @@ from .hecke import HeckeElement, mul as hecke_mul
 from .permutations import (
     Perm,
     all_perms,
-    identity,
     reduced_word,
 )
 from .report import CheckResult
@@ -240,7 +241,8 @@ def r_matrix(ctx: ModelContext) -> dict:
     coefficients q, -1 and q - 1 stay Fractions, so an image that keeps
     the pair scales a coefficient instead of multiplying two RootElems;
     the swap coefficient -sqrt(q) is a RootElem.  This is the one place
-    the R coefficients are formed; the table is cached on the context."""
+    the R coefficients are formed; the table is cached on the context, and
+    apply_r and the integer walks (through _scaled_r) both read it."""
     table = ctx._cache.get("r")
     if table is not None:
         return table
@@ -278,28 +280,6 @@ def apply_r(ctx: ModelContext, slot: int, side: Side, state: TensorState) -> Ten
                 yield ((new, tj) if side == "left" else (ti, new)), c * coeff
 
     return TensorState(ctx.table, images())
-
-
-def r_matrix_laws(ctx: ModelContext, side: Side) -> tuple[bool, bool]:
-    """Whether apply_r on the given side satisfies R_1 R_1 = (q-1) R_1 + q
-    and R_1 R_2 R_1 = R_2 R_1 R_2, as (quadratic, braid).
-
-    The test state is sum_I eta[I; I] over every I in S^slots.  On the
-    side R does not act on, each basis tensor is tagged with its own index
-    tuple, so the columns cannot mix: equal states mean equal operators.
-    Needs at least 3 slots."""
-    one = ctx.table.one()
-    basis = TensorState(
-        ctx.table, {(tup, tup): one for tup in _cartesian(ctx.support, repeat=ctx.slots)}
-    )
-
-    def r(slot: int, state: TensorState) -> TensorState:
-        return apply_r(ctx, slot, side, state)
-
-    once = r(1, basis)
-    quadratic = r(1, once) == once.scale(ctx.q - 1) + basis.scale(ctx.q)
-    braid = r(1, r(2, once)) == r(2, r(1, r(2, basis)))
-    return quadratic, braid
 
 
 def _check_rank(ctx: ModelContext, x: HeckeElement):
@@ -411,6 +391,21 @@ def _int_walk(table: dict, times: _SymbolProducts, slots: Iterable[int], state: 
     return state
 
 
+def _transposed(state: dict) -> dict:
+    """A flat state with its keys (I, J, k) read as (J, I, k)."""
+    return {(tj, ti, k): c for (ti, tj, k), c in state.items()}
+
+
+def _walk(
+    table: dict, times: _SymbolProducts, side: Side, slots: Iterable[int], state: dict
+) -> dict:
+    """_int_walk on the given side: the right action is the left walk on
+    the transposed keys (J, I)."""
+    if side == "left":
+        return _int_walk(table, times, slots, state)
+    return _transposed(_int_walk(table, times, slots, _transposed(state)))
+
+
 def _by_pair(state: dict) -> dict:
     """A flat state indexed by (I, J): {(I, J): [(k, coefficient), ...]}."""
     out: dict = {}
@@ -442,6 +437,37 @@ def _pairing(
     for pair, v in raw.items():
         k, f = times[pair]
         yield k, Fraction(v * f * (b if _SQRT_Q in k else 1), scale)
+
+
+def r_matrix_laws(ctx: ModelContext, side: Side) -> tuple[bool, bool]:
+    """Whether R on the given side satisfies R_1 R_1 = (q-1) R_1 + q and
+    R_1 R_2 R_1 = R_2 R_1 R_2, as (quadratic, braid).  The laws are checked
+    on the integer walk that every route applies, scaled by b for q = a/b:
+    (b R_1)^2 = (a - b) b R_1 + a b, and the braid law for b R.
+
+    The test state is sum_I eta[I; I] over every I in S^slots, indices of
+    weight zero included.  On the side R does not act on, each basis tensor
+    is tagged with its own index tuple, so the columns cannot mix: equal
+    states mean equal operators.  Needs at least 3 slots."""
+    if ctx.slots < 3:
+        raise ValueError(f"slot {ctx.slots} out of range for {ctx.slots} slots")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    table, times = _scaled_r(ctx), _SymbolProducts(ctx)
+    a, b = ctx.q.numerator, ctx.q.denominator
+    basis = {(tup, tup, frozenset()): 1 for tup in _cartesian(ctx.support, repeat=ctx.slots)}
+
+    def r(slots: list[int], state: dict) -> dict:
+        return _walk(table, times, side, slots, state)
+
+    once = r([1], basis)
+    combination = chain(
+        ((key, (a - b) * c) for key, c in once.items()),
+        ((key, a * b * c) for key, c in basis.items()),
+    )
+    quadratic = r([1], once) == sparse_sum(combination)
+    braid = r([2, 1], once) == r([2, 1, 2], basis)
+    return quadratic, braid
 
 
 def matrix_element(ctx: ModelContext, x: HeckeElement) -> Fraction:
@@ -492,9 +518,17 @@ def normal_form(
     every I in S^n, and is multiplied on the right by R at a_1, .., a_k
     along a reduced word of w.  At each step every entry (sigma, I) goes
     through the r_matrix images of its pair (I_a, I_{a+1}): an image equal
-    to the pair scales the entry in place, and the -sqrt(q) image moves it
-    to (sigma s_a, s_a I), since D(Phi) T(s_a) = T(s_a) D(Phi o s_a) and R
-    is symmetric.
+    to the pair keeps sigma, and the -sqrt(q) image moves the entry to
+    (sigma s_a, s_a I), since D(Phi) T(s_a) = T(s_a) D(Phi o s_a) and R is
+    symmetric.
+
+    That is the integer walk of b R, for q = a/b, along a_1, .., a_k from
+    the basis tensors eta[I; I]: the tag J = I of each walked term names
+    the entry it started from.  R swaps only unequal indices, so equal
+    indices never cross, and sigma is the one permutation that carries the
+    tag to the walked tuple keeping equal indices in their order.  c and
+    the division by b^k are applied once per final entry, and the only
+    RootElems formed are the returned entries.
 
     >>> ctx = ModelContext.create(TraceParams(q=Fraction(2), alpha=(Fraction(1),)), 2)
     >>> op = normal_form(ctx, HeckeElement.generator(1, 2))
@@ -504,39 +538,36 @@ def normal_form(
     2
     """
     _check_rank(ctx, x)
-    n = ctx.slots
-    r = r_matrix(ctx)
-    tuples = list(_cartesian(ctx.support, repeat=n))
-
-    def times_r(entries: dict, j: int) -> dict:
-        # R at slots (j + 1, j + 2); sigma s_a swaps the entries j, j + 1 of sigma
-        def swap(sigma: Perm) -> Perm:
-            return sigma[:j] + (sigma[j + 1], sigma[j]) + sigma[j + 2 :]
-
-        def images():
-            for (sigma, tup), c in entries.items():
-                pair = tup[j : j + 2]
-                for image, coeff in r[pair]:
-                    key = sigma if image == pair else swap(sigma)
-                    yield (key, tup[:j] + image + tup[j + 2 :]), c * coeff
-
-        return sparse_sum(images())
-
-    def terms():
-        for w, poly in x.terms.items():
-            c = poly(ctx.q)
-            if c == 0:
-                continue
-            start = ctx.table.from_rational(c)
-            entries = {(identity(n), tup): start for tup in tuples}
-            for a in reduced_word(w):
-                entries = times_r(entries, a - 1)
-            yield from entries.items()
-
+    table, times = _scaled_r(ctx), _SymbolProducts(ctx)
+    tagged = {(tup, tup, frozenset()): 1 for tup in _cartesian(ctx.support, repeat=ctx.slots)}
+    b = ctx.q.denominator
+    terms = [(reduced_word(w), poly(ctx.q)) for w, poly in x.terms.items()]
+    terms = [(word, c) for word, c in terms if c != 0]
+    # every term over one denominator: a t-component v of the walk is the
+    # sqrt(q)-component v b / b^k
+    denom = lcm(*(c.denominator * b ** len(word) for word, c in terms))
+    raw: dict = {}
+    for word, c in terms:
+        f = c.numerator * denom // (c.denominator * b ** len(word))
+        for (tup, tag, k), v in _int_walk(table, times, word, tagged).items():
+            comps = raw.setdefault((_carrying(tag, tup), tup), {})
+            comps[k] = comps.get(k, 0) + v * f * (b if _SQRT_Q in k else 1)
     out: dict[Perm, dict[tuple[int, ...], RootElem]] = {}
-    for (sigma, tup), v in sparse_sum(terms()).items():
-        out.setdefault(sigma, {})[tup] = v
+    for (sigma, tup), comps in raw.items():
+        comps = {k: Fraction(v, denom) for k, v in comps.items() if v}
+        if comps:
+            out.setdefault(sigma, {})[tup] = RootElem(ctx.table, comps)
     return out
+
+
+def _carrying(start: tuple[int, ...], end: tuple[int, ...]) -> Perm:
+    """The permutation sigma with end[k] = start[sigma(k) - 1] that keeps
+    equal indices in their order."""
+    sigma = [0] * len(end)
+    order = sorted(range(len(start)), key=start.__getitem__)
+    for k, s in zip(sorted(range(len(end)), key=end.__getitem__), order):
+        sigma[k] = s + 1
+    return tuple(sigma)
 
 
 def omega_trace(
@@ -546,7 +577,12 @@ def omega_trace(
     combinatorially over the entries (sigma, I) whose permutation fixes
     their tuple, that is I constant on the cycles of sigma: each such entry
     contributes prod_k a_{I_k} times Phi_sigma(I), and no other entry
-    contributes."""
+    contributes.
+
+    On the output of normal_form only the identity table contributes: R
+    swaps only unequal indices, so no entry with sigma != id fixes its
+    tuple.  Every entry given is still read, so a normal form from elsewhere
+    is summed in full."""
 
     def contributions():
         for sigma, table in op.items():
@@ -561,21 +597,24 @@ def omega_trace(
 def diagonal_zeta(ctx: ModelContext, m: int) -> Fraction:
     """Xi-matrix element of the descending cycle element zeta_m computed
     with the diagonal parts of the R-matrices only (the swap parts cannot
-    contribute to this particular matrix element)."""
+    contribute to this particular matrix element).
+
+    The walk applies the diagonal part of b R, for q = a/b, at the slots
+    1, .., m - 1 to the unweighted diagonal Xi_1: its coefficients are a,
+    -b and a - b.  The weight numerators n_J enter in the pairing with
+    Xi_1, and one division by b^(m - 1) d^slots returns to true units."""
     if not 1 <= m <= ctx.slots:
         raise ValueError(f"need 1 <= m <= {ctx.slots}, got {m}")
-    xi = xi_state(ctx)
-    q = ctx.q
-    terms = dict(xi.terms)
-    for j in range(1, m):
-        nxt = {}
-        for (ti, tj), c in terms.items():
-            d = diag_coeff(q, ti[j - 1], ti[j])
-            if d != 0:
-                nxt[(ti, tj)] = c * d
-        terms = nxt
-    acted = TensorState(ctx.table, terms)
-    return _pure_rational(ctx, acted.inner(xi), f"diagonal route for m={m}")
+    times = _SymbolProducts(ctx)
+    diagonal = {
+        pair: [(image, k, v) for image, k, v in rows if image == pair]
+        for pair, rows in _scaled_r(ctx).items()
+    }
+    xi1, nums, d_slots = _unit_diagonal(ctx)
+    acted = _int_walk(diagonal, times, range(1, m), xi1)
+    scale = ctx.q.denominator ** (m - 1) * d_slots
+    value = RootElem(ctx.table, _pairing(ctx, acted, _by_pair(xi1), nums, times, scale))
+    return _pure_rational(ctx, value, f"diagonal route for m={m}")
 
 
 # ---------------------------------------------------------------------------
@@ -600,18 +639,44 @@ def bimodule_checks(
     (ii)  X acting on the right equals its transpose acting on the left,
           as an identity of states applied to Xi;
     (iii) <A^l B^r Xi, C^l D^r Xi> = trace(C* A B^t (D*)^t).
+
+    Both actions are integer walks of b R from the unweighted diagonal
+    Xi_1, and S commutes with both (Xi = S Xi_1, see the module docstring).
+    So (i) and (iii) pair the walked states with the weights a_J, and (ii)
+    compares the walked states themselves, which is exact because S is
+    invertible on the tuples of nonzero-weight indices.  The right side of
+    (iii) is a Hecke product evaluated by matrix_element.
     """
     n = ctx.slots
-    xi = xi_state(ctx)
+    table, times = _scaled_r(ctx), _SymbolProducts(ctx)
+    xi1, nums, d_slots = _unit_diagonal(ctx)
+
+    def act(*steps: tuple[HeckeElement, Side]) -> tuple[dict, int]:
+        # the basis elements T_w of steps applied to Xi_1 in turn, each along
+        # a reduced word of w read from its end, and the walk steps taken
+        state, taken = xi1, 0
+        for x, side in steps:
+            (w,) = x.terms
+            word = reduced_word(w)
+            state = _walk(table, times, side, reversed(word), state)
+            taken += len(word)
+        return state, taken
+
+    def inner(left: tuple[dict, int], right: tuple[dict, int]) -> RootElem:
+        scale = ctx.q.denominator ** (left[1] + right[1]) * d_slots
+        pairs = _pairing(ctx, left[0], _by_pair(right[0]), nums, times, scale)
+        return RootElem(ctx.table, pairs)
+
     results = []
+    unit = act()
 
     ok = True
     witness = ""
     for _ in range(n_trace_pairs):
         a = _random_basis_element(rng, n)
         b = _random_basis_element(rng, n)
-        lhs = apply_hecke(ctx, a, "left", apply_hecke(ctx, b, "left", xi)).inner(xi)
-        rhs = apply_hecke(ctx, b, "left", apply_hecke(ctx, a, "left", xi)).inner(xi)
+        lhs = inner(act((b, "left"), (a, "left")), unit)
+        rhs = inner(act((a, "left"), (b, "left")), unit)
         _pure_rational(ctx, lhs, "trace-property matrix element")
         if lhs != rhs:
             ok, witness = False, f"A={a!r} B={b!r}"
@@ -622,7 +687,8 @@ def bimodule_checks(
     witness = ""
     for _ in range(n_transpose):
         x = _random_basis_element(rng, n)
-        if apply_hecke(ctx, x, "right", xi) != apply_hecke(ctx, x.transpose(), "left", xi):
+        # equal states after walks of equal length: w and w^-1 have one length
+        if act((x, "right")) != act((x.transpose(), "left")):
             ok, witness = False, f"X={x!r}"
             break
     results.append(CheckResult("bimodule.right_equals_transposed_left", ok, witness))
@@ -631,9 +697,9 @@ def bimodule_checks(
     witness = ""
     for _ in range(n_quadruples):
         a, b, c, d = (_random_basis_element(rng, n) for _ in range(4))
-        left_state = apply_hecke(ctx, b, "right", apply_hecke(ctx, a, "left", xi))
-        right_state = apply_hecke(ctx, d, "right", apply_hecke(ctx, c, "left", xi))
-        lhs = _pure_rational(ctx, left_state.inner(right_state), "bimodule Gram element")
+        left_state = act((a, "left"), (b, "right"))
+        right_state = act((c, "left"), (d, "right"))
+        lhs = _pure_rational(ctx, inner(left_state, right_state), "bimodule Gram element")
         prod = hecke_mul(
             hecke_mul(c.star(), a),
             hecke_mul(b.transpose(), d.star().transpose()),

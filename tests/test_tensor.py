@@ -53,6 +53,18 @@ P_SIGN = params(2, beta=(1,))
 P_MIX = params(2, alpha=("1/2",), beta=("1/2",))
 P_WIDE = params(2, alpha=("2/3", "1/6"), beta=("1/6",))
 
+# P1-P5, and P5 with an extra index of weight 0: the models on which the
+# integer routes are compared with the RootElem action
+ORACLE_MODELS = [(name, alpha, beta, ()) for name, alpha, beta in default_profiles()] + [
+    ("P5_zero_weight", P_WIDE.alpha, P_WIDE.beta, (3,))
+]
+ORACLE_QS = ["2", "2/3", "1", "9/4"]
+
+
+def oracle_context(model, q, slots):
+    _, alpha, beta, extra = model
+    return ModelContext.create(TraceParams(q=F(q), alpha=alpha, beta=beta), slots, extra)
+
 
 def random_state(ctx, rng: Random, terms: int = 4) -> TensorState:
     support = ctx.support
@@ -516,6 +528,23 @@ def test_normal_form_drops_a_cancelled_table():
     }
 
 
+@pytest.mark.parametrize("q", ["2", "1"])
+@pytest.mark.parametrize("rank", [3, 4])
+def test_no_normal_form_entry_off_the_identity_fixes_its_tuple(rank, q):
+    # R swaps only unequal indices, so equal indices never cross: an entry
+    # (sigma, I) with sigma != id has I o sigma != I, in the walk and in the
+    # composition oracle alike, so omega_trace reads only the identity table
+    p = TraceParams(q=F(q), alpha=P_WIDE.alpha, beta=P_WIDE.beta)
+    ctx = ModelContext.create(p, rank, extra_indices=(3,))
+    for w in all_perms(rank):
+        x = HeckeElement.basis(w)
+        for op in (normal_form(ctx, x), _normal_form_by_composition(ctx, x)):
+            assert op[identity(rank)]
+            for sigma, table in op.items():
+                fixed = [tup for tup in table if all(tup[s - 1] == i for s, i in zip(sigma, tup))]
+                assert sigma == identity(rank) or not fixed, (w, sigma, fixed)
+
+
 def test_generator_operator_matches_apply_r():
     ctx = ModelContext.create(P_WIDE, slots=4)
     rng = Random(31)
@@ -617,6 +646,37 @@ def test_diagonal_zeta_matches_matrix_element(p):
         assert diagonal_zeta(ctx, m) == matrix_element(ctx, zeta_interval(1, m, rank=4))
 
 
+def _diagonal_zeta_on_xi_state(ctx, m):
+    """Oracle for diagonal_zeta: the diagonal parts diag_coeff applied to
+    the RootElem state Xi at the slots 1, .., m - 1, paired with Xi."""
+    xi = xi_state(ctx)
+    terms = dict(xi.terms)
+    for j in range(1, m):
+        nxt = {}
+        for (ti, tj), c in terms.items():
+            d = diag_coeff(ctx.q, ti[j - 1], ti[j])
+            if d != 0:
+                nxt[(ti, tj)] = c * d
+        terms = nxt
+    acted = TensorState(ctx.table, terms)
+    return tensor._pure_rational(ctx, acted.inner(xi), "oracle")
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: m[0])
+def test_diagonal_zeta_equals_diagonal_walk_on_xi_state(model, q):
+    ctx = oracle_context(model, q, 4)
+    for m in range(1, 5):
+        assert diagonal_zeta(ctx, m) == _diagonal_zeta_on_xi_state(ctx, m)
+
+
+def test_diagonal_zeta_purity_guard_names_the_route():
+    ctx = ModelContext.create(P_WIDE, slots=3)
+    r_matrix(ctx)[(1, 1)] = [((1, 1), ctx.sqrt_q())]
+    with pytest.raises(CrossCheckError, match="diagonal route for m=3 .* 3 slots"):
+        diagonal_zeta(ctx, 3)
+
+
 # ---------------------------------------------------------------------------
 # R-matrix laws on every basis tensor of V^(3)
 
@@ -630,19 +690,72 @@ def test_dense_quadratic_and_braid(p, q):
     assert r_matrix_laws(ctx, "right") == (True, True)
 
 
+def _cyclic_order(q, x, y):
+    """diag_coeff for -1 < 1 < 2 < -1, which is no order: each pair keeps one
+    increasing direction, so R stays quadratic, but the braid law fails."""
+    if x == y:
+        return diag_coeff(q, x, y)
+    return q - 1 if (x < y) != ({x, y} == {-1, 2}) else F(0)
+
+
+@pytest.mark.parametrize(
+    "wrong,laws",
+    [
+        (lambda q, x, y: q - 1 if x > y else diag_coeff(q, x, y), (False, False)),
+        (lambda q, x, y: diag_coeff(q, x, y) + (1 if x < y else 0), (False, False)),
+        (_cyclic_order, (True, False)),
+    ],
+    ids=["decreasing_pair_gets_q_minus_1", "increasing_pair_gets_plus_1", "cyclic_order"],
+)
+def test_r_matrix_laws_reject_a_wrong_r(monkeypatch, wrong, laws):
+    monkeypatch.setattr(tensor, "diag_coeff", wrong)
+    ctx = ModelContext.create(P_WIDE, slots=3)
+    assert r_matrix_laws(ctx, "left") == laws
+    assert r_matrix_laws(ctx, "right") == laws
+
+
+def _r_matrix_laws_by_apply_r(ctx, side):
+    """Oracle for r_matrix_laws: both laws on the RootElem action apply_r,
+    applied to sum_I eta[I; I] over every I in S^slots."""
+    one = ctx.table.one()
+    basis = TensorState(
+        ctx.table, {(tup, tup): one for tup in cartesian(ctx.support, repeat=ctx.slots)}
+    )
+
+    def r(slot, state):
+        return apply_r(ctx, slot, side, state)
+
+    once = r(1, basis)
+    quadratic = r(1, once) == once.scale(ctx.q - 1) + basis.scale(ctx.q)
+    braid = r(1, r(2, once)) == r(2, r(1, r(2, basis)))
+    return quadratic, braid
+
+
 @pytest.mark.parametrize(
     "wrong",
     [
+        None,
         lambda q, x, y: q - 1 if x > y else diag_coeff(q, x, y),
-        lambda q, x, y: diag_coeff(q, x, y) + (1 if x < y else 0),
+        _cyclic_order,
     ],
-    ids=["decreasing_pair_gets_q_minus_1", "increasing_pair_gets_plus_1"],
+    ids=["true_r", "decreasing_pair_gets_q_minus_1", "cyclic_order"],
 )
-def test_r_matrix_laws_reject_a_wrong_r(monkeypatch, wrong):
-    monkeypatch.setattr(tensor, "diag_coeff", wrong)
-    ctx = ModelContext.create(P_WIDE, slots=3)
-    assert r_matrix_laws(ctx, "left") == (False, False)
-    assert r_matrix_laws(ctx, "right") == (False, False)
+@pytest.mark.parametrize("q", ORACLE_QS)
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: m[0])
+def test_r_matrix_laws_equal_the_laws_of_apply_r(monkeypatch, model, q, wrong):
+    if wrong is not None:
+        monkeypatch.setattr(tensor, "diag_coeff", wrong)
+    ctx = oracle_context(model, q, 3)
+    for side in ("left", "right"):
+        assert r_matrix_laws(ctx, side) == _r_matrix_laws_by_apply_r(ctx, side)
+
+
+def test_r_matrix_laws_need_three_slots():
+    ctx = ModelContext.create(P_WIDE, slots=2)
+    with pytest.raises(ValueError, match="slot 2 out of range for 2 slots"):
+        r_matrix_laws(ctx, "left")
+    with pytest.raises(ValueError, match="side must be"):
+        r_matrix_laws(ModelContext.create(P_WIDE, slots=3), "middle")
 
 
 @st.composite
@@ -680,6 +793,85 @@ def test_bimodule_checks_pass():
     assert all(r.passed for r in results), [r.line() for r in results]
 
 
+@pytest.mark.parametrize("q", ORACLE_QS)
+@pytest.mark.parametrize("model", ORACLE_MODELS, ids=lambda m: m[0])
+def test_bimodule_values_equal_the_root_elem_action(monkeypatch, model, q):
+    # the left-hand values that bimodule_checks pairs from integer walks,
+    # recorded at its rationality checks, against apply_hecke on Xi; the
+    # seeded draws are replayed in the order bimodule_checks makes them
+    ctx = oracle_context(model, q, 3)
+    seen = []
+    check = tensor._pure_rational
+
+    def recorded(ctx, value, route):
+        seen.append((route, value))
+        return check(ctx, value, route)
+
+    monkeypatch.setattr(tensor, "_pure_rational", recorded)
+    results = bimodule_checks(ctx, Random(11), 4, 3, 3)
+    assert all(r.passed for r in results), [r.line() for r in results]
+
+    rng = Random(11)
+    xi = xi_state(ctx)
+
+    def draw():
+        return tensor._random_basis_element(rng, 3)
+
+    def act(x, side, state):
+        return apply_hecke(ctx, x, side, state)
+
+    want = []
+    for _ in range(4):
+        a, b = draw(), draw()
+        value = act(a, "left", act(b, "left", xi)).inner(xi)
+        want.append(("trace-property matrix element", value))
+    for _ in range(3):
+        x = draw()
+        assert act(x, "right", xi) == act(x.transpose(), "left", xi)
+    for _ in range(3):
+        a, b, c, d = (draw() for _ in range(4))
+        left, right = act(b, "right", act(a, "left", xi)), act(d, "right", act(c, "left", xi))
+        want.append(("bimodule Gram element", left.inner(right)))
+    routes = {route for route, _ in want}
+    assert [(route, v) for route, v in seen if route in routes] == want
+
+
+def _bimodule_results(ctx):
+    return {r.name: r.passed for r in bimodule_checks(ctx, Random(2026), 10, 5, 3)}
+
+
+def test_bimodule_trace_property_fails_on_slot_dependent_weights(monkeypatch):
+    # a pairing whose weights depend on the slot: the state is no trace state
+    unit_diagonal = tensor._unit_diagonal
+
+    def slot_dependent(ctx):
+        xi1, nums, d_slots = unit_diagonal(ctx)
+        return xi1, {tup: n * (1 + (tup[0] > 0)) ** 2 for tup, n in nums.items()}, d_slots
+
+    monkeypatch.setattr(tensor, "_unit_diagonal", slot_dependent)
+    assert not _bimodule_results(ModelContext.create(P_WIDE, slots=4))["bimodule.trace_property"]
+
+
+def test_bimodule_transpose_check_fails_on_a_forward_right_walk(monkeypatch):
+    # a right action that reads each reduced word from its start acts by
+    # T_{w^-1}, not T_w
+    walk = tensor._walk
+
+    def forwards_on_the_right(table, times, side, slots, state):
+        slots = list(slots)
+        return walk(table, times, side, slots[::-1] if side == "right" else slots, state)
+
+    monkeypatch.setattr(tensor, "_walk", forwards_on_the_right)
+    results = _bimodule_results(ModelContext.create(P_WIDE, slots=4))
+    assert not results["bimodule.right_equals_transposed_left"]
+
+
+def test_bimodule_gram_identity_fails_on_a_wrong_star(monkeypatch):
+    # T_w* = T_w instead of T_{w^-1}; transpose keeps its own binding
+    monkeypatch.setattr(HeckeElement, "star", lambda self: self)
+    assert not _bimodule_results(ModelContext.create(P_WIDE, slots=4))["bimodule.gram_identity"]
+
+
 def test_transpose_identity_directly():
     ctx = ModelContext.create(P_MIX, slots=2)
     xi = xi_state(ctx)
@@ -704,13 +896,8 @@ def test_gram_diagonal_is_trace_of_star_products():
     assert all(gram[i][i] > 0 for i in range(6))
 
 
-def test_matrix_element_multiplies_no_root_elements_per_walk_step(monkeypatch):
-    # the walks and the pairing run on plain integers: at most one RootElem
-    # product per term of the Hecke element, where RootElem walks make
-    # thousands on this model
-    ctx = ModelContext.create(profile_params(default_profiles()[4], F(2)), slots=6)
-    x = mul(HeckeElement.basis((3, 6, 1, 5, 2, 4)), HeckeElement.basis((4, 2, 6, 1, 5, 3)))
-    assert len(x.terms) > 1
+def _count_root_products(monkeypatch) -> list:
+    """A list that gets one item per RootElem product from now on."""
     calls = []
     for name in ("__mul__", "__rmul__"):
         original = getattr(RootElem, name)
@@ -720,8 +907,64 @@ def test_matrix_element_multiplies_no_root_elements_per_walk_step(monkeypatch):
             return original(self, other)
 
         monkeypatch.setattr(RootElem, name, counted)
+    return calls
+
+
+def test_matrix_element_multiplies_no_root_elements_per_walk_step(monkeypatch):
+    # the walks and the pairing run on plain integers: at most one RootElem
+    # product per term of the Hecke element, where RootElem walks make
+    # thousands on this model
+    ctx = ModelContext.create(profile_params(default_profiles()[4], F(2)), slots=6)
+    x = mul(HeckeElement.basis((3, 6, 1, 5, 2, 4)), HeckeElement.basis((4, 2, 6, 1, 5, 3)))
+    assert len(x.terms) > 1
+    calls = _count_root_products(monkeypatch)
     matrix_element(ctx, x)
     assert len(calls) <= len(x.terms)
+
+
+def test_normal_form_forms_one_root_element_per_entry_and_no_product(monkeypatch):
+    ctx = ModelContext.create(P_WIDE, slots=5, extra_indices=(3,))
+    x = HeckeElement.basis((3, 5, 1, 4, 2)) + HeckeElement.generator(2, 5).scale(F(-3, 2))
+    r_matrix(ctx)  # the cached table holds RootElems of its own
+    calls = _count_root_products(monkeypatch)
+    made = []
+    init = RootElem.__init__
+
+    def counted_init(self, *args):
+        made.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(RootElem, "__init__", counted_init)
+    op = normal_form(ctx, x)
+    assert not calls
+    assert len(made) == sum(len(table) for table in op.values()) > 0
+
+
+def test_diagonal_route_and_r_matrix_laws_multiply_no_root_elements(monkeypatch):
+    calls = _count_root_products(monkeypatch)
+    ctx = ModelContext.create(P_WIDE, slots=5, extra_indices=(3,))
+    for m in range(1, 6):
+        assert diagonal_zeta(ctx, m) == zeta_trace(m, P_WIDE)
+    ctx = ModelContext.create(P_WIDE, slots=3, extra_indices=(3,))
+    assert r_matrix_laws(ctx, "left") == r_matrix_laws(ctx, "right") == (True, True)
+    assert not calls
+
+
+def test_bimodule_checks_multiply_no_root_elements_outside_matrix_element(monkeypatch):
+    ctx = ModelContext.create(P_WIDE, slots=4)
+    calls = _count_root_products(monkeypatch)
+    inside = []
+    evaluate = tensor.matrix_element
+
+    def counted(ctx, x):
+        before = len(calls)
+        value = evaluate(ctx, x)
+        inside.append(len(calls) - before)
+        return value
+
+    monkeypatch.setattr(tensor, "matrix_element", counted)
+    assert all(_bimodule_results(ctx).values())
+    assert len(inside) == 3 and len(calls) == sum(inside)
 
 
 def _gram_of_xi_states(p, rank):
