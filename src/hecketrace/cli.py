@@ -142,7 +142,8 @@ def cmd_trace(args) -> int:
         other = tensor.matrix_element(ctx, zeta_partition(parts, rank=rank))
         if other != value:
             print(
-                f"error: cross-check mismatch: formula {format_fraction(value)}, "
+                f"error: cross-check mismatch on partition {list(parts)} (params "
+                f"{params.to_record()}): formula {format_fraction(value)}, "
                 f"tensor model {format_fraction(other)}",
                 file=sys.stderr,
             )

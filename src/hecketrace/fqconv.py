@@ -235,7 +235,13 @@ def bruhat_cell(g: Matrix, p: int) -> Perm | None:
     column by column: the pivot is the lowest unused row with a nonzero
     entry, row operations from below (b g) clear the column above it, and
     column operations from the left (g b) clear the pivot row to its right
-    (a column is not read again, so only entries right of it are updated)."""
+    (a column is not read again, so only entries right of it are updated).
+
+    >>> all(bruhat_cell(perm_matrix(w), 3) == w for w in all_perms(3))
+    True
+    >>> bruhat_cell(((0, 1), (1, 1)), 2), bruhat_cell(((1, 1), (1, 1)), 2)
+    ((2, 1), None)
+    """
     n = len(g)
     m = [list(row) for row in g]
     w = []

@@ -23,9 +23,10 @@ rational number happens only at the trace / tensor-model boundary.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from itertools import chain
-from typing import Mapping, Sequence, Union
+from itertools import accumulate, chain
+from typing import Union
 
 from .permutations import (
     Perm,
@@ -48,7 +49,6 @@ __all__ = [
     "zeta_interval",
     "zeta_partition",
     "check_partition",
-    "partial_sums",
 ]
 
 
@@ -202,6 +202,12 @@ def mul(x: HeckeElement, y: HeckeElement) -> HeckeElement:
 
     Each basis term T_w of the left factor acts on y through a reduced
     word of w, one generator at a time.
+
+    >>> s1, q = HeckeElement.generator(1, 2), QPoly.var()
+    >>> mul(s1, s1)
+    q*T[1,2] + (-1 + q)*T[2,1]
+    >>> mul(s1, s1) == s1.scale(q - 1) + HeckeElement.unit(2).scale(q)
+    True
     """
     x, y = promote_pair(x, y)
 
@@ -247,14 +253,6 @@ def check_partition(parts: Sequence[int]) -> tuple[int, ...]:
     return parts
 
 
-def partial_sums(parts: Sequence[int]) -> list[int]:
-    out, acc = [], 0
-    for p in parts:
-        acc += p
-        out.append(acc)
-    return out
-
-
 def zeta_partition(parts: Sequence[int], rank: int | None = None) -> HeckeElement:
     """Product of disjoint cycle blocks, one per partition part, on
     consecutive intervals: part j acts on [sum(parts[:j-1])+1, sum(parts[:j])].
@@ -263,7 +261,7 @@ def zeta_partition(parts: Sequence[int], rank: int | None = None) -> HeckeElemen
     one-part partition (m,) reduces to zeta_interval(1, m).
     """
     parts = check_partition(parts)
-    sums = partial_sums(parts)
+    sums = list(accumulate(parts))
     total = sums[-1] if sums else 0
     n = rank if rank is not None else max(total, 1)
     if n < total:

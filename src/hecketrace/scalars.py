@@ -25,9 +25,10 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 Rat = Union[Fraction, int]
 

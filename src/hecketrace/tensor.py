@@ -53,9 +53,12 @@ left action never touches J, and the right action only permutes it, which
 leaves prod_k sqrt(a_{J_k}) alone; so S commutes with both actions, and
 the weights a_J enter only in the pairing.  With q = a/b the walks apply
 b R, reading sqrt(q) as t = b sqrt(q) with t^2 = a b, so every coefficient
-is a, -b, a - b or -t and every walk coefficient an int; one division by
-b^(steps) d^slots per value, for d the common denominator of the weights,
-returns to true units.  The right action is the left walk on the
+is a, -b, a - b or -t.  The only root a walk carries is then t, and a walk
+term is an int times t^k with k in {0, 1}: a swap flips k, and a swap
+from k = 1 lands on t^2 = a b.  The pairing sums the even and the odd
+power of t into two ints, and one division by b^(steps) d^slots per
+value, for d the common denominator of the weights, returns to true
+units and to sqrt(q) = t / b.  The right action is the left walk on the
 transposed keys (J, I).  apply_r, apply_hecke and xi_state keep the
 RootElem states as the reference action: verify -v prints Xi, and the
 tests hold them as the oracle of the integer walks.
@@ -326,38 +329,34 @@ def _pure_rational(ctx: ModelContext, value: RootElem, route: str) -> Fraction:
 # ---------------------------------------------------------------------------
 # integer walks from the unweighted diagonal Xi_1 (see the module docstring):
 # <X Xi, Y Xi> = sum_(I, J) a_J c_X(I, J) c_Y(I, J) for the coefficients c of
-# X Xi_1 and Y Xi_1.  A walk state is a flat dict {(I, J, k): coefficient},
-# k the subset of symbols the term carries.
+# X Xi_1 and Y Xi_1.  A walk state is a flat dict {(I, J, k): coefficient}
+# for the term coefficient * t^k, k in {0, 1}.
 
-
-class _SymbolProducts(dict):
-    """(k1, k2) -> (k1 ^ k2, product of the squares of the symbols in both),
-    filled on first use; t = b sqrt(q) squares to a b."""
-
-    def __init__(self, ctx: ModelContext):
-        super().__init__()
-        self.squares = {**ctx.table.formal, _SQRT_Q: ctx.q.numerator * ctx.q.denominator}
-
-    def __missing__(self, key):
-        k1, k2 = key
-        value = self[key] = (k1 ^ k2, prod(self.squares[s] for s in k1 & k2))
-        return value
+_ONE, _ROOT_Q = frozenset(), frozenset((_SQRT_Q,))
 
 
 def _scaled_r(ctx: ModelContext) -> dict:
     """b R for q = a/b with sqrt(q) read as t, as the flat table {(x, y):
-    [((x', y'), k, v), ...]}: the image (x', y') gets v times the symbols in
-    k.  Built from r_matrix as it stands on every call; a component that
-    does not scale to an integer stays a Fraction."""
+    [((x', y'), k, v), ...]}: the image (x', y') gets the int v times t^k.
+    Built from r_matrix as it stands on every call; a component with a root
+    other than sqrt(q), or one that does not scale to an integer, raises
+    CrossCheckError."""
     b = ctx.q.denominator
     table = {}
     for pair, images in r_matrix(ctx).items():
         rows = table[pair] = []
         for image, coeff in images:
-            comps = coeff.comps if isinstance(coeff, RootElem) else {frozenset(): coeff}
-            for k, v in comps.items():
-                v = Fraction(v) if _SQRT_Q in k else b * Fraction(v)
-                rows.append((image, k, v.numerator if v.denominator == 1 else v))
+            comps = coeff.comps if isinstance(coeff, RootElem) else {_ONE: coeff}
+            for root, v in comps.items():
+                k = 0 if root == _ONE else 1 if root == _ROOT_Q else None
+                v = Fraction(v) * (b if k == 0 else 1)
+                if k is None or v.denominator != 1:
+                    raise CrossCheckError(
+                        f"r_matrix image {pair} -> {image} is {coeff!r}, not an "
+                        f"integer combination of 1 and b sqrt(q) once scaled by b = {b} "
+                        f"(params {ctx.params.to_record()}, {ctx.slots} slots)"
+                    )
+                rows.append((image, k, v.numerator))
     return table
 
 
@@ -370,23 +369,25 @@ def _unit_diagonal(ctx: ModelContext) -> tuple[dict, dict, int]:
     nums = {(): 1}
     for _ in range(ctx.slots):
         nums = {tup + (i,): n * m for tup, n in nums.items() for i, m in live.items()}
-    return {(tup, tup, frozenset()): 1 for tup in nums}, nums, d**ctx.slots
+    return {(tup, tup, 0): 1 for tup in nums}, nums, d**ctx.slots
 
 
-def _int_walk(table: dict, times: _SymbolProducts, slots: Iterable[int], state: dict) -> dict:
-    """Apply b R at each slot in turn, the first slot first, to a flat state."""
+def _t_squared(ctx: ModelContext) -> int:
+    """t^2 = a b for q = a/b."""
+    return ctx.q.numerator * ctx.q.denominator
+
+
+def _int_walk(table: dict, ab: int, slots: Iterable[int], state: dict) -> dict:
+    """Apply b R at each slot in turn, the first slot first, to a flat
+    state; ab = t^2."""
     for a in slots:
         j = a - 1
         out: dict = {}
         for (ti, tj, k), c in state.items():
             head, tail = ti[:j], ti[j + 2 :]
             for image, k2, v in table[ti[j : j + 2]]:
-                if k2:
-                    k3, f = times[k, k2]
-                    key, v = (head + image + tail, tj, k3), v * f
-                else:
-                    key = (head + image + tail, tj, k)
-                out[key] = out.get(key, 0) + c * v
+                key = (head + image + tail, tj, k ^ k2)
+                out[key] = out.get(key, 0) + (c * v * ab if k & k2 else c * v)
         state = {key: c for key, c in out.items() if c}
     return state
 
@@ -396,14 +397,12 @@ def _transposed(state: dict) -> dict:
     return {(tj, ti, k): c for (ti, tj, k), c in state.items()}
 
 
-def _walk(
-    table: dict, times: _SymbolProducts, side: Side, slots: Iterable[int], state: dict
-) -> dict:
+def _walk(table: dict, ab: int, side: Side, slots: Iterable[int], state: dict) -> dict:
     """_int_walk on the given side: the right action is the left walk on
     the transposed keys (J, I)."""
     if side == "left":
-        return _int_walk(table, times, slots, state)
-    return _transposed(_int_walk(table, times, slots, _transposed(state)))
+        return _int_walk(table, ab, slots, state)
+    return _transposed(_int_walk(table, ab, slots, _transposed(state)))
 
 
 def _by_pair(state: dict) -> dict:
@@ -414,29 +413,27 @@ def _by_pair(state: dict) -> dict:
     return out
 
 
+def _in_units(ctx: ModelContext, even: int, odd: int, scale: int | Fraction) -> RootElem:
+    """(even + odd t) / scale as a RootElem, with t = b sqrt(q)."""
+    root = Fraction(odd * ctx.q.denominator, scale)
+    return RootElem(ctx.table, ((_ONE, Fraction(even, scale)), (_ROOT_Q, root)))
+
+
 def _pairing(
-    ctx: ModelContext,
-    left: dict,
-    right: dict,
-    nums: dict,
-    times: _SymbolProducts,
-    scale: int,
-):
-    """The components (subset, rational) of sum_(I, J) a_J c_L(I, J) c_R(I, J)
-    for a flat state left and a state right indexed by (I, J), divided by
-    scale = b^(walk steps) d^slots: a t-component v is the sqrt(q)-component
-    v b / scale."""
-    raw: dict = {}
+    ctx: ModelContext, left: dict, right: dict, nums: dict, scale: int | Fraction
+) -> RootElem:
+    """sum_(I, J) a_J c_L(I, J) c_R(I, J) for a flat state left and a state
+    right indexed by (I, J), divided by scale = b^(walk steps) d^slots: the
+    even and the odd power of t are summed as two ints."""
+    ab = _t_squared(ctx)
+    sums = [0, 0]
     for (ti, tj, k), c in left.items():
         row = right.get((ti, tj))
         if row:
             c *= nums[tj]
             for k2, c2 in row:
-                raw[k, k2] = raw.get((k, k2), 0) + c * c2
-    b = ctx.q.denominator
-    for pair, v in raw.items():
-        k, f = times[pair]
-        yield k, Fraction(v * f * (b if _SQRT_Q in k else 1), scale)
+                sums[k ^ k2] += c * c2 * ab if k & k2 else c * c2
+    return _in_units(ctx, *sums, scale)
 
 
 def r_matrix_laws(ctx: ModelContext, side: Side) -> tuple[bool, bool]:
@@ -453,17 +450,17 @@ def r_matrix_laws(ctx: ModelContext, side: Side) -> tuple[bool, bool]:
         raise ValueError(f"slot {ctx.slots} out of range for {ctx.slots} slots")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    table, times = _scaled_r(ctx), _SymbolProducts(ctx)
+    table, ab = _scaled_r(ctx), _t_squared(ctx)
     a, b = ctx.q.numerator, ctx.q.denominator
-    basis = {(tup, tup, frozenset()): 1 for tup in _cartesian(ctx.support, repeat=ctx.slots)}
+    basis = {(tup, tup, 0): 1 for tup in _cartesian(ctx.support, repeat=ctx.slots)}
 
     def r(slots: list[int], state: dict) -> dict:
-        return _walk(table, times, side, slots, state)
+        return _walk(table, ab, side, slots, state)
 
     once = r([1], basis)
     combination = chain(
         ((key, (a - b) * c) for key, c in once.items()),
-        ((key, a * b * c) for key, c in basis.items()),
+        ((key, ab * c) for key, c in basis.items()),
     )
     quadratic = r([1], once) == sparse_sum(combination)
     braid = r([2, 1], once) == r([2, 1, 2], basis)
@@ -483,7 +480,7 @@ def matrix_element(ctx: ModelContext, x: HeckeElement) -> Fraction:
     units.  The terms are summed before the result is checked to be purely
     rational, which is asserted, not assumed."""
     _check_rank(ctx, x)
-    table, times = _scaled_r(ctx), _SymbolProducts(ctx)
+    table, ab = _scaled_r(ctx), _t_squared(ctx)
     xi1, nums, d_slots = _unit_diagonal(ctx)
 
     def values():
@@ -493,10 +490,10 @@ def matrix_element(ctx: ModelContext, x: HeckeElement) -> Fraction:
                 continue
             word = reduced_word(w)
             h = len(word) // 2
-            left = _int_walk(table, times, reversed(word[h:]), xi1)
-            right = _by_pair(_int_walk(table, times, word[:h], xi1))
-            scale = ctx.q.denominator ** len(word) * d_slots
-            yield from ((k, v * c) for k, v in _pairing(ctx, left, right, nums, times, scale))
+            left = _int_walk(table, ab, reversed(word[h:]), xi1)
+            right = _by_pair(_int_walk(table, ab, word[:h], xi1))
+            scale = ctx.q.denominator ** len(word) * d_slots / c
+            yield from _pairing(ctx, left, right, nums, scale).comps.items()
 
     total = RootElem(ctx.table, values())
     return _pure_rational(ctx, total, f"matrix element of {x!r}")
@@ -538,25 +535,23 @@ def normal_form(
     2
     """
     _check_rank(ctx, x)
-    table, times = _scaled_r(ctx), _SymbolProducts(ctx)
-    tagged = {(tup, tup, frozenset()): 1 for tup in _cartesian(ctx.support, repeat=ctx.slots)}
+    table, ab = _scaled_r(ctx), _t_squared(ctx)
+    tagged = {(tup, tup, 0): 1 for tup in _cartesian(ctx.support, repeat=ctx.slots)}
     b = ctx.q.denominator
     terms = [(reduced_word(w), poly(ctx.q)) for w, poly in x.terms.items()]
     terms = [(word, c) for word, c in terms if c != 0]
-    # every term over one denominator: a t-component v of the walk is the
-    # sqrt(q)-component v b / b^k
+    # every term over one denominator
     denom = lcm(*(c.denominator * b ** len(word) for word, c in terms))
     raw: dict = {}
     for word, c in terms:
         f = c.numerator * denom // (c.denominator * b ** len(word))
-        for (tup, tag, k), v in _int_walk(table, times, word, tagged).items():
-            comps = raw.setdefault((_carrying(tag, tup), tup), {})
-            comps[k] = comps.get(k, 0) + v * f * (b if _SQRT_Q in k else 1)
+        for (tup, tag, k), v in _int_walk(table, ab, word, tagged).items():
+            sums = raw.setdefault((_carrying(tag, tup), tup), [0, 0])
+            sums[k] += v * f
     out: dict[Perm, dict[tuple[int, ...], RootElem]] = {}
-    for (sigma, tup), comps in raw.items():
-        comps = {k: Fraction(v, denom) for k, v in comps.items() if v}
-        if comps:
-            out.setdefault(sigma, {})[tup] = RootElem(ctx.table, comps)
+    for (sigma, tup), (even, odd) in raw.items():
+        if even or odd:
+            out.setdefault(sigma, {})[tup] = _in_units(ctx, even, odd, denom)
     return out
 
 
@@ -605,15 +600,14 @@ def diagonal_zeta(ctx: ModelContext, m: int) -> Fraction:
     Xi_1, and one division by b^(m - 1) d^slots returns to true units."""
     if not 1 <= m <= ctx.slots:
         raise ValueError(f"need 1 <= m <= {ctx.slots}, got {m}")
-    times = _SymbolProducts(ctx)
     diagonal = {
         pair: [(image, k, v) for image, k, v in rows if image == pair]
         for pair, rows in _scaled_r(ctx).items()
     }
     xi1, nums, d_slots = _unit_diagonal(ctx)
-    acted = _int_walk(diagonal, times, range(1, m), xi1)
+    acted = _int_walk(diagonal, _t_squared(ctx), range(1, m), xi1)
     scale = ctx.q.denominator ** (m - 1) * d_slots
-    value = RootElem(ctx.table, _pairing(ctx, acted, _by_pair(xi1), nums, times, scale))
+    value = _pairing(ctx, acted, _by_pair(xi1), nums, scale)
     return _pure_rational(ctx, value, f"diagonal route for m={m}")
 
 
@@ -648,7 +642,7 @@ def bimodule_checks(
     (iii) is a Hecke product evaluated by matrix_element.
     """
     n = ctx.slots
-    table, times = _scaled_r(ctx), _SymbolProducts(ctx)
+    table, ab = _scaled_r(ctx), _t_squared(ctx)
     xi1, nums, d_slots = _unit_diagonal(ctx)
 
     def act(*steps: tuple[HeckeElement, Side]) -> tuple[dict, int]:
@@ -658,14 +652,13 @@ def bimodule_checks(
         for x, side in steps:
             (w,) = x.terms
             word = reduced_word(w)
-            state = _walk(table, times, side, reversed(word), state)
+            state = _walk(table, ab, side, reversed(word), state)
             taken += len(word)
         return state, taken
 
     def inner(left: tuple[dict, int], right: tuple[dict, int]) -> RootElem:
         scale = ctx.q.denominator ** (left[1] + right[1]) * d_slots
-        pairs = _pairing(ctx, left[0], _by_pair(right[0]), nums, times, scale)
-        return RootElem(ctx.table, pairs)
+        return _pairing(ctx, left[0], _by_pair(right[0]), nums, scale)
 
     results = []
     unit = act()
@@ -723,17 +716,17 @@ def gram_matrix(params: TraceParams, rank: int) -> list[list[Fraction]]:
     the first entry of the matrix that fails the rationality check lies on
     or above the diagonal."""
     ctx = ModelContext.create(params, rank)
-    table, times = _scaled_r(ctx), _SymbolProducts(ctx)
+    table, ab = _scaled_r(ctx), _t_squared(ctx)
     xi1, nums, d_slots = _unit_diagonal(ctx)
     words = [reduced_word(u) for u in all_perms(rank)]
-    states = [_int_walk(table, times, reversed(word), xi1) for word in words]
+    states = [_int_walk(table, ab, reversed(word), xi1) for word in words]
     indexed = [_by_pair(state) for state in states]
     b = ctx.q.denominator
     gram = [[Fraction(0)] * len(words) for _ in words]
     for i, state in enumerate(states):
         for j in range(i, len(words)):
             scale = b ** (len(words[i]) + len(words[j])) * d_slots
-            value = RootElem(ctx.table, _pairing(ctx, state, indexed[j], nums, times, scale))
+            value = _pairing(ctx, state, indexed[j], nums, scale)
             gram[i][j] = gram[j][i] = _pure_rational(ctx, value, f"Gram entry ({i}, {j})")
     return gram
 

@@ -42,6 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import prod
 from typing import Iterator, Mapping, Sequence
 
 from .scalars import (
@@ -316,18 +318,6 @@ def delta_eigenvalue(indices: Sequence[int], q: Rat) -> Fraction:
     return sign * qpow * (q - 1) ** (blocks - 1)
 
 
-def _nondecreasing_tuples(support: Sequence[int], m: int) -> Iterator[tuple[int, ...]]:
-    def rec(start: int, left: int) -> Iterator[tuple[int, ...]]:
-        if left == 0:
-            yield ()
-            return
-        for pos in range(start, len(support)):
-            for rest in rec(pos, left - 1):
-                yield (support[pos],) + rest
-
-    return rec(0, m)
-
-
 def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
     if slots == 0:
         if total == 0:
@@ -340,11 +330,8 @@ def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
 
 def _zeta_by_tuples(m: int, weights: WeightFunction, q: Fraction) -> Fraction:
     total = Fraction(0)
-    for tup in _nondecreasing_tuples(weights.support, m):
-        prod = Fraction(1)
-        for i in tup:
-            prod *= weights(i)
-        total += delta_eigenvalue(tup, q) * prod
+    for tup in combinations_with_replacement(weights.support, m):
+        total += delta_eigenvalue(tup, q) * prod(map(weights, tup))
     return total
 
 

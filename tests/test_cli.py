@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from hecketrace import suites
+from hecketrace import cli, suites, tensor
 from hecketrace.cli import MAX_SIZE, MAX_TENSOR_SIZE, _check_tensor_size, main
+from hecketrace.scalars import PowerSeries
+from hecketrace.traces import TraceParams
 
 
 def run(capsys, *argv):
@@ -68,6 +70,23 @@ def test_trace_cross_check(capsys):
     )
     assert code == 0
     assert out.strip() == "25/16"
+
+
+def test_trace_cross_check_mismatch_exit_3(capsys, monkeypatch):
+    # a tensor route one off the formula must exit 3 and say what disagreed
+    matrix_element = tensor.matrix_element
+    monkeypatch.setattr(tensor, "matrix_element", lambda ctx, x: matrix_element(ctx, x) + 1)
+    code, out, err = run(
+        capsys,
+        "trace", "--partition", "2,1", "--q", "2", "--alpha", "1/2,1/2",
+        "--cross-check",
+    )
+    params = TraceParams(q=Fraction(2), alpha=(Fraction(1, 2), Fraction(1, 2)))
+    assert code == 3
+    assert out == ""
+    assert "cross-check mismatch on partition [2, 1]" in err
+    assert str(params.to_record()) in err
+    assert "formula 5/4, tensor model 9/4" in err
 
 
 def test_trace_records_format(capsys):
@@ -247,6 +266,25 @@ def test_series_dual_path_match_column(capsys):
         assert len(parts) == 4
         assert parts[1] == parts[2]
         assert parts[3] == "ok"
+
+
+def test_series_dual_path_mismatch_exit_3(capsys, monkeypatch):
+    series_from_traces = cli.series_from_traces
+
+    def off_in_degree_2(params, order):
+        series = series_from_traces(params, order)
+        coeffs = list(series.coeffs)
+        coeffs[2] += 1
+        return PowerSeries(order, coeffs)
+
+    monkeypatch.setattr(cli, "series_from_traces", off_in_degree_2)
+    code, out, _ = run(
+        capsys,
+        "series", "--q", "2", "--alpha", "1/2,1/2", "--degree", "3", "--dual-path",
+    )
+    assert code == 3
+    matches = [line.rsplit(",", 1)[1] for line in out.strip().splitlines()]
+    assert matches == ["ok", "ok", "MISMATCH", "ok"]
 
 
 def test_series_dual_path_at_q1(capsys):

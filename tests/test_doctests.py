@@ -4,11 +4,13 @@ import doctest
 
 import pytest
 
-from hecketrace import permutations, scalars, tensor, traces
+from hecketrace import fqconv, hecke, permutations, scalars, tensor, traces
 
 
 @pytest.mark.parametrize(
-    "module", [permutations, scalars, tensor, traces], ids=lambda m: m.__name__
+    "module",
+    [fqconv, hecke, permutations, scalars, tensor, traces],
+    ids=lambda m: m.__name__,
 )
 def test_module_doctests(module):
     result = doctest.testmod(module)

@@ -302,6 +302,8 @@ def test_rationality_check_holds_at_square_q(q):
     routes = {
         "matrix element": lambda ctx: matrix_element(ctx, x),
         "omega trace": lambda ctx: omega_trace(ctx, normal_form(ctx, x)),
+        "diagonal route for m=2": lambda ctx: diagonal_zeta(ctx, 2),
+        "trace-property matrix element": lambda ctx: bimodule_checks(ctx, Random(2026), 10, 5, 3),
     }
     for route, evaluate in routes.items():
         ctx = ModelContext.create(p, slots=3)
@@ -668,6 +670,31 @@ def test_diagonal_zeta_equals_diagonal_walk_on_xi_state(model, q):
     ctx = oracle_context(model, q, 4)
     for m in range(1, 5):
         assert diagonal_zeta(ctx, m) == _diagonal_zeta_on_xi_state(ctx, m)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [lambda ctx: ctx.sqrt_weight(1), lambda ctx: ctx.sqrt_q() * F(1, 2), lambda ctx: F(1, 2)],
+    ids=["weight_root", "half_sqrt_q", "half"],
+)
+def test_every_walk_rejects_an_r_entry_that_is_no_int_power_of_t(entry):
+    # the walks read each b R component as an int times t^0 or t^1; a root
+    # of a weight, or a coefficient that b does not clear (b = 1 at q = 2),
+    # must raise instead of being misread
+    ctx = ModelContext.create(P_WIDE, slots=3)
+    r_matrix(ctx)[(1, 1)] = [((1, 1), entry(ctx))]
+    x = HeckeElement.generator(1, 3)
+    routes = [
+        lambda: matrix_element(ctx, x),
+        lambda: normal_form(ctx, x),
+        lambda: diagonal_zeta(ctx, 2),
+        lambda: r_matrix_laws(ctx, "right"),
+        lambda: bimodule_checks(ctx, Random(1), 1, 1, 1),
+    ]
+    for route in routes:
+        with pytest.raises(CrossCheckError, match=r"r_matrix image \(1, 1\) -> \(1, 1\)") as err:
+            route()
+        assert str(P_WIDE.to_record()) in str(err.value) and "3 slots" in str(err.value)
 
 
 def test_diagonal_zeta_purity_guard_names_the_route():
