@@ -114,6 +114,8 @@ def _resolve_params(args) -> TraceParams:
 
 def cmd_trace(args) -> int:
     try:
+        if args.m is not None and args.partition is not None:
+            raise ValueError("--m and --partition exclude each other; give one of them")
         params = _resolve_params(args)
         if args.m is not None:
             if args.m < 1:

@@ -31,7 +31,6 @@ __all__ = [
     "all_perms",
     "is_perm",
     "format_perm",
-    "parse_perm",
 ]
 
 
@@ -125,14 +124,4 @@ def all_perms(n: int):
 
 def format_perm(w: Perm) -> str:
     return "[" + ",".join(str(i) for i in w) + "]"
-
-
-def parse_perm(text: str) -> Perm:
-    body = text.strip()
-    if body.startswith("[") and body.endswith("]"):
-        body = body[1:-1]
-    w = tuple(int(t) for t in body.split(",") if t.strip())
-    if not is_perm(w):
-        raise ValueError(f"not a permutation in one-line notation: {text!r}")
-    return w
 

@@ -48,6 +48,9 @@ DEFAULT_QS = (Fraction(2), Fraction(3), Fraction(1, 2))
 
 CONVOLUTION_CASES = ((2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2))
 
+# the seed of the random draws in the hecke and gram suites
+SEED = 20260810
+
 # weight profiles: (name, alpha, beta); the q value is supplied separately
 _H = Fraction(1, 2)
 _PROFILES = (
@@ -75,12 +78,12 @@ def profile_params(profile, q: Fraction) -> TraceParams:
 # Hecke presentation
 
 
-def hecke_suite(ranks=range(2, 6), seed: int = 20260810) -> list[CheckResult]:
+def hecke_suite() -> list[CheckResult]:
     results = []
     q = QPoly.var()
     one = QPoly.const(1)
-    rng = Random(seed)
-    for n in ranks:
+    rng = Random(SEED)
+    for n in range(2, 6):
         unit = HeckeElement.unit(n)
         gens = {m: HeckeElement.generator(m, n) for m in range(1, n)}
         ok = all(
@@ -162,9 +165,12 @@ def tensor_suite(profiles=None, qs=DEFAULT_QS, m_max: int = 5) -> list[CheckResu
 
 
 def _four_way_checks(name: str, params: TraceParams, m_max: int) -> list[CheckResult]:
-    """The same trace value along independent routes: the cycle-value
-    recurrence, the scalar diagonal sum, the tensor-side diagonal sum, the
-    full R-matrix matrix element, and the normal-form cycle sum."""
+    """The same trace value along five routes: the cycle-value recurrence
+    and the scalar diagonal sum, which are the independent ones, and three
+    tensor routes that all walk b R through _scaled_r and _int_walk: the
+    tensor-side diagonal sum (the diagonal part of the table), the R-matrix
+    matrix element, and the normal-form cycle sum, which differs from the
+    matrix element only in the midpoint split and the sigma bookkeeping."""
     out = []
     for m in range(1, m_max + 1):
         slots = max(m, 2)
@@ -319,29 +325,27 @@ def convolution_suite(cases=CONVOLUTION_CASES) -> list[CheckResult]:
 # positivity and bimodule structure
 
 
-def gram_suite(
-    profiles=None, qs=(Fraction(2),), rank: int = 3, seed: int = 20260810
-) -> list[CheckResult]:
-    """Gram positivity at each (profile, q), and the bimodule identities on
-    the first profile at the first q.  By default the profiles are P3 and
-    P4 at q = 2."""
+def gram_suite(profiles=None, qs=(Fraction(2),)) -> list[CheckResult]:
+    """Gram positivity of H_3 at each (profile, q), and the bimodule
+    identities on the first profile at the first q.  By default the
+    profiles are P3 and P4 at q = 2."""
     if profiles is None:
         profiles = [p for p in default_profiles() if p[0] in ("P3", "P4")]
     results = []
     for q in qs:
         for profile in profiles:
             params = profile_params(profile, q)
-            gram = tensor.gram_matrix(params, rank)
+            gram = tensor.gram_matrix(params, 3)
             pivots, psd = tensor.ldlt_pivots(gram)
             results.append(
                 CheckResult(
-                    f"gram.psd.{profile[0]}.q={q}.n{rank}",
+                    f"gram.psd.{profile[0]}.q={q}.n3",
                     psd,
                     "" if psd else f"pivots {pivots}",
                 )
             )
     ctx = ModelContext.create(profile_params(profiles[0], qs[0]), model_slots("gram"))
-    results.extend(tensor.bimodule_checks(ctx, Random(seed)))
+    results.extend(tensor.bimodule_checks(ctx, Random(SEED)))
     return results
 
 

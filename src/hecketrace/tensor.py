@@ -29,10 +29,11 @@ paths used for cross-checking:
 
   * every operator in the algebra generated by V-permutations and
     V-diagonal operators has a normal form sum_sigma T(sigma) D(Phi_sigma),
-    which normal_form returns as plain tables {sigma: {I: Phi_sigma(I)}},
-    built by one walk of the r_matrix table along each reduced word; its
-    Xi-matrix element is a weighted sum of the table entries whose
-    permutation fixes their index tuple (omega_trace);
+    which normal_form returns as graded tables {sigma: {I: phi}} with
+    Phi_sigma(I) = sqrt(q)^(l(sigma) mod 2) phi, built by one walk of the
+    r_matrix table along each reduced word; its Xi-matrix element is a
+    weighted sum of the table entries whose permutation fixes their index
+    tuple (omega_trace);
 
   * for the descending cycle elements only the diagonal part of each R
     survives in the Xi-matrix element, giving a swap-free evaluation
@@ -52,19 +53,20 @@ of nonzero-weight indices and S multiplies eta[I; J] by sqrt(a_J).  The
 left action never touches J, and the right action only permutes it, which
 leaves prod_k sqrt(a_{J_k}) alone; so S commutes with both actions, and
 the weights a_J enter only in the pairing.  With q = a/b the walks apply
-b R, reading sqrt(q) as t = b sqrt(q) with t^2 = a b, so every coefficient
-is a, -b, a - b or -t.  The only root a walk carries is then t, and a walk
-term is an int times t^k with k in {0, 1}: a swap flips k, and a swap
-from k = 1 lands on t^2 = a b.  The pairing sums the even and the odd
-power of t into two ints, and one division by b^(steps) d^slots per
-value, for d the common denominator of the weights, returns to true
-units and to sqrt(q) = t / b.  The right action is the left walk on the
-transposed keys (J, I).  apply_r, apply_hecke and xi_state keep the
-RootElem states as the reference action: verify -v prints Xi, and the
-tests hold them as the oracle of the integer walks.
+b R, with coefficients a, -b, a - b and -t for t = b sqrt(q): the routes
+compute in Z[t], t formal with t^2 = a b.  A walk term is an int times t^k,
+k in {0, 1}: a swap flips k, and a swap from k = 1 lands on t^2 = a b.
+The right action is the left walk on the transposed keys (J, I).
 
-Trace values must come out rational: every evaluation asserts that all
-formal square-root components cancel and raises CrossCheckError otherwise.
+The power of sqrt(q) is a grade, not a ring element.  The pairing sums
+the even and the odd power of t into two ints, and each route divides
+once, by b^(steps) d^slots for d the common denominator of the weights.
+Trace values are rational, so every route asserts that the odd sum
+vanishes and raises CrossCheckError otherwise.  normal_form keeps the
+grade in sigma, and omega_trace reads the odd permutations as the
+sqrt(q) part that must vanish.  apply_r, apply_hecke and xi_state keep
+the RootElem states in Q[sqrt(q), sqrt(a_i)] as the reference action:
+verify -v prints Xi, and the tests hold them as the oracle of the walks.
 """
 
 from __future__ import annotations
@@ -77,13 +79,9 @@ from random import Random
 from typing import Iterable, Literal, Mapping
 
 from .hecke import HeckeElement, mul as hecke_mul
-from .permutations import (
-    Perm,
-    all_perms,
-    reduced_word,
-)
+from .permutations import Perm, all_perms, length, reduced_word
 from .report import CheckResult
-from .scalars import CrossCheckError, RootElem, SqrtTable, sparse_sum
+from .scalars import CrossCheckError, RootElem, SqrtTable, format_fraction, sparse_sum
 from .traces import TraceParams, WeightFunction
 
 Side = Literal["left", "right"]
@@ -316,16 +314,6 @@ def apply_hecke(
     return TensorState(ctx.table, terms())
 
 
-def _pure_rational(ctx: ModelContext, value: RootElem, route: str) -> Fraction:
-    rat, pure = value.rational_part()
-    if not pure:
-        raise CrossCheckError(
-            f"{route} has non-cancelling square-root components: {value!r} "
-            f"(params {ctx.params.to_record()}, {ctx.slots} slots)"
-        )
-    return rat
-
-
 # ---------------------------------------------------------------------------
 # integer walks from the unweighted diagonal Xi_1 (see the module docstring):
 # <X Xi, Y Xi> = sum_(I, J) a_J c_X(I, J) c_Y(I, J) for the coefficients c of
@@ -335,12 +323,12 @@ def _pure_rational(ctx: ModelContext, value: RootElem, route: str) -> Fraction:
 _ONE, _ROOT_Q = frozenset(), frozenset((_SQRT_Q,))
 
 
-def _scaled_r(ctx: ModelContext) -> dict:
+def _scaled_r(ctx: ModelContext) -> tuple[dict, int]:
     """b R for q = a/b with sqrt(q) read as t, as the flat table {(x, y):
-    [((x', y'), k, v), ...]}: the image (x', y') gets the int v times t^k.
-    Built from r_matrix as it stands on every call; a component with a root
-    other than sqrt(q), or one that does not scale to an integer, raises
-    CrossCheckError."""
+    [((x', y'), k, v), ...]}: the image (x', y') gets the int v times t^k;
+    and t^2 = a b.  Built from r_matrix as it stands on every call; a
+    component with a root other than sqrt(q), or one that does not scale to
+    an integer, raises CrossCheckError."""
     b = ctx.q.denominator
     table = {}
     for pair, images in r_matrix(ctx).items():
@@ -357,7 +345,7 @@ def _scaled_r(ctx: ModelContext) -> dict:
                         f"(params {ctx.params.to_record()}, {ctx.slots} slots)"
                     )
                 rows.append((image, k, v.numerator))
-    return table
+    return table, ctx.q.numerator * b
 
 
 def _unit_diagonal(ctx: ModelContext) -> tuple[dict, dict, int]:
@@ -370,11 +358,6 @@ def _unit_diagonal(ctx: ModelContext) -> tuple[dict, dict, int]:
     for _ in range(ctx.slots):
         nums = {tup + (i,): n * m for tup, n in nums.items() for i, m in live.items()}
     return {(tup, tup, 0): 1 for tup in nums}, nums, d**ctx.slots
-
-
-def _t_squared(ctx: ModelContext) -> int:
-    """t^2 = a b for q = a/b."""
-    return ctx.q.numerator * ctx.q.denominator
 
 
 def _int_walk(table: dict, ab: int, slots: Iterable[int], state: dict) -> dict:
@@ -413,19 +396,10 @@ def _by_pair(state: dict) -> dict:
     return out
 
 
-def _in_units(ctx: ModelContext, even: int, odd: int, scale: int | Fraction) -> RootElem:
-    """(even + odd t) / scale as a RootElem, with t = b sqrt(q)."""
-    root = Fraction(odd * ctx.q.denominator, scale)
-    return RootElem(ctx.table, ((_ONE, Fraction(even, scale)), (_ROOT_Q, root)))
-
-
-def _pairing(
-    ctx: ModelContext, left: dict, right: dict, nums: dict, scale: int | Fraction
-) -> RootElem:
-    """sum_(I, J) a_J c_L(I, J) c_R(I, J) for a flat state left and a state
-    right indexed by (I, J), divided by scale = b^(walk steps) d^slots: the
-    even and the odd power of t are summed as two ints."""
-    ab = _t_squared(ctx)
+def _pairing(ab: int, left: dict, right: dict, nums: dict) -> tuple[int, int]:
+    """sum_(I, J) n_J c_L(I, J) c_R(I, J) for a flat state left and a state
+    right indexed by (I, J), as the two ints (even, odd) of even + odd t;
+    ab = t^2.  The caller divides by b^(walk steps) d^slots."""
     sums = [0, 0]
     for (ti, tj, k), c in left.items():
         row = right.get((ti, tj))
@@ -433,7 +407,31 @@ def _pairing(
             c *= nums[tj]
             for k2, c2 in row:
                 sums[k ^ k2] += c * c2 * ab if k & k2 else c * c2
-    return _in_units(ctx, *sums, scale)
+    return sums[0], sums[1]
+
+
+def _rational(ctx: ModelContext, even, odd, scale: int, route: str) -> Fraction:
+    """The value (even + odd t) / scale of a route, t = b sqrt(q), which
+    must be rational: a nonzero odd part raises CrossCheckError."""
+    value = Fraction(even, scale)
+    if odd:
+        root = format_fraction(Fraction(odd * ctx.q.denominator, scale))
+        raise CrossCheckError(
+            f"{route} has non-cancelling square-root components: {format_fraction(value)}"
+            f" + {root}*{_SQRT_Q} (params {ctx.params.to_record()}, {ctx.slots} slots)"
+        )
+    return value
+
+
+def _integer_terms(ctx: ModelContext, x: HeckeElement) -> tuple[list, int]:
+    """The terms c T_w of x with c != 0 over one denominator, for q = a/b:
+    the list of (reduced word of w, f) and denom with c / b^l(w) = f / denom.
+    A walk of b R along the word, times f / denom, is the walk of c T_w."""
+    b = ctx.q.denominator
+    terms = [(reduced_word(w), poly(ctx.q)) for w, poly in x.terms.items()]
+    terms = [(word, c) for word, c in terms if c != 0]
+    denom = lcm(*(c.denominator * b ** len(word) for word, c in terms))
+    return [(word, int(c * denom / b ** len(word))) for word, c in terms], denom
 
 
 def r_matrix_laws(ctx: ModelContext, side: Side) -> tuple[bool, bool]:
@@ -450,7 +448,7 @@ def r_matrix_laws(ctx: ModelContext, side: Side) -> tuple[bool, bool]:
         raise ValueError(f"slot {ctx.slots} out of range for {ctx.slots} slots")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    table, ab = _scaled_r(ctx), _t_squared(ctx)
+    table, ab = _scaled_r(ctx)
     a, b = ctx.q.numerator, ctx.q.denominator
     basis = {(tup, tup, 0): 1 for tup in _cartesian(ctx.support, repeat=ctx.slots)}
 
@@ -476,27 +474,21 @@ def matrix_element(ctx: ModelContext, x: HeckeElement) -> Fraction:
     equals <T_w Xi, Xi> because R is symmetric, so T_u* acts as the adjoint
     of T_u.  Both walks start from the unweighted diagonal Xi_1, with Xi =
     S Xi_1, and apply b R in exact integers; the weights a_J enter only in
-    the pairing, and one division by b^k d^slots per term returns to true
-    units.  The terms are summed before the result is checked to be purely
-    rational, which is asserted, not assumed."""
+    the pairing.  The terms are summed as two ints over one denominator,
+    and the sum is divided once and checked to be rational, which is
+    asserted, not assumed."""
     _check_rank(ctx, x)
-    table, ab = _scaled_r(ctx), _t_squared(ctx)
+    table, ab = _scaled_r(ctx)
     xi1, nums, d_slots = _unit_diagonal(ctx)
-
-    def values():
-        for w, poly in x.terms.items():
-            c = poly(ctx.q)
-            if c == 0:
-                continue
-            word = reduced_word(w)
-            h = len(word) // 2
-            left = _int_walk(table, ab, reversed(word[h:]), xi1)
-            right = _by_pair(_int_walk(table, ab, word[:h], xi1))
-            scale = ctx.q.denominator ** len(word) * d_slots / c
-            yield from _pairing(ctx, left, right, nums, scale).comps.items()
-
-    total = RootElem(ctx.table, values())
-    return _pure_rational(ctx, total, f"matrix element of {x!r}")
+    terms, denom = _integer_terms(ctx, x)
+    even = odd = 0
+    for word, f in terms:
+        h = len(word) // 2
+        left = _int_walk(table, ab, reversed(word[h:]), xi1)
+        right = _by_pair(_int_walk(table, ab, word[:h], xi1))
+        e, o = _pairing(ab, left, right, nums)
+        even, odd = even + f * e, odd + f * o
+    return _rational(ctx, even, odd, denom * d_slots, f"matrix element of {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +497,12 @@ def matrix_element(ctx: ModelContext, x: HeckeElement) -> Fraction:
 
 def normal_form(
     ctx: ModelContext, x: HeckeElement
-) -> dict[Perm, dict[tuple[int, ...], RootElem]]:
+) -> dict[Perm, dict[tuple[int, ...], Fraction]]:
     """Normal form sum_sigma T(sigma) D(Phi_sigma) of a lifted Hecke
-    element, as the tables {sigma: {I: Phi_sigma(I)}}: T(sigma) permutes
-    the V-slots and D(Phi) multiplies eta[I; J] by Phi(I).  No table holds
-    a zero entry and no table is empty.
+    element, as the graded tables {sigma: {I: phi}} with Phi_sigma(I) =
+    sqrt(q)^(l(sigma) mod 2) phi: T(sigma) permutes the V-slots and D(Phi)
+    multiplies eta[I; J] by Phi(I).  No table holds a zero entry and no
+    table is empty.
 
     Each term c T_w starts as c times the identity, the entries (id, I) for
     every I in S^n, and is multiplied on the right by R at a_1, .., a_k
@@ -523,35 +516,44 @@ def normal_form(
     the basis tensors eta[I; I]: the tag J = I of each walked term names
     the entry it started from.  R swaps only unequal indices, so equal
     indices never cross, and sigma is the one permutation that carries the
-    tag to the walked tuple keeping equal indices in their order.  c and
-    the division by b^k are applied once per final entry, and the only
-    RootElems formed are the returned entries.
+    tag to the walked tuple keeping equal indices in their order.  A swap
+    flips the power k of t and moves sigma by one transposition, so every
+    walked term sits at the grade k = l(sigma) mod 2; this is asserted, and
+    a term off its grade raises CrossCheckError.  c and the division by b^k
+    are applied once per final entry.
 
-    >>> ctx = ModelContext.create(TraceParams(q=Fraction(2), alpha=(Fraction(1),)), 2)
+    >>> ctx = ModelContext.create(TraceParams(q=Fraction(2), alpha=(Fraction(1, 2),) * 2), 2)
     >>> op = normal_form(ctx, HeckeElement.generator(1, 2))
-    >>> op
-    {(1, 2): {(1, 1): 2}}
+    >>> for sigma, table in sorted(op.items()):
+    ...     print(sigma, {tup: str(phi) for tup, phi in sorted(table.items())})
+    (1, 2) {(1, 1): '2', (1, 2): '1', (2, 2): '2'}
+    (2, 1) {(1, 2): '-1', (2, 1): '-1'}
     >>> print(omega_trace(ctx, op))
-    2
+    5/4
     """
     _check_rank(ctx, x)
-    table, ab = _scaled_r(ctx), _t_squared(ctx)
+    table, ab = _scaled_r(ctx)
     tagged = {(tup, tup, 0): 1 for tup in _cartesian(ctx.support, repeat=ctx.slots)}
-    b = ctx.q.denominator
-    terms = [(reduced_word(w), poly(ctx.q)) for w, poly in x.terms.items()]
-    terms = [(word, c) for word, c in terms if c != 0]
-    # every term over one denominator
-    denom = lcm(*(c.denominator * b ** len(word) for word, c in terms))
+    terms, denom = _integer_terms(ctx, x)
+    grades: dict[Perm, int] = {}
     raw: dict = {}
-    for word, c in terms:
-        f = c.numerator * denom // (c.denominator * b ** len(word))
+    for word, f in terms:
         for (tup, tag, k), v in _int_walk(table, ab, word, tagged).items():
-            sums = raw.setdefault((_carrying(tag, tup), tup), [0, 0])
-            sums[k] += v * f
-    out: dict[Perm, dict[tuple[int, ...], RootElem]] = {}
-    for (sigma, tup), (even, odd) in raw.items():
-        if even or odd:
-            out.setdefault(sigma, {})[tup] = _in_units(ctx, even, odd, denom)
+            sigma = _carrying(tag, tup)
+            grade = grades.get(sigma)
+            if grade is None:
+                grade = grades[sigma] = length(sigma) % 2
+            if k != grade:
+                raise CrossCheckError(
+                    f"normal form entry {sigma} at {tup} from {tag} has t^{k}, off its grade "
+                    f"{grade} (params {ctx.params.to_record()}, {ctx.slots} slots)"
+                )
+            raw[sigma, tup] = raw.get((sigma, tup), 0) + v * f
+    b = ctx.q.denominator
+    out: dict[Perm, dict[tuple[int, ...], Fraction]] = {}
+    for (sigma, tup), v in raw.items():
+        if v:
+            out.setdefault(sigma, {})[tup] = Fraction(v * b ** grades[sigma], denom)
     return out
 
 
@@ -566,27 +568,28 @@ def _carrying(start: tuple[int, ...], end: tuple[int, ...]) -> Perm:
 
 
 def omega_trace(
-    ctx: ModelContext, op: Mapping[Perm, Mapping[tuple[int, ...], RootElem]]
+    ctx: ModelContext, op: Mapping[Perm, Mapping[tuple[int, ...], Fraction]]
 ) -> Fraction:
-    """Xi-matrix element of a normal form {sigma: table}, summed
-    combinatorially over the entries (sigma, I) whose permutation fixes
-    their tuple, that is I constant on the cycles of sigma: each such entry
-    contributes prod_k a_{I_k} times Phi_sigma(I), and no other entry
-    contributes.
+    """Xi-matrix element of a graded normal form {sigma: {I: phi}}, as
+    normal_form returns it, summed combinatorially over the entries (sigma,
+    I) whose permutation fixes their tuple, that is I constant on the
+    cycles of sigma: each such entry contributes prod_k a_{I_k} times
+    Phi_sigma(I) = sqrt(q)^(l(sigma) mod 2) phi, and no other entry
+    contributes.  The even permutations give the value; the odd ones give
+    its sqrt(q) part, which must vanish.
 
     On the output of normal_form only the identity table contributes: R
     swaps only unequal indices, so no entry with sigma != id fixes its
     tuple.  Every entry given is still read, so a normal form from elsewhere
     is summed in full."""
-
-    def contributions():
-        for sigma, table in op.items():
-            for tup, phi in table.items():
-                if all(tup[s - 1] == i for s, i in zip(sigma, tup)):
-                    yield from (phi * prod(map(ctx.weight, tup))).comps.items()
-
-    total = RootElem(ctx.table, contributions())
-    return _pure_rational(ctx, total, "omega trace")
+    parts = [Fraction(0), Fraction(0)]
+    for sigma, table in op.items():
+        grade = length(sigma) % 2
+        for tup, phi in table.items():
+            if all(tup[s - 1] == i for s, i in zip(sigma, tup)):
+                parts[grade] += phi * prod(map(ctx.weight, tup))
+    # sqrt(q) = t / b
+    return _rational(ctx, parts[0], parts[1] / ctx.q.denominator, 1, "omega trace")
 
 
 def diagonal_zeta(ctx: ModelContext, m: int) -> Fraction:
@@ -600,15 +603,13 @@ def diagonal_zeta(ctx: ModelContext, m: int) -> Fraction:
     Xi_1, and one division by b^(m - 1) d^slots returns to true units."""
     if not 1 <= m <= ctx.slots:
         raise ValueError(f"need 1 <= m <= {ctx.slots}, got {m}")
-    diagonal = {
-        pair: [(image, k, v) for image, k, v in rows if image == pair]
-        for pair, rows in _scaled_r(ctx).items()
-    }
+    table, ab = _scaled_r(ctx)
+    diagonal = {pair: [row for row in rows if row[0] == pair] for pair, rows in table.items()}
     xi1, nums, d_slots = _unit_diagonal(ctx)
-    acted = _int_walk(diagonal, _t_squared(ctx), range(1, m), xi1)
+    acted = _int_walk(diagonal, ab, range(1, m), xi1)
+    even, odd = _pairing(ab, acted, _by_pair(xi1), nums)
     scale = ctx.q.denominator ** (m - 1) * d_slots
-    value = _pairing(ctx, acted, _by_pair(xi1), nums, scale)
-    return _pure_rational(ctx, value, f"diagonal route for m={m}")
+    return _rational(ctx, even, odd, scale, f"diagonal route for m={m}")
 
 
 # ---------------------------------------------------------------------------
@@ -638,11 +639,13 @@ def bimodule_checks(
     Xi_1, and S commutes with both (Xi = S Xi_1, see the module docstring).
     So (i) and (iii) pair the walked states with the weights a_J, and (ii)
     compares the walked states themselves, which is exact because S is
-    invertible on the tuples of nonzero-weight indices.  The right side of
-    (iii) is a Hecke product evaluated by matrix_element.
+    invertible on the tuples of nonzero-weight indices.  The two sides of
+    (i) take walks of equal length, so they are compared as the ints of
+    their pairings.  The right side of (iii) is a Hecke product evaluated
+    by matrix_element.
     """
     n = ctx.slots
-    table, ab = _scaled_r(ctx), _t_squared(ctx)
+    table, ab = _scaled_r(ctx)
     xi1, nums, d_slots = _unit_diagonal(ctx)
 
     def act(*steps: tuple[HeckeElement, Side]) -> tuple[dict, int]:
@@ -656,9 +659,10 @@ def bimodule_checks(
             taken += len(word)
         return state, taken
 
-    def inner(left: tuple[dict, int], right: tuple[dict, int]) -> RootElem:
+    def inner(left: tuple[dict, int], right: tuple[dict, int]) -> tuple[int, int, int]:
+        # the pairing as (even, odd, scale), the value (even + odd t) / scale
         scale = ctx.q.denominator ** (left[1] + right[1]) * d_slots
-        return _pairing(ctx, left[0], _by_pair(right[0]), nums, scale)
+        return (*_pairing(ab, left[0], _by_pair(right[0]), nums), scale)
 
     results = []
     unit = act()
@@ -670,7 +674,7 @@ def bimodule_checks(
         b = _random_basis_element(rng, n)
         lhs = inner(act((b, "left"), (a, "left")), unit)
         rhs = inner(act((a, "left"), (b, "left")), unit)
-        _pure_rational(ctx, lhs, "trace-property matrix element")
+        _rational(ctx, *lhs, "trace-property matrix element")
         if lhs != rhs:
             ok, witness = False, f"A={a!r} B={b!r}"
             break
@@ -692,7 +696,7 @@ def bimodule_checks(
         a, b, c, d = (_random_basis_element(rng, n) for _ in range(4))
         left_state = act((a, "left"), (b, "right"))
         right_state = act((c, "left"), (d, "right"))
-        lhs = _pure_rational(ctx, inner(left_state, right_state), "bimodule Gram element")
+        lhs = _rational(ctx, *inner(left_state, right_state), "bimodule Gram element")
         prod = hecke_mul(
             hecke_mul(c.star(), a),
             hecke_mul(b.transpose(), d.star().transpose()),
@@ -716,7 +720,7 @@ def gram_matrix(params: TraceParams, rank: int) -> list[list[Fraction]]:
     the first entry of the matrix that fails the rationality check lies on
     or above the diagonal."""
     ctx = ModelContext.create(params, rank)
-    table, ab = _scaled_r(ctx), _t_squared(ctx)
+    table, ab = _scaled_r(ctx)
     xi1, nums, d_slots = _unit_diagonal(ctx)
     words = [reduced_word(u) for u in all_perms(rank)]
     states = [_int_walk(table, ab, reversed(word), xi1) for word in words]
@@ -725,9 +729,9 @@ def gram_matrix(params: TraceParams, rank: int) -> list[list[Fraction]]:
     gram = [[Fraction(0)] * len(words) for _ in words]
     for i, state in enumerate(states):
         for j in range(i, len(words)):
+            even, odd = _pairing(ab, state, indexed[j], nums)
             scale = b ** (len(words[i]) + len(words[j])) * d_slots
-            value = _pairing(ctx, state, indexed[j], nums, scale)
-            gram[i][j] = gram[j][i] = _pure_rational(ctx, value, f"Gram entry ({i}, {j})")
+            gram[i][j] = gram[j][i] = _rational(ctx, even, odd, scale, f"Gram entry ({i}, {j})")
     return gram
 
 

@@ -35,7 +35,7 @@ def _budget(num: int, started: float, limit: float):
 
 def test_criterion_1_hecke_presentation():
     t0 = time.monotonic()
-    results = suites.hecke_suite(ranks=range(2, 6))
+    results = suites.hecke_suite()
     bad = [r.line() for r in results if not r.passed]
     _budget(1, t0, 5.0)
     _report(1, "Hecke presentation n=2..5", not bad, "; ".join(bad))

@@ -111,6 +111,17 @@ def test_trace_requires_m_or_partition(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("partition", ["2,1", ""])
+def test_trace_m_and_partition_exit_2(capsys, partition):
+    # one of them would be dropped without a word
+    code, out, err = run(
+        capsys, "trace", "--m", "3", "--partition", partition, "--q", "2", "--alpha", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--m and --partition" in err
+
+
 @pytest.mark.parametrize("partition", [",", " , ,"])
 def test_trace_empty_partition_exit_2(capsys, partition):
     code, out, err = run(capsys, "trace", "--partition", partition, "--q", "2", "--alpha", "1")

@@ -13,7 +13,6 @@ from hecketrace.permutations import (
     identity,
     inverse,
     length,
-    parse_perm,
     promote,
     reduced_word,
 )
@@ -65,8 +64,5 @@ def test_all_perms_count():
     assert len(set(all_perms(4))) == 24
 
 
-def test_format_parse():
+def test_format_perm():
     assert format_perm((2, 1, 3)) == "[2,1,3]"
-    assert parse_perm("[2,1,3]") == (2, 1, 3)
-    with pytest.raises(ValueError):
-        parse_perm("[1,1,2]")

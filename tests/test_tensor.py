@@ -17,6 +17,7 @@ from hecketrace.permutations import (
     cycles,
     identity,
     inverse,
+    length,
     reduced_word,
 )
 from hecketrace.scalars import CrossCheckError, RootElem, sparse_sum
@@ -75,6 +76,20 @@ def random_state(ctx, rng: Random, terms: int = 4) -> TensorState:
         tj = tuple(rng.choice(support) for _ in range(n))
         out[(ti, tj)] = ctx.table.from_rational(F(rng.randrange(-3, 4), rng.randrange(1, 3)))
     return TensorState(ctx.table, out)
+
+
+def _homogeneous(value: RootElem, grade: int) -> F:
+    """The coefficient phi of a RootElem oracle value phi sqrt(q)^grade,
+    asserting that the value has no other component."""
+    root = frozenset({tensor._SQRT_Q}) if grade else frozenset()
+    assert set(value.comps) <= {root}, (value, grade)
+    return value.comps.get(root, F(0))
+
+
+def _pure_rational(value: RootElem) -> F:
+    """The rational value of a RootElem oracle value, asserting that every
+    root component cancels."""
+    return _homogeneous(value, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +270,7 @@ def test_matrix_element_equals_one_walk_inner_product(rank, q, p, extra):
     xi = xi_state(ctx)
 
     def one_walk(x):
-        return tensor._pure_rational(ctx, apply_hecke(ctx, x, "left", xi).inner(xi), "oracle")
+        return _pure_rational(apply_hecke(ctx, x, "left", xi).inner(xi))
 
     for w in all_perms(rank):
         x = HeckeElement.basis(w)
@@ -295,13 +310,14 @@ def test_rationality_check_holds_at_square_q(q):
     # q (2, 2) at q = 1 if sqrt(q) were read as the rational root; a formal
     # sqrt(q) leaves a root component that must not cancel at any q, also
     # when the walk reads it as t = b sqrt(q) with b > 1 (at 9/4, t^2 = 36
-    # is itself a square)
+    # is itself a square); the normal form meets it as an entry of the
+    # identity table at t^1, off its grade
     q = F(q)
     p = params(q, alpha=("2/3", "1/6"), beta=("1/6",))
     x = HeckeElement.generator(1, 3)
     routes = {
         "matrix element": lambda ctx: matrix_element(ctx, x),
-        "omega trace": lambda ctx: omega_trace(ctx, normal_form(ctx, x)),
+        "normal form": lambda ctx: omega_trace(ctx, normal_form(ctx, x)),
         "diagonal route for m=2": lambda ctx: diagonal_zeta(ctx, 2),
         "trace-property matrix element": lambda ctx: bimodule_checks(ctx, Random(2026), 10, 5, 3),
     }
@@ -425,6 +441,21 @@ def _normal_form_by_composition(ctx, x):
     return operator(out)
 
 
+def _graded(op):
+    """A normal form of RootElem tables as graded tables {sigma: {I: phi}},
+    each entry asserted to be phi sqrt(q)^(l(sigma) mod 2)."""
+    return {
+        sigma: {tup: _homogeneous(v, length(sigma) % 2) for tup, v in table.items()}
+        for sigma, table in op.items()
+    }
+
+
+def _entry(ctx, sigma, phi):
+    """The RootElem Phi_sigma(I) = sqrt(q)^(l(sigma) mod 2) phi of a graded
+    entry phi."""
+    return ctx.sqrt_q() * phi if length(sigma) % 2 else ctx.table.from_rational(phi)
+
+
 def _omega_by_cycle_tuples(ctx, op):
     """Oracle for omega_trace: for each permutation term, enumerate every
     index tuple constant on its cycles, weight it by prod_k a_{i_k} and
@@ -443,12 +474,13 @@ def _omega_by_cycle_tuples(ctx, op):
                 continue
             phi = table.get(tuple(img))
             if phi is not None:
-                acc = acc + phi * weight
-    return tensor._pure_rational(ctx, acc, "omega trace")
+                acc = acc + _entry(ctx, sigma, phi * weight)
+    return _pure_rational(acc)
 
 
 def _apply_normal_form(ctx, op, state):
-    """The operator sum_sigma T(sigma) D(Phi_sigma) applied to a state."""
+    """The operator sum_sigma T(sigma) D(Phi_sigma) of a graded normal form
+    applied to a state."""
 
     def images():
         for sigma, table in op.items():
@@ -456,7 +488,7 @@ def _apply_normal_form(ctx, op, state):
             for (ti, tj), c in state.terms.items():
                 phi = table.get(ti)
                 if phi is not None:
-                    yield (tuple(ti[j - 1] for j in sinv), tj), c * phi
+                    yield (tuple(ti[j - 1] for j in sinv), tj), c * _entry(ctx, sigma, phi)
 
     return TensorState(ctx.table, images())
 
@@ -465,7 +497,7 @@ def test_normal_form_of_unit():
     ctx = ModelContext.create(P_FLAT, slots=2)
     op = normal_form(ctx, HeckeElement.unit(2))
     assert set(op) == {identity(2)}
-    assert all(v == ctx.table.one() for v in op[identity(2)].values())
+    assert all(v == 1 for v in op[identity(2)].values())
 
 
 def test_normal_form_of_generator():
@@ -474,12 +506,13 @@ def test_normal_form_of_generator():
     swap = (2, 1)
     assert set(op) == {identity(2), swap}
     diag = op[identity(2)]
-    assert diag[(1, 1)] == ctx.table.from_rational(F(2))
-    assert diag[(1, 2)] == ctx.table.from_rational(F(1))  # q - 1
+    assert diag[(1, 1)] == 2
+    assert diag[(1, 2)] == 1  # q - 1
     assert (2, 1) not in diag  # decreasing pairs carry 0
+    # the swap is odd, so its entries -1 stand for -sqrt(q)
     off = op[swap]
-    assert off[(1, 2)] == -ctx.sqrt_q()
-    assert off[(2, 1)] == -ctx.sqrt_q()
+    assert off[(1, 2)] == -1
+    assert off[(2, 1)] == -1
     assert (1, 1) not in off
 
 
@@ -495,14 +528,14 @@ def test_normal_form_walk_equals_composition(rank, q, p, extra):
     for w in all_perms(rank):
         x = HeckeElement.basis(w)
         op = normal_form(ctx, x)
-        assert op == _normal_form_by_composition(ctx, x), w
+        assert op == _graded(_normal_form_by_composition(ctx, x)), w
         assert omega_trace(ctx, op) == _omega_by_cycle_tuples(ctx, op), w
     # two terms whose T_w tables overlap on the identity permutation
     x = HeckeElement.basis(tuple(range(rank, 0, -1))) + HeckeElement.generator(1, rank).scale(
         F(-3, 2)
     )
     op = normal_form(ctx, x)
-    assert op == _normal_form_by_composition(ctx, x)
+    assert op == _graded(_normal_form_by_composition(ctx, x))
     assert omega_trace(ctx, op) == _omega_by_cycle_tuples(ctx, op)
 
 
@@ -525,9 +558,7 @@ def test_normal_form_drops_a_cancelled_table():
     ctx = ModelContext.create(P_TRIV, slots=3)
     x = HeckeElement.basis((3, 2, 1)) + HeckeElement.unit(3).scale(-(ctx.q**3))
     assert normal_form(ctx, x) == {}
-    assert normal_form(ctx, HeckeElement.basis((3, 2, 1))) == {
-        identity(3): {(1, 1, 1): ctx.table.from_rational(ctx.q**3)}
-    }
+    assert normal_form(ctx, HeckeElement.basis((3, 2, 1))) == {identity(3): {(1, 1, 1): ctx.q**3}}
 
 
 @pytest.mark.parametrize("q", ["2", "1"])
@@ -584,13 +615,16 @@ def test_omega_trace_of_identity_table():
 
 
 def test_omega_trace_of_bare_swap():
-    # a bare transposition with constant table 1 contributes sum of a_i^2
+    # in a graded table a bare transposition with constant entry 1 stands for
+    # sqrt(q) times the swap: it contributes sqrt(q) sum a_i^2, no rational
+    # value; a bare 3-cycle is even and contributes sum a_i^3
     ctx = ModelContext.create(P_FLAT, slots=2)
-    table = {
-        tup: ctx.table.one()
-        for tup in [(i, j) for i in ctx.support for j in ctx.support]
-    }
-    assert omega_trace(ctx, {(2, 1): table}) == F(1, 2)
+    table = {tup: F(1) for tup in cartesian(ctx.support, repeat=2)}
+    with pytest.raises(CrossCheckError, match=r"omega trace .*: 0 \+ 1/2\*sqrt_q"):
+        omega_trace(ctx, {(2, 1): table})
+    ctx = ModelContext.create(P_FLAT, slots=3)
+    table = {tup: F(1) for tup in cartesian(ctx.support, repeat=3)}
+    assert omega_trace(ctx, {(2, 3, 1): table}) == F(1, 4)
 
 
 def test_omega_trace_of_zeta2():
@@ -603,21 +637,21 @@ def test_omega_trace_reads_only_the_given_entries():
     # two entries, not the 8^6 tuples constant on the identity's cycles;
     # (2, 1, 3, ..) does not fix (1, 2, 1, ..), so that entry contributes 0
     ctx = ModelContext.create(TraceParams(q=F(2), alpha=(F(1, 8),) * 8), slots=6)
-    one = ctx.table.one()
-    op = {identity(6): {(1,) * 6: one}, (2, 1, 3, 4, 5, 6): {(1, 2, 1, 1, 1, 1): one}}
+    op = {identity(6): {(1,) * 6: F(1)}, (2, 1, 3, 4, 5, 6): {(1, 2, 1, 1, 1, 1): F(1)}}
     start = perf_counter()
     assert omega_trace(ctx, op) == F(1, 8) ** 6
     assert perf_counter() - start < 1
 
 
 def test_omega_trace_purity_guard():
-    ctx = ModelContext.create(P_FLAT, slots=2)
-    table = {
-        tup: ctx.sqrt_q()
-        for tup in [(i, j) for i in ctx.support for j in ctx.support]
-    }
-    op = {identity(2): table}
-    with pytest.raises(CrossCheckError, match="omega trace .* 2 slots"):
+    # the odd entries on (1, 1, 1) and (2, 2, 2) cancel in the sqrt(q) part,
+    # so only the identity entry is left; an odd entry that fixes its tuple
+    # alone leaves a sqrt(q) part
+    ctx = ModelContext.create(P_FLAT, slots=3)
+    cycle = {(1, 1, 1): F(1), (2, 2, 2): F(-1)}
+    assert omega_trace(ctx, {(2, 1, 3): cycle, identity(3): {(1, 1, 1): F(1)}}) == F(1, 8)
+    op = {(2, 1, 3): {(1, 1, 2): F(3)}}
+    with pytest.raises(CrossCheckError, match="omega trace .* 3 slots"):
         omega_trace(ctx, op)
 
 
@@ -661,7 +695,7 @@ def _diagonal_zeta_on_xi_state(ctx, m):
                 nxt[(ti, tj)] = c * d
         terms = nxt
     acted = TensorState(ctx.table, terms)
-    return tensor._pure_rational(ctx, acted.inner(xi), "oracle")
+    return _pure_rational(acted.inner(xi))
 
 
 @pytest.mark.parametrize("q", ORACLE_QS)
@@ -828,13 +862,14 @@ def test_bimodule_values_equal_the_root_elem_action(monkeypatch, model, q):
     # seeded draws are replayed in the order bimodule_checks makes them
     ctx = oracle_context(model, q, 3)
     seen = []
-    check = tensor._pure_rational
+    check = tensor._rational
 
-    def recorded(ctx, value, route):
+    def recorded(ctx, even, odd, scale, route):
+        value = check(ctx, even, odd, scale, route)
         seen.append((route, value))
-        return check(ctx, value, route)
+        return value
 
-    monkeypatch.setattr(tensor, "_pure_rational", recorded)
+    monkeypatch.setattr(tensor, "_rational", recorded)
     results = bimodule_checks(ctx, Random(11), 4, 3, 3)
     assert all(r.passed for r in results), [r.line() for r in results]
 
@@ -851,14 +886,14 @@ def test_bimodule_values_equal_the_root_elem_action(monkeypatch, model, q):
     for _ in range(4):
         a, b = draw(), draw()
         value = act(a, "left", act(b, "left", xi)).inner(xi)
-        want.append(("trace-property matrix element", value))
+        want.append(("trace-property matrix element", _pure_rational(value)))
     for _ in range(3):
         x = draw()
         assert act(x, "right", xi) == act(x.transpose(), "left", xi)
     for _ in range(3):
         a, b, c, d = (draw() for _ in range(4))
         left, right = act(b, "right", act(a, "left", xi)), act(d, "right", act(c, "left", xi))
-        want.append(("bimodule Gram element", left.inner(right)))
+        want.append(("bimodule Gram element", _pure_rational(left.inner(right))))
     routes = {route for route, _ in want}
     assert [(route, v) for route, v in seen if route in routes] == want
 
@@ -923,75 +958,67 @@ def test_gram_diagonal_is_trace_of_star_products():
     assert all(gram[i][i] > 0 for i in range(6))
 
 
-def _count_root_products(monkeypatch) -> list:
-    """A list that gets one item per RootElem product from now on."""
-    calls = []
-    for name in ("__mul__", "__rmul__"):
-        original = getattr(RootElem, name)
-
-        def counted(self, other, original=original):
-            calls.append(1)
-            return original(self, other)
-
-        monkeypatch.setattr(RootElem, name, counted)
-    return calls
-
-
-def test_matrix_element_multiplies_no_root_elements_per_walk_step(monkeypatch):
-    # the walks and the pairing run on plain integers: at most one RootElem
-    # product per term of the Hecke element, where RootElem walks make
-    # thousands on this model
-    ctx = ModelContext.create(profile_params(default_profiles()[4], F(2)), slots=6)
-    x = mul(HeckeElement.basis((3, 6, 1, 5, 2, 4)), HeckeElement.basis((4, 2, 6, 1, 5, 3)))
-    assert len(x.terms) > 1
-    calls = _count_root_products(monkeypatch)
-    matrix_element(ctx, x)
-    assert len(calls) <= len(x.terms)
-
-
-def test_normal_form_forms_one_root_element_per_entry_and_no_product(monkeypatch):
-    ctx = ModelContext.create(P_WIDE, slots=5, extra_indices=(3,))
-    x = HeckeElement.basis((3, 5, 1, 4, 2)) + HeckeElement.generator(2, 5).scale(F(-3, 2))
-    r_matrix(ctx)  # the cached table holds RootElems of its own
-    calls = _count_root_products(monkeypatch)
+def _count_root_elements(monkeypatch) -> list:
+    """A list that gets one item per RootElem constructed from now on."""
     made = []
     init = RootElem.__init__
 
-    def counted_init(self, *args):
+    def counted(self, *args):
         made.append(1)
         init(self, *args)
 
-    monkeypatch.setattr(RootElem, "__init__", counted_init)
+    monkeypatch.setattr(RootElem, "__init__", counted)
+    return made
+
+
+def test_matrix_element_multiplies_no_root_elements_per_walk_step(monkeypatch):
+    # the walks and the pairing run on plain integers and end in two ints,
+    # where RootElem walks make thousands of RootElems on this model
+    ctx = ModelContext.create(profile_params(default_profiles()[4], F(2)), slots=6)
+    x = mul(HeckeElement.basis((3, 6, 1, 5, 2, 4)), HeckeElement.basis((4, 2, 6, 1, 5, 3)))
+    assert len(x.terms) > 1
+    r_matrix(ctx)  # the cached table holds RootElems of its own
+    made = _count_root_elements(monkeypatch)
+    matrix_element(ctx, x)
+    assert not made
+
+
+def test_normal_form_and_omega_trace_form_no_root_element(monkeypatch):
+    ctx = ModelContext.create(P_WIDE, slots=5, extra_indices=(3,))
+    x = HeckeElement.basis((3, 5, 1, 4, 2)) + HeckeElement.generator(2, 5).scale(F(-3, 2))
+    r_matrix(ctx)
+    made = _count_root_elements(monkeypatch)
     op = normal_form(ctx, x)
-    assert not calls
-    assert len(made) == sum(len(table) for table in op.values()) > 0
+    assert omega_trace(ctx, op) == matrix_element(ctx, x)
+    assert op and not made
 
 
 def test_diagonal_route_and_r_matrix_laws_multiply_no_root_elements(monkeypatch):
-    calls = _count_root_products(monkeypatch)
-    ctx = ModelContext.create(P_WIDE, slots=5, extra_indices=(3,))
+    wide = ModelContext.create(P_WIDE, slots=5, extra_indices=(3,))
+    laws = ModelContext.create(P_WIDE, slots=3, extra_indices=(3,))
+    r_matrix(wide), r_matrix(laws)
+    made = _count_root_elements(monkeypatch)
     for m in range(1, 6):
-        assert diagonal_zeta(ctx, m) == zeta_trace(m, P_WIDE)
-    ctx = ModelContext.create(P_WIDE, slots=3, extra_indices=(3,))
-    assert r_matrix_laws(ctx, "left") == r_matrix_laws(ctx, "right") == (True, True)
-    assert not calls
+        assert diagonal_zeta(wide, m) == zeta_trace(m, P_WIDE)
+    assert r_matrix_laws(laws, "left") == r_matrix_laws(laws, "right") == (True, True)
+    assert not made
 
 
 def test_bimodule_checks_multiply_no_root_elements_outside_matrix_element(monkeypatch):
+    # nor inside it: the three Gram identities evaluate matrix_element too
     ctx = ModelContext.create(P_WIDE, slots=4)
-    calls = _count_root_products(monkeypatch)
-    inside = []
-    evaluate = tensor.matrix_element
-
-    def counted(ctx, x):
-        before = len(calls)
-        value = evaluate(ctx, x)
-        inside.append(len(calls) - before)
-        return value
-
-    monkeypatch.setattr(tensor, "matrix_element", counted)
+    r_matrix(ctx)
+    made = _count_root_elements(monkeypatch)
     assert all(_bimodule_results(ctx).values())
-    assert len(inside) == 3 and len(calls) == sum(inside)
+    assert not made
+
+
+def test_gram_matrix_forms_no_root_element_beyond_its_context(monkeypatch):
+    made = _count_root_elements(monkeypatch)
+    r_matrix(ModelContext.create(P_WIDE, 3))
+    context = len(made)
+    gram_matrix(P_WIDE, 3)
+    assert len(made) == 2 * context > 0
 
 
 def _gram_of_xi_states(p, rank):
@@ -1000,13 +1027,7 @@ def _gram_of_xi_states(p, rank):
     ctx = ModelContext.create(p, rank)
     xi = xi_state(ctx)
     states = [apply_hecke(ctx, HeckeElement.basis(u), "left", xi) for u in all_perms(rank)]
-    return [
-        [
-            tensor._pure_rational(ctx, a.inner(b), f"Gram entry ({i}, {j})")
-            for j, b in enumerate(states)
-        ]
-        for i, a in enumerate(states)
-    ]
+    return [[_pure_rational(a.inner(b)) for b in states] for a in states]
 
 
 @pytest.mark.parametrize("q", ["2", "2/3"])
