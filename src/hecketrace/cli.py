@@ -7,7 +7,8 @@ floating-point formatting anywhere in the output layer.  Exit codes:
     0   success
     1   a verification check failed
     2   invalid parameters (the message names the exact deficit)
-    3   a requested cross-check between evaluation routes disagreed
+    3   a requested cross-check between evaluation routes disagreed, or an
+        exact invariant inside a route failed (CrossCheckError)
 
 Parameters can come from flags (--q, --alpha, --beta, --gamma) or from a
 JSON file via --params; flags win on conflict, with a warning on stderr.
@@ -24,7 +25,7 @@ from . import fqconv, suites, tensor
 from .hecke import check_partition, zeta_partition
 from .permutations import all_perms, format_perm
 from .report import all_passed, format_records, format_results
-from .scalars import format_fraction
+from .scalars import CrossCheckError, format_fraction
 from .tensor import ModelContext
 from .traces import (
     TraceParams,
@@ -121,7 +122,7 @@ def cmd_trace(args) -> int:
             if args.m < 1:
                 raise ValueError(f"--m must be >= 1, got {args.m}")
             parts = (args.m,)
-        elif args.partition:
+        elif args.partition is not None:
             parts = check_partition(_int_list(args.partition))
             if not parts:
                 raise ValueError(f"--partition {args.partition!r} has no parts")
@@ -399,7 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CrossCheckError as exc:
+        # a broken invariant inside a route; no route prints before it ends
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -35,9 +35,10 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import chain, product as _cartesian
 from math import factorial
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
@@ -52,7 +53,7 @@ from .permutations import (
     length,
 )
 from .report import CheckResult
-from .scalars import sparse_sum
+from .scalars import CrossCheckError, sparse_sum
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -110,10 +111,12 @@ def check_size(n: int, p: int):
 
 
 def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt) for row in a
-    )
+    return _mul_columns(a, tuple(zip(*b)), p)
+
+
+def _mul_columns(a: Matrix, columns: Matrix, p: int) -> Matrix:
+    """a b for b given by its columns."""
+    return tuple(tuple(sum(map(mul, row, col)) % p for col in columns) for row in a)
 
 
 def perm_matrix(w: Perm) -> Matrix:
@@ -140,7 +143,7 @@ def borel_order(n: int, p: int) -> int:
     return (p - 1) ** n * p ** (n * (n - 1) // 2)
 
 
-@lru_cache(maxsize=None)
+@cache
 def enumerate_gl(n: int, p: int) -> tuple[Matrix, ...]:
     """Every invertible n x n matrix over F_p exactly once, in lexicographic
     order of the row-major entries; the count is asserted against the
@@ -161,7 +164,7 @@ def enumerate_gl(n: int, p: int) -> tuple[Matrix, ...]:
         out = grown
     expected = general_linear_order(n, p)
     if len(out) != expected:
-        raise RuntimeError(
+        raise CrossCheckError(
             f"enumeration of GL({n},{p}) found {len(out)} elements, expected {expected}"
         )
     return tuple(out)
@@ -182,7 +185,7 @@ def _upper_triangular(n: int, p: int, diagonals, free) -> list[Matrix]:
     return out
 
 
-@lru_cache(maxsize=None)
+@cache
 def borel_subgroup(n: int, p: int) -> tuple[Matrix, ...]:
     """All invertible upper-triangular matrices, enumerated directly from
     their free coordinates."""
@@ -190,7 +193,7 @@ def borel_subgroup(n: int, p: int) -> tuple[Matrix, ...]:
     above = [(i, j) for i in range(n) for j in range(i + 1, n)]
     out = _upper_triangular(n, p, _cartesian(range(1, p), repeat=n), above)
     if len(out) != borel_order(n, p):
-        raise RuntimeError("Borel enumeration does not match the closed formula")
+        raise CrossCheckError("Borel enumeration does not match the closed formula")
     return tuple(out)
 
 
@@ -203,30 +206,32 @@ def _unipotent(w: Perm, p: int) -> list[Matrix]:
     return _upper_triangular(n, p, [(1,) * n], free)
 
 
-@lru_cache(maxsize=None)
+@cache
 def bruhat_table(n: int, p: int) -> dict[Perm, frozenset]:
     """The Bruhat cells B w B, one per permutation, each enumerated once as
-    U_w (perm matrix of w) B, so the table takes |GL| products.  Asserts that
-    the cells are disjoint, exhaust the group, and have sizes p^length(w) |B|,
-    which also shows that no product repeats."""
+    U_w (perm matrix of w) B, so the table takes |GL| products.  u P(w) is u
+    with its columns permuted, column j being column w(j) of u, and each b of
+    B is transposed once.  Asserts that the cells are disjoint, exhaust the
+    group, and have sizes p^length(w) |B|, which also shows that no product
+    repeats."""
     borel = borel_subgroup(n, p)
+    columns = [tuple(zip(*b)) for b in borel]
     cells: dict[Perm, frozenset] = {}
     seen: set[Matrix] = set()
     for w in all_perms(n):
-        pw = perm_matrix(w)
-        left = [mat_mul(u, pw, p) for u in _unipotent(w, p)]
-        cell = {mat_mul(m, b, p) for m in left for b in borel}
+        left = [tuple(tuple(row[i - 1] for i in w) for row in u) for u in _unipotent(w, p)]
+        cell = {_mul_columns(m, bt, p) for m in left for bt in columns}
         expected = p ** length(w) * len(borel)
         if len(cell) != expected:
-            raise RuntimeError(
+            raise CrossCheckError(
                 f"cell of {format_perm(w)} has size {len(cell)}, expected {expected}"
             )
         if cell & seen:
-            raise RuntimeError(f"cell of {format_perm(w)} overlaps another cell")
+            raise CrossCheckError(f"cell of {format_perm(w)} overlaps another cell")
         seen |= cell
         cells[w] = frozenset(cell)
     if len(seen) != general_linear_order(n, p):
-        raise RuntimeError("Bruhat cells do not exhaust the group")
+        raise CrossCheckError("Bruhat cells do not exhaust the group")
     return cells
 
 
@@ -262,12 +267,12 @@ def bruhat_cell(g: Matrix, p: int) -> Perm | None:
     return tuple(w)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _structure_table(n: int, p: int) -> dict[tuple[Perm, Perm], Counter]:
     """counts[w1, w2][w] = the coefficient of the cell of w in the product of
     the cells of w1 and w2: the number of u in U_w1 (a group, so u stands for
     u^-1) with P(w1)^-1 u P(w), entry (i, j) = u[w1(i)][w(j)], in B w2 B.
-    Raises RuntimeError at a product that breaks the counting identity."""
+    Raises CrossCheckError at a product that breaks the counting identity."""
     perms = all_perms(n)
     table = defaultdict(Counter)
     for w1 in perms:
@@ -279,7 +284,7 @@ def _structure_table(n: int, p: int) -> dict[tuple[Perm, Perm], Counter]:
     for w1, w2 in _cartesian(perms, repeat=2):
         mass = sum(c * p ** length(w) for w, c in table.get((w1, w2), {}).items())
         if mass != p ** (length(w1) + length(w2)):
-            raise RuntimeError(
+            raise CrossCheckError(
                 f"GL({n},{p}) {format_perm(w1)}*{format_perm(w2)} breaks the counting "
                 f"identity: sum_w c_w p^length(w) = {mass}, not p^(l(w1) + l(w2))"
             )
@@ -344,7 +349,7 @@ def expand_in_cells(values: Mapping[Matrix, object], n: int, p: int) -> dict[Per
     return {w: vals[0] for w, vals in cells.items()}
 
 
-@lru_cache(maxsize=None)
+@cache
 def cell_product(w1: Perm, w2: Perm, n: int, p: int) -> Mapping[Perm, Fraction]:
     """Cell coefficients of the convolution of the indicators of B w1 B and
     B w2 B, read from the structure-constant table of GL(n, F_p)."""

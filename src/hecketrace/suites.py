@@ -167,10 +167,11 @@ def tensor_suite(profiles=None, qs=DEFAULT_QS, m_max: int = 5) -> list[CheckResu
 def _four_way_checks(name: str, params: TraceParams, m_max: int) -> list[CheckResult]:
     """The same trace value along five routes: the cycle-value recurrence
     and the scalar diagonal sum, which are the independent ones, and three
-    tensor routes that all walk b R through _scaled_r and _int_walk: the
-    tensor-side diagonal sum (the diagonal part of the table), the R-matrix
-    matrix element, and the normal-form cycle sum, which differs from the
-    matrix element only in the midpoint split and the sigma bookkeeping."""
+    tensor routes that all walk the one table of b R, ctx.r_matrix, with
+    _int_walk: the tensor-side diagonal sum (the diagonal rows of the
+    table), the R-matrix matrix element, and the normal-form cycle sum,
+    which differs from the matrix element only in the midpoint split and
+    the sigma bookkeeping."""
     out = []
     for m in range(1, m_max + 1):
         slots = max(m, 2)

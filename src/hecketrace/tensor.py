@@ -18,7 +18,8 @@ action) by
 which satisfies both the quadratic Hecke relation R^2 = (q-1) R + q and
 the braid relation, so sigma_j -> R at slots (j, j+1) extends to the whole
 Hecke algebra along reduced words.  R is written down once per model, as
-the |S|^2 table of r_matrix, which apply_r and the integer walks read;
+b R in the |S|^2 table ModelContext.r_matrix (see below), which the
+integer walks read and apply_r reads back as R = (b R) / b;
 r_matrix_laws checks the two relations on the integer walk that every
 evaluation route uses.  The distinguished state Xi (the n-fold product of
 the weighted diagonal vector xi) turns matrix elements into trace values:
@@ -30,8 +31,8 @@ paths used for cross-checking:
   * every operator in the algebra generated by V-permutations and
     V-diagonal operators has a normal form sum_sigma T(sigma) D(Phi_sigma),
     which normal_form returns as graded tables {sigma: {I: phi}} with
-    Phi_sigma(I) = sqrt(q)^(l(sigma) mod 2) phi, built by one walk of the
-    r_matrix table along each reduced word; its Xi-matrix element is a
+    Phi_sigma(I) = sqrt(q)^(l(sigma) mod 2) phi, built by one walk of b R
+    along each reduced word; its Xi-matrix element is a
     weighted sum of the table entries whose permutation fixes their index
     tuple (omega_trace);
 
@@ -54,9 +55,10 @@ left action never touches J, and the right action only permutes it, which
 leaves prod_k sqrt(a_{J_k}) alone; so S commutes with both actions, and
 the weights a_J enter only in the pairing.  With q = a/b the walks apply
 b R, with coefficients a, -b, a - b and -t for t = b sqrt(q): the routes
-compute in Z[t], t formal with t^2 = a b.  A walk term is an int times t^k,
-k in {0, 1}: a swap flips k, and a swap from k = 1 lands on t^2 = a b.
-The right action is the left walk on the transposed keys (J, I).
+compute in Z[t], t formal with t^2 = a b.  The context writes b R once, as
+rows (image, k, v) for v t^k.  A walk term is an int times t^k, k in
+{0, 1}: a swap flips k, and a swap from k = 1 lands on t^2 = a b.  The
+right action is the left walk on the transposed keys (J, I).
 
 The power of sqrt(q) is a grade, not a ring element.  The pairing sums
 the even and the odd power of t into two ints, and each route divides
@@ -64,15 +66,17 @@ once, by b^(steps) d^slots for d the common denominator of the weights.
 Trace values are rational, so every route asserts that the odd sum
 vanishes and raises CrossCheckError otherwise.  normal_form keeps the
 grade in sigma, and omega_trace reads the odd permutations as the
-sqrt(q) part that must vanish.  apply_r, apply_hecke and xi_state keep
-the RootElem states in Q[sqrt(q), sqrt(a_i)] as the reference action:
-verify -v prints Xi, and the tests hold them as the oracle of the walks.
+sqrt(q) part that must vanish.  No route forms a RootElem.  apply_r,
+apply_hecke and xi_state keep the RootElem states in Q[sqrt(q), sqrt(a_i)]
+as the reference action: verify -v prints Xi, and the tests hold them as
+the oracle of the walks.  Only they build the context's SqrtTable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, product as _cartesian
 from math import lcm, prod
 from random import Random
@@ -91,7 +95,6 @@ __all__ = [
     "TensorState",
     "xi_state",
     "diag_coeff",
-    "r_matrix",
     "apply_r",
     "apply_hecke",
     "matrix_element",
@@ -114,8 +117,8 @@ def _weight_symbol(i: int) -> str:
 
 @dataclass(frozen=True)
 class ModelContext:
-    """Fixed data of one model instance: parameters, slot count, weight
-    support, and the square-root symbol table.
+    """Fixed data of one model instance: parameters, slot count and weight
+    support, and the integer model built from them on first use.
 
     Extra indices of weight zero may be present in the support; they carry
     no component of Xi and provide the truncation-exactness check."""
@@ -123,8 +126,6 @@ class ModelContext:
     params: TraceParams
     slots: int
     weights: WeightFunction
-    table: SqrtTable
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def create(
@@ -135,16 +136,10 @@ class ModelContext:
     ) -> "ModelContext":
         if slots < 1:
             raise ValueError("need at least one slot")
-        base = WeightFunction.from_params(params)
-        weights = dict(base.weights)
+        weights = dict(WeightFunction.from_params(params).weights)
         for i in extra_indices:
             weights.setdefault(i, Fraction(0))
-        weights_fn = WeightFunction(weights)
-        bindings = {_SQRT_Q: params.q}
-        for i, a in weights_fn.weights.items():
-            if a != 0:
-                bindings[_weight_symbol(i)] = a
-        return cls(params, slots, weights_fn, SqrtTable(bindings))
+        return cls(params, slots, WeightFunction(weights))
 
     @property
     def q(self) -> Fraction:
@@ -153,6 +148,52 @@ class ModelContext:
     @property
     def support(self) -> tuple[int, ...]:
         return self.weights.support
+
+    @cached_property
+    def r_matrix(self) -> dict:
+        """b R for q = a/b over Z[t], t = b sqrt(q), as the table {(x, y):
+        [((x', y'), k, v), ...]}: the image (x', y') of the pair gets the int
+        v times t^k.  The diagonal part diag_coeff, q, -1 or q - 1, scales to
+        a, -b or a - b at t^0, and the swap -sqrt(q) to -1 at t^1.  This is
+        the one place the R coefficients are formed."""
+        b = self.q.denominator
+        table = {}
+        for x in self.support:
+            for y in self.support:
+                rows = table[x, y] = []
+                diag = diag_coeff(self.q, x, y) * b
+                if diag != 0:
+                    rows.append(((x, y), 0, int(diag)))
+                if x != y:
+                    rows.append(((y, x), 1, -1))
+        return table
+
+    @property
+    def t_squared(self) -> int:
+        """t^2 = a b for q = a/b."""
+        return self.q.numerator * self.q.denominator
+
+    @cached_property
+    def unit_diagonal(self) -> tuple[dict, dict, int]:
+        """Xi_1 as a flat state, the numerators n_J = prod_k n_{J_k} of the
+        weights a_i = n_i / d over the tuples J, and d^slots."""
+        live = {i: self.weight(i) for i in self.support if self.weight(i) != 0}
+        d = lcm(*(a.denominator for a in live.values()))
+        live = {i: (a * d).numerator for i, a in live.items()}
+        nums = {(): 1}
+        for _ in range(self.slots):
+            nums = {tup + (i,): n * m for tup, n in nums.items() for i, m in live.items()}
+        return {(tup, tup, 0): 1 for tup in nums}, nums, d**self.slots
+
+    @cached_property
+    def table(self) -> SqrtTable:
+        """The square-root symbols of the reference action: sqrt(q) and the
+        root of each nonzero weight."""
+        bindings = {_SQRT_Q: self.q}
+        for i in self.support:
+            if self.weight(i) != 0:
+                bindings[_weight_symbol(i)] = self.weight(i)
+        return SqrtTable(bindings)
 
     def sqrt_q(self) -> RootElem:
         return self.table.sqrt(_SQRT_Q)
@@ -217,16 +258,11 @@ def xi_state(ctx: ModelContext) -> TensorState:
 
     The coefficients are extended one slot at a time from the |S| roots,
     so each is one product more than the coefficient of its prefix."""
-    cached = ctx._cache.get("xi")
-    if cached is not None:
-        return cached
     roots = [(i, ctx.sqrt_weight(i)) for i in ctx.support if ctx.weight(i) != 0]
     coeffs = {(): ctx.table.one()}
     for _ in range(ctx.slots):
         coeffs = {tup + (i,): c * root for tup, c in coeffs.items() for i, root in roots}
-    state = TensorState(ctx.table, {(tup, tup): c for tup, c in coeffs.items()})
-    ctx._cache["xi"] = state
-    return state
+    return TensorState(ctx.table, {(tup, tup): c for tup, c in coeffs.items()})
 
 
 def diag_coeff(q: Fraction, x: int, y: int) -> Fraction:
@@ -236,30 +272,16 @@ def diag_coeff(q: Fraction, x: int, y: int) -> Fraction:
     return q - 1 if x < y else Fraction(0)
 
 
-def r_matrix(ctx: ModelContext) -> dict:
-    """R on V tensor V over the support, as the table {(x, y): [((x', y'),
-    coeff), ...]} of the images of each basis pair.  The diagonal
-    coefficients q, -1 and q - 1 stay Fractions, so an image that keeps
-    the pair scales a coefficient instead of multiplying two RootElems;
-    the swap coefficient -sqrt(q) is a RootElem.  This is the one place
-    the R coefficients are formed; the table is cached on the context, and
-    apply_r and the integer walks (through _scaled_r) both read it."""
-    table = ctx._cache.get("r")
-    if table is not None:
-        return table
-    minus_sqrt_q = -ctx.sqrt_q()
-    table = {}
-    for x in ctx.support:
-        for y in ctx.support:
-            images = []
-            diag = diag_coeff(ctx.q, x, y)
-            if diag != 0:
-                images.append(((x, y), diag))
-            if x != y:
-                images.append(((y, x), minus_sqrt_q))
-            table[(x, y)] = images
-    ctx._cache["r"] = table
-    return table
+def _reference_r(ctx: ModelContext) -> dict:
+    """R = (b R) / b read back from the rows of ctx.r_matrix, as the table
+    {(x, y): [((x', y'), coeff), ...]} of the reference action: t^k / b is
+    1 / b or sqrt(q), so a row v t^0 gives the Fraction v / b and a row
+    v t^1 the RootElem v sqrt(q)."""
+    b, sqrt_q = ctx.q.denominator, ctx.sqrt_q()
+    return {
+        pair: [(image, sqrt_q * v if k else Fraction(v, b)) for image, k, v in rows]
+        for pair, rows in ctx.r_matrix.items()
+    }
 
 
 def apply_r(ctx: ModelContext, slot: int, side: Side, state: TensorState) -> TensorState:
@@ -270,7 +292,7 @@ def apply_r(ctx: ModelContext, slot: int, side: Side, state: TensorState) -> Ten
         raise ValueError(f"slot {slot} out of range for {n} slots")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    r = r_matrix(ctx)
+    r = _reference_r(ctx)
     j = slot - 1
 
     def images():
@@ -319,45 +341,6 @@ def apply_hecke(
 # <X Xi, Y Xi> = sum_(I, J) a_J c_X(I, J) c_Y(I, J) for the coefficients c of
 # X Xi_1 and Y Xi_1.  A walk state is a flat dict {(I, J, k): coefficient}
 # for the term coefficient * t^k, k in {0, 1}.
-
-_ONE, _ROOT_Q = frozenset(), frozenset((_SQRT_Q,))
-
-
-def _scaled_r(ctx: ModelContext) -> tuple[dict, int]:
-    """b R for q = a/b with sqrt(q) read as t, as the flat table {(x, y):
-    [((x', y'), k, v), ...]}: the image (x', y') gets the int v times t^k;
-    and t^2 = a b.  Built from r_matrix as it stands on every call; a
-    component with a root other than sqrt(q), or one that does not scale to
-    an integer, raises CrossCheckError."""
-    b = ctx.q.denominator
-    table = {}
-    for pair, images in r_matrix(ctx).items():
-        rows = table[pair] = []
-        for image, coeff in images:
-            comps = coeff.comps if isinstance(coeff, RootElem) else {_ONE: coeff}
-            for root, v in comps.items():
-                k = 0 if root == _ONE else 1 if root == _ROOT_Q else None
-                v = Fraction(v) * (b if k == 0 else 1)
-                if k is None or v.denominator != 1:
-                    raise CrossCheckError(
-                        f"r_matrix image {pair} -> {image} is {coeff!r}, not an "
-                        f"integer combination of 1 and b sqrt(q) once scaled by b = {b} "
-                        f"(params {ctx.params.to_record()}, {ctx.slots} slots)"
-                    )
-                rows.append((image, k, v.numerator))
-    return table, ctx.q.numerator * b
-
-
-def _unit_diagonal(ctx: ModelContext) -> tuple[dict, dict, int]:
-    """Xi_1 as a flat state, the numerators n_J = prod_k n_{J_k} of the
-    weights a_i = n_i / d over the tuples J, and d^slots."""
-    live = {i: ctx.weight(i) for i in ctx.support if ctx.weight(i) != 0}
-    d = lcm(*(a.denominator for a in live.values()))
-    live = {i: (a * d).numerator for i, a in live.items()}
-    nums = {(): 1}
-    for _ in range(ctx.slots):
-        nums = {tup + (i,): n * m for tup, n in nums.items() for i, m in live.items()}
-    return {(tup, tup, 0): 1 for tup in nums}, nums, d**ctx.slots
 
 
 def _int_walk(table: dict, ab: int, slots: Iterable[int], state: dict) -> dict:
@@ -448,7 +431,7 @@ def r_matrix_laws(ctx: ModelContext, side: Side) -> tuple[bool, bool]:
         raise ValueError(f"slot {ctx.slots} out of range for {ctx.slots} slots")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    table, ab = _scaled_r(ctx)
+    table, ab = ctx.r_matrix, ctx.t_squared
     a, b = ctx.q.numerator, ctx.q.denominator
     basis = {(tup, tup, 0): 1 for tup in _cartesian(ctx.support, repeat=ctx.slots)}
 
@@ -478,8 +461,8 @@ def matrix_element(ctx: ModelContext, x: HeckeElement) -> Fraction:
     and the sum is divided once and checked to be rational, which is
     asserted, not assumed."""
     _check_rank(ctx, x)
-    table, ab = _scaled_r(ctx)
-    xi1, nums, d_slots = _unit_diagonal(ctx)
+    table, ab = ctx.r_matrix, ctx.t_squared
+    xi1, nums, d_slots = ctx.unit_diagonal
     terms, denom = _integer_terms(ctx, x)
     even = odd = 0
     for word, f in terms:
@@ -532,7 +515,7 @@ def normal_form(
     5/4
     """
     _check_rank(ctx, x)
-    table, ab = _scaled_r(ctx)
+    table, ab = ctx.r_matrix, ctx.t_squared
     tagged = {(tup, tup, 0): 1 for tup in _cartesian(ctx.support, repeat=ctx.slots)}
     terms, denom = _integer_terms(ctx, x)
     grades: dict[Perm, int] = {}
@@ -603,9 +586,9 @@ def diagonal_zeta(ctx: ModelContext, m: int) -> Fraction:
     Xi_1, and one division by b^(m - 1) d^slots returns to true units."""
     if not 1 <= m <= ctx.slots:
         raise ValueError(f"need 1 <= m <= {ctx.slots}, got {m}")
-    table, ab = _scaled_r(ctx)
+    table, ab = ctx.r_matrix, ctx.t_squared
     diagonal = {pair: [row for row in rows if row[0] == pair] for pair, rows in table.items()}
-    xi1, nums, d_slots = _unit_diagonal(ctx)
+    xi1, nums, d_slots = ctx.unit_diagonal
     acted = _int_walk(diagonal, ab, range(1, m), xi1)
     even, odd = _pairing(ab, acted, _by_pair(xi1), nums)
     scale = ctx.q.denominator ** (m - 1) * d_slots
@@ -645,8 +628,8 @@ def bimodule_checks(
     by matrix_element.
     """
     n = ctx.slots
-    table, ab = _scaled_r(ctx)
-    xi1, nums, d_slots = _unit_diagonal(ctx)
+    table, ab = ctx.r_matrix, ctx.t_squared
+    xi1, nums, d_slots = ctx.unit_diagonal
 
     def act(*steps: tuple[HeckeElement, Side]) -> tuple[dict, int]:
         # the basis elements T_w of steps applied to Xi_1 in turn, each along
@@ -720,8 +703,8 @@ def gram_matrix(params: TraceParams, rank: int) -> list[list[Fraction]]:
     the first entry of the matrix that fails the rationality check lies on
     or above the diagonal."""
     ctx = ModelContext.create(params, rank)
-    table, ab = _scaled_r(ctx)
-    xi1, nums, d_slots = _unit_diagonal(ctx)
+    table, ab = ctx.r_matrix, ctx.t_squared
+    xi1, nums, d_slots = ctx.unit_diagonal
     words = [reduced_word(u) for u in all_perms(rank)]
     states = [_int_walk(table, ab, reversed(word), xi1) for word in words]
     indexed = [_by_pair(state) for state in states]

@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -10,6 +13,7 @@ import pytest
 from hecketrace import cli, suites, tensor
 from hecketrace.cli import MAX_SIZE, MAX_TENSOR_SIZE, _check_tensor_size, main
 from hecketrace.scalars import PowerSeries
+from hecketrace.tensor import ModelContext
 from hecketrace.traces import TraceParams
 
 
@@ -89,6 +93,43 @@ def test_trace_cross_check_mismatch_exit_3(capsys, monkeypatch):
     assert "formula 5/4, tensor model 9/4" in err
 
 
+def _fault_every_model(monkeypatch):
+    """Every model built from now on has R(x, x) = q - 1 + sqrt(q) for x > 0,
+    b R = (a - b) + t for q = a/b: a sqrt(q) part that no route may pass."""
+    create = ModelContext.create.__func__
+
+    def faulty(cls, *args, **kwargs):
+        ctx = create(cls, *args, **kwargs)
+        a, b = ctx.q.numerator, ctx.q.denominator
+        for x in ctx.support:
+            if x > 0:
+                ctx.r_matrix[x, x] = [((x, x), 0, a - b), ((x, x), 1, 1)]
+        return ctx
+
+    monkeypatch.setattr(ModelContext, "create", classmethod(faulty))
+
+
+@pytest.mark.parametrize(
+    "argv,route",
+    [
+        (["trace", "--m", "2", "--cross-check"], "matrix element of T[2,1]"),
+        (["gram", "--n", "2"], "Gram entry (0, 1)"),
+        (["verify", "--suite", "tensor", "--m", "2"], "matrix element of T[2,1]"),
+    ],
+    ids=["trace", "gram", "verify"],
+)
+def test_broken_invariant_exit_3(capsys, monkeypatch, argv, route):
+    # a CrossCheckError inside a route is a cross-check that disagreed: exit
+    # 3 with the message on stderr, not a traceback
+    _fault_every_model(monkeypatch)
+    code, out, err = run(capsys, *argv, "--q", "2", "--alpha", "1/2,1/2")
+    params = TraceParams(q=Fraction(2), alpha=(Fraction(1, 2), Fraction(1, 2)))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {route} has non-cancelling square-root components")
+    assert f"params {params.to_record()}" in err
+
+
 def test_trace_records_format(capsys):
     code, out, _ = run(
         capsys, "trace", "--m", "2", "--q", "2", "--alpha", "1/2,1/2",
@@ -122,7 +163,7 @@ def test_trace_m_and_partition_exit_2(capsys, partition):
     assert "--m and --partition" in err
 
 
-@pytest.mark.parametrize("partition", [",", " , ,"])
+@pytest.mark.parametrize("partition", ["", ",", " , ,"])
 def test_trace_empty_partition_exit_2(capsys, partition):
     code, out, err = run(capsys, "trace", "--partition", partition, "--q", "2", "--alpha", "1")
     assert code == 2
@@ -657,3 +698,22 @@ def test_params_file_must_hold_an_object(tmp_path, capsys, content, flags):
     assert code == 2
     assert out == ""
     assert f"params file {f} must hold a JSON object" in err
+
+
+@pytest.mark.parametrize(
+    "argv,code,out",
+    [(["--m", "3"], 0, "4\n"), (["--m", "0"], 2, "")],
+    ids=["ok", "bad_params"],
+)
+def test_module_entry_point_exit_codes(argv, code, out):
+    # python -m hecketrace.cli runs main in a fresh process and exits with
+    # its code
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "hecketrace.cli", "trace", *argv, "--q", "2", "--alpha", "1"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert (done.returncode, done.stdout) == (code, out), done.stderr

@@ -20,7 +20,7 @@ from hecketrace.permutations import (
     length,
     reduced_word,
 )
-from hecketrace.scalars import CrossCheckError, RootElem, sparse_sum
+from hecketrace.scalars import CrossCheckError, RootElem, SqrtTable, sparse_sum
 from hecketrace.suites import default_profiles, profile_params
 from hecketrace.tensor import (
     ModelContext,
@@ -35,7 +35,6 @@ from hecketrace.tensor import (
     matrix_element,
     normal_form,
     omega_trace,
-    r_matrix,
     r_matrix_laws,
     xi_state,
 )
@@ -289,14 +288,38 @@ def test_r_matrix_is_symmetric(profile, q):
     # the premise of the adjoint step in matrix_element and gram_matrix:
     # the coefficient of (x', y') in R(x, y) is that of (x, y) in R(x', y')
     ctx = ModelContext.create(profile_params(profile, F(q)), 2, extra_indices=(7, -7))
-    coeff = {(src, img): c for src, images in r_matrix(ctx).items() for img, c in images}
+    coeff = {(src, img): (k, v) for src, rows in ctx.r_matrix.items() for img, k, v in rows}
     assert all(coeff.get((img, src)) == c for (src, img), c in coeff.items())
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_r_matrix_rows_read_back_as_the_r_of_the_module_docstring(q):
+    # the rows (image, k, v) of b R, read back as R = (b R) / b with t^k / b
+    # = 1 / b or sqrt(q), against R written out: q on (x, x) for x > 0, -1
+    # on (x, x) for x < 0, and on x != y -sqrt(q) (y, x) plus (q - 1) (x, y)
+    # when x < y; a zero coefficient has no row
+    q = F(q)
+    ctx = ModelContext.create(TraceParams(q=q, alpha=P_WIDE.alpha, beta=P_WIDE.beta), 2, (3, -2))
+    assert {ctx.weight(i) > 0 for i in ctx.support} == {True, False} and min(ctx.support) < 0
+    assert ctx.r_matrix is ctx.r_matrix
+    b = q.denominator
+    for x, y in cartesian(ctx.support, repeat=2):
+        # each image as (rational coefficient, coefficient of sqrt(q))
+        if x == y:
+            want = {(x, x): (q if x > 0 else F(-1), 0)}
+        else:
+            want = {(y, x): (0, -1), (x, y): (q - 1 if x < y else 0, 0)}
+        want = {image: c for image, c in want.items() if c != (0, 0)}
+        got = {}
+        for image, k, v in ctx.r_matrix[x, y]:
+            assert image not in got and type(v) is int, (x, y, image)
+            got[image] = (0, v) if k == 1 else (F(v, b), 0)
+        assert got == want, (x, y)
 
 
 def test_matrix_element_purity_guard_names_the_parameters():
     ctx = ModelContext.create(P_FLAT, slots=2)
-    r_matrix(ctx)
-    ctx._cache["r"][(1, 1)] = [((1, 1), ctx.sqrt_q())]
+    ctx.r_matrix[(1, 1)] = [((1, 1), 1, 1)]  # R(1, 1) = sqrt(q), and b = 1
     with pytest.raises(CrossCheckError) as err:
         matrix_element(ctx, HeckeElement.generator(1, 2))
     message = str(err.value)
@@ -311,7 +334,8 @@ def test_rationality_check_holds_at_square_q(q):
     # sqrt(q) leaves a root component that must not cancel at any q, also
     # when the walk reads it as t = b sqrt(q) with b > 1 (at 9/4, t^2 = 36
     # is itself a square); the normal form meets it as an entry of the
-    # identity table at t^1, off its grade
+    # identity table at t^1, off its grade.  In b R, for q = a/b, the image
+    # is (a - b) t^0 + 1 t^1.
     q = F(q)
     p = params(q, alpha=("2/3", "1/6"), beta=("1/6",))
     x = HeckeElement.generator(1, 3)
@@ -323,7 +347,7 @@ def test_rationality_check_holds_at_square_q(q):
     }
     for route, evaluate in routes.items():
         ctx = ModelContext.create(p, slots=3)
-        r_matrix(ctx)[(2, 2)] = [((2, 2), ctx.table.from_rational(q - 1) + ctx.sqrt_q())]
+        ctx.r_matrix[(2, 2)] = [((2, 2), 0, q.numerator - q.denominator), ((2, 2), 1, 1)]
         with pytest.raises(CrossCheckError) as err:
             evaluate(ctx)
         message = str(err.value)
@@ -418,7 +442,7 @@ def _normal_form_by_composition(ctx, x):
 
     def generator_operator(m):
         n = ctx.slots
-        r = r_matrix(ctx)
+        r = tensor._reference_r(ctx)
         diag_table = {}
         swap_table = {}
         for tup in cartesian(ctx.support, repeat=n):
@@ -706,34 +730,9 @@ def test_diagonal_zeta_equals_diagonal_walk_on_xi_state(model, q):
         assert diagonal_zeta(ctx, m) == _diagonal_zeta_on_xi_state(ctx, m)
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [lambda ctx: ctx.sqrt_weight(1), lambda ctx: ctx.sqrt_q() * F(1, 2), lambda ctx: F(1, 2)],
-    ids=["weight_root", "half_sqrt_q", "half"],
-)
-def test_every_walk_rejects_an_r_entry_that_is_no_int_power_of_t(entry):
-    # the walks read each b R component as an int times t^0 or t^1; a root
-    # of a weight, or a coefficient that b does not clear (b = 1 at q = 2),
-    # must raise instead of being misread
-    ctx = ModelContext.create(P_WIDE, slots=3)
-    r_matrix(ctx)[(1, 1)] = [((1, 1), entry(ctx))]
-    x = HeckeElement.generator(1, 3)
-    routes = [
-        lambda: matrix_element(ctx, x),
-        lambda: normal_form(ctx, x),
-        lambda: diagonal_zeta(ctx, 2),
-        lambda: r_matrix_laws(ctx, "right"),
-        lambda: bimodule_checks(ctx, Random(1), 1, 1, 1),
-    ]
-    for route in routes:
-        with pytest.raises(CrossCheckError, match=r"r_matrix image \(1, 1\) -> \(1, 1\)") as err:
-            route()
-        assert str(P_WIDE.to_record()) in str(err.value) and "3 slots" in str(err.value)
-
-
 def test_diagonal_zeta_purity_guard_names_the_route():
     ctx = ModelContext.create(P_WIDE, slots=3)
-    r_matrix(ctx)[(1, 1)] = [((1, 1), ctx.sqrt_q())]
+    ctx.r_matrix[(1, 1)] = [((1, 1), 1, 1)]  # R(1, 1) = sqrt(q), and b = 1
     with pytest.raises(CrossCheckError, match="diagonal route for m=3 .* 3 slots"):
         diagonal_zeta(ctx, 3)
 
@@ -902,16 +901,13 @@ def _bimodule_results(ctx):
     return {r.name: r.passed for r in bimodule_checks(ctx, Random(2026), 10, 5, 3)}
 
 
-def test_bimodule_trace_property_fails_on_slot_dependent_weights(monkeypatch):
+def test_bimodule_trace_property_fails_on_slot_dependent_weights():
     # a pairing whose weights depend on the slot: the state is no trace state
-    unit_diagonal = tensor._unit_diagonal
-
-    def slot_dependent(ctx):
-        xi1, nums, d_slots = unit_diagonal(ctx)
-        return xi1, {tup: n * (1 + (tup[0] > 0)) ** 2 for tup, n in nums.items()}, d_slots
-
-    monkeypatch.setattr(tensor, "_unit_diagonal", slot_dependent)
-    assert not _bimodule_results(ModelContext.create(P_WIDE, slots=4))["bimodule.trace_property"]
+    ctx = ModelContext.create(P_WIDE, slots=4)
+    _, nums, _ = ctx.unit_diagonal
+    for tup in nums:
+        nums[tup] *= (1 + (tup[0] > 0)) ** 2
+    assert not _bimodule_results(ctx)["bimodule.trace_property"]
 
 
 def test_bimodule_transpose_check_fails_on_a_forward_right_walk(monkeypatch):
@@ -959,45 +955,43 @@ def test_gram_diagonal_is_trace_of_star_products():
 
 
 def _count_root_elements(monkeypatch) -> list:
-    """A list that gets one item per RootElem constructed from now on."""
+    """A list that gets one item per RootElem or SqrtTable constructed from
+    now on."""
     made = []
-    init = RootElem.__init__
+    for cls in (RootElem, SqrtTable):
 
-    def counted(self, *args):
-        made.append(1)
-        init(self, *args)
+        def counted(self, *args, init=cls.__init__):
+            made.append(1)
+            init(self, *args)
 
-    monkeypatch.setattr(RootElem, "__init__", counted)
+        monkeypatch.setattr(cls, "__init__", counted)
     return made
 
 
 def test_matrix_element_multiplies_no_root_elements_per_walk_step(monkeypatch):
-    # the walks and the pairing run on plain integers and end in two ints,
-    # where RootElem walks make thousands of RootElems on this model
+    # the context, the walks and the pairing run on plain integers and end in
+    # two ints, where RootElem walks make thousands of RootElems on this model
+    made = _count_root_elements(monkeypatch)
     ctx = ModelContext.create(profile_params(default_profiles()[4], F(2)), slots=6)
     x = mul(HeckeElement.basis((3, 6, 1, 5, 2, 4)), HeckeElement.basis((4, 2, 6, 1, 5, 3)))
     assert len(x.terms) > 1
-    r_matrix(ctx)  # the cached table holds RootElems of its own
-    made = _count_root_elements(monkeypatch)
     matrix_element(ctx, x)
     assert not made
 
 
 def test_normal_form_and_omega_trace_form_no_root_element(monkeypatch):
+    made = _count_root_elements(monkeypatch)
     ctx = ModelContext.create(P_WIDE, slots=5, extra_indices=(3,))
     x = HeckeElement.basis((3, 5, 1, 4, 2)) + HeckeElement.generator(2, 5).scale(F(-3, 2))
-    r_matrix(ctx)
-    made = _count_root_elements(monkeypatch)
     op = normal_form(ctx, x)
     assert omega_trace(ctx, op) == matrix_element(ctx, x)
     assert op and not made
 
 
 def test_diagonal_route_and_r_matrix_laws_multiply_no_root_elements(monkeypatch):
+    made = _count_root_elements(monkeypatch)
     wide = ModelContext.create(P_WIDE, slots=5, extra_indices=(3,))
     laws = ModelContext.create(P_WIDE, slots=3, extra_indices=(3,))
-    r_matrix(wide), r_matrix(laws)
-    made = _count_root_elements(monkeypatch)
     for m in range(1, 6):
         assert diagonal_zeta(wide, m) == zeta_trace(m, P_WIDE)
     assert r_matrix_laws(laws, "left") == r_matrix_laws(laws, "right") == (True, True)
@@ -1006,19 +1000,21 @@ def test_diagonal_route_and_r_matrix_laws_multiply_no_root_elements(monkeypatch)
 
 def test_bimodule_checks_multiply_no_root_elements_outside_matrix_element(monkeypatch):
     # nor inside it: the three Gram identities evaluate matrix_element too
-    ctx = ModelContext.create(P_WIDE, slots=4)
-    r_matrix(ctx)
     made = _count_root_elements(monkeypatch)
+    ctx = ModelContext.create(P_WIDE, slots=4)
     assert all(_bimodule_results(ctx).values())
     assert not made
 
 
 def test_gram_matrix_forms_no_root_element_beyond_its_context(monkeypatch):
+    # nor in the context it creates; only the reference action builds the
+    # context's SqrtTable, and the count sees it
     made = _count_root_elements(monkeypatch)
-    r_matrix(ModelContext.create(P_WIDE, 3))
-    context = len(made)
     gram_matrix(P_WIDE, 3)
-    assert len(made) == 2 * context > 0
+    ctx = ModelContext.create(P_WIDE, 3)
+    assert not made
+    xi_state(ctx)
+    assert made
 
 
 def _gram_of_xi_states(p, rank):
