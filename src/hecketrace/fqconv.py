@@ -12,14 +12,15 @@ the simple transpositions satisfy the Hecke relations at q = p.  The
 normalization by |B| (indicator unit rather than probability measures) is
 what makes sigma_m^2 = (p-1) sigma_m + p come out exactly.
 
-A bi-invariant function is stored as its exact Fraction coefficients on the
-cell indicators.  Convolution is bilinear, so everything reduces to one
-primitive, `cell_product`, a lookup in one structure-constant table per
-group.  B w1 B is the disjoint union of the cosets u w1 B, u in U_w1, so
-the coefficient of the cell of w in (B w1 B) * (B w2 B) is the number of u
-with P(w1)^-1 u P(w) in B w2 B (P the permutation matrix), a cell that
-`bruhat_cell` names by elimination: n! [n]_p! eliminations in all, and no
-group enumerated.  Every product must satisfy the counting identity
+A bi-invariant function is stored as its exact coefficients on the cell
+indicators, ints while they are integral.  Convolution is bilinear, so
+everything reduces to one primitive, `cell_product`, a lookup in one
+structure-constant table of integers per group.  B w1 B is the disjoint
+union of the cosets u w1 B, u in U_w1, so the coefficient of the cell of
+w in (B w1 B) * (B w2 B) is the number of u with P(w1)^-1 u P(w) in
+B w2 B (P the permutation matrix), a cell that `bruhat_cell` names by
+elimination: n! [n]_p! eliminations in all, and no group enumerated.
+Every product must satisfy the counting identity
 sum_w c_w p^length(w) = p^(length(w1) + length(w2)) (its mass over |B|).
 
 The groups themselves are enumerated directly at desk scale, as explicit
@@ -53,7 +54,7 @@ from .permutations import (
     length,
 )
 from .report import CheckResult
-from .scalars import CrossCheckError, sparse_sum
+from .scalars import CrossCheckError, _exact, sparse_sum
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -297,15 +298,16 @@ def _structure_table(n: int, p: int) -> dict[tuple[Perm, Perm], Counter]:
 
 class FqFunction:
     """A Borel-bi-invariant function on GL(n, F_p), stored as its exact
-    coefficients on the Bruhat-cell indicators, keyed by rank-n permutation."""
+    coefficients on the Bruhat-cell indicators, keyed by rank-n permutation.
+    An int or Fraction coefficient is stored as given, as in `QPoly`."""
 
     __slots__ = ("n", "p", "values")
 
-    def __init__(self, n: int, p: int, values: Mapping[Perm, Fraction] = ()):
+    def __init__(self, n: int, p: int, values: Mapping[Perm, Fraction | int] = ()):
         self.n = n
         self.p = p
-        self.values: dict[Perm, Fraction] = {
-            w: Fraction(v) for w, v in sparse_sum(_of_rank(n, values)).items()
+        self.values: dict[Perm, Fraction | int] = {
+            w: _exact(v) for w, v in sparse_sum(_of_rank(n, values)).items()
         }
 
     def __eq__(self, other) -> bool:
@@ -350,14 +352,15 @@ def expand_in_cells(values: Mapping[Matrix, object], n: int, p: int) -> dict[Per
 
 
 @cache
-def cell_product(w1: Perm, w2: Perm, n: int, p: int) -> Mapping[Perm, Fraction]:
+def cell_product(w1: Perm, w2: Perm, n: int, p: int) -> Mapping[Perm, int]:
     """Cell coefficients of the convolution of the indicators of B w1 B and
-    B w2 B, read from the structure-constant table of GL(n, F_p)."""
+    B w2 B: a read-only view of the coset counts in the structure-constant
+    table of GL(n, F_p)."""
     check_size(n, p)
     for w in (w1, w2):
         if not (is_perm(w) and len(w) == n):
             raise ValueError(f"{w!r} is not a rank-{n} permutation")
-    return MappingProxyType({w: Fraction(c) for w, c in _structure_table(n, p)[w1, w2].items()})
+    return MappingProxyType(_structure_table(n, p)[w1, w2])
 
 
 def convolve(f: FqFunction, g: FqFunction) -> FqFunction:
@@ -374,7 +377,7 @@ def convolve(f: FqFunction, g: FqFunction) -> FqFunction:
 
 
 def cell_indicator(w: Perm, n: int, p: int) -> FqFunction:
-    return FqFunction(n, p, {w: Fraction(1)})
+    return FqFunction(n, p, {w: 1})
 
 
 def unit_function(n: int, p: int) -> FqFunction:
@@ -392,11 +395,6 @@ def sigma_element(m: int, n: int, p: int) -> FqFunction:
 # structure constants against the abstract Hecke algebra
 
 
-def _hecke_coeffs_at(w1: Perm, w2: Perm, p: int) -> dict[Perm, Fraction]:
-    prod = hecke_mul(HeckeElement.basis(w1), HeckeElement.basis(w2))
-    return {w: c(Fraction(p)) for w, c in prod.terms.items()}
-
-
 def structure_constants_check(n: int, p: int) -> list[CheckResult]:
     """Expand every product of cell indicators in the cell basis and
     compare, coefficient by coefficient, with the abstract T-basis product
@@ -407,7 +405,8 @@ def structure_constants_check(n: int, p: int) -> list[CheckResult]:
     for w1 in perms:
         for w2 in perms:
             got = cell_product(w1, w2, n, p)
-            expected = _hecke_coeffs_at(w1, w2, p)
+            prod = hecke_mul(HeckeElement.basis(w1), HeckeElement.basis(w2))
+            expected = {w: c(p) for w, c in prod.terms.items()}
             name = f"structure.gl({n},{p}).{format_perm(w1)}*{format_perm(w2)}"
             if got == expected:
                 results.append(CheckResult(name, True))
@@ -422,7 +421,7 @@ def structure_constants_check(n: int, p: int) -> list[CheckResult]:
     return results
 
 
-def _fmt_coeffs(coeffs: Mapping[Perm, Fraction]) -> str:
+def _fmt_coeffs(coeffs: Mapping[Perm, int]) -> str:
     return (
         "{"
         + ", ".join(f"{format_perm(w)}: {coeffs[w]}" for w in sorted(coeffs))

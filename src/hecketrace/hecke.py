@@ -17,8 +17,9 @@ General products expand the left factor along a reduced word; the result
 does not depend on the word chosen (checked by the test suite through the
 braid relations rather than assumed).
 
-Coefficients stay polynomial inside this module; evaluating q at a
-rational number happens only at the trace / tensor-model boundary.
+Coefficients stay polynomial inside this module, in Z[q] for products of
+basis elements; evaluating q at a number happens only at the trace /
+tensor-model boundary and in the check against GL(n, F_p).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from typing import Union
 from .permutations import (
     Perm,
     adjacent_transposition,
-    compose,
     format_perm,
     identity,
     inverse,
@@ -42,6 +42,7 @@ from .permutations import (
 from .scalars import QPoly, sparse_sum
 
 Scalar = Union[QPoly, Fraction, int]
+_Q, _Q_MINUS_1 = QPoly.var(), QPoly((-1, 1))
 
 __all__ = [
     "HeckeElement",
@@ -178,8 +179,6 @@ def gen_mul_left(m: int, x: HeckeElement) -> HeckeElement:
     n = x.rank
     if not 1 <= m <= n - 1:
         raise ValueError(f"generator index {m} out of range for rank {n}")
-    q = QPoly.var()
-    q_minus_1 = q - QPoly.const(1)
 
     def images():
         for w, c in x.terms.items():
@@ -191,8 +190,8 @@ def gen_mul_left(m: int, x: HeckeElement) -> HeckeElement:
             if i < j:  # length(s_m w) = length(w) + 1
                 yield swt, c
             else:
-                yield w, q_minus_1 * c
-                yield swt, q * c
+                yield w, _Q_MINUS_1 * c
+                yield swt, _Q * c
 
     return HeckeElement(n, images())
 
@@ -226,22 +225,27 @@ def mul(x: HeckeElement, y: HeckeElement) -> HeckeElement:
 # zeta elements
 
 
+def _cycle_basis(blocks, rank: int) -> HeckeElement:
+    """T_w for w the product of the cycles lo -> hi -> hi-1 -> .. -> lo on
+    the disjoint intervals [lo, hi] of blocks: w(lo) = hi, w(k) = k - 1."""
+    w = list(identity(rank))
+    for lo, hi in blocks:
+        w[lo - 1 : hi] = [hi, *range(lo, hi)]
+    return HeckeElement.basis(tuple(w))
+
+
 def zeta_interval(lo: int, hi: int, rank: int | None = None) -> HeckeElement:
     """The descending generator product sigma_{hi-1} sigma_{hi-2} .. sigma_{lo},
     a single T-basis element (the word is reduced); lo == hi gives the unit.
+    Needs 1 <= lo <= hi <= rank (rank defaults to hi).
 
     As a permutation this is the hi-lo+1 cycle lo -> hi -> hi-1 -> .. -> lo
     on the interval [lo, hi].
     """
-    if lo > hi:
-        raise ValueError("need lo <= hi")
-    n = rank if rank is not None else max(hi, 1)
-    if n < hi:
-        raise ValueError(f"rank {n} too small for interval [{lo}, {hi}]")
-    w = identity(n)
-    for a in range(hi - 1, lo - 1, -1):
-        w = compose(w, adjacent_transposition(a, n))
-    return HeckeElement.basis(w)
+    n = hi if rank is None else rank
+    if not 1 <= lo <= hi <= n:
+        raise ValueError(f"interval [{lo}, {hi}] at rank {n}: need 1 <= lo <= hi <= rank")
+    return _cycle_basis([(lo, hi)], n)
 
 
 def check_partition(parts: Sequence[int]) -> tuple[int, ...]:
@@ -266,9 +270,4 @@ def zeta_partition(parts: Sequence[int], rank: int | None = None) -> HeckeElemen
     n = rank if rank is not None else max(total, 1)
     if n < total:
         raise ValueError(f"rank {n} too small for a partition of {total}")
-    out = HeckeElement.unit(n)
-    lo = 1
-    for hi in sums:
-        out = mul(out, zeta_interval(lo, hi, n))
-        lo = hi + 1
-    return out
+    return _cycle_basis(zip([1] + [s + 1 for s in sums], sums), n)

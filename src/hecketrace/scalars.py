@@ -5,8 +5,8 @@ Nothing in this package is ever a float.  Plain rationals are
 `fractions.Fraction` (always reduced, positive denominator, exact
 arithmetic).  On top of those this module provides:
 
-  QPoly       polynomials in the indeterminate q, dense coefficient tuple,
-              lowest degree first, trailing zeros trimmed;
+  QPoly       polynomials in the indeterminate q, dense coefficient tuple
+              (ints stay ints), lowest degree first, trailing zeros trimmed;
   PowerSeries formal series in z truncated at a fixed order M, coefficients
               of degree 0..M only;
   SqrtTable / RootElem
@@ -44,6 +44,12 @@ __all__ = [
     "format_fraction",
     "parse_fraction",
 ]
+
+
+def _exact(c) -> Rat:
+    """c itself if it is an int or a Fraction, else Fraction(c); ints stay
+    ints, since 1 == Fraction(1) with the same hash and str."""
+    return c if type(c) in (int, Fraction) else Fraction(c)
 
 
 class CrossCheckError(RuntimeError):
@@ -101,7 +107,8 @@ class QPoly:
     """Polynomial in q with rational coefficients.
 
     Stored lowest degree first; the zero polynomial has an empty coefficient
-    tuple and degree() None.
+    tuple and degree() None.  An int or Fraction coefficient is stored as
+    given and anything else as a Fraction, so int products stay in Z[q].
 
     >>> (QPoly.var() - 1) * (QPoly.var() + 1) == QPoly([-1, 0, 1])
     True
@@ -110,10 +117,10 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[Rat, ...] = tuple(cs)
 
     @classmethod
     def const(cls, c: Rat) -> "QPoly":
@@ -163,9 +170,7 @@ class QPoly:
             return QPoly(c * other for c in self.coeffs)
         if not isinstance(other, QPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return QPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -175,10 +180,10 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    def __call__(self, q: Rat) -> Fraction:
-        """Evaluate at a rational value of q (Horner)."""
-        q = Fraction(q)
-        acc = Fraction(0)
+    def __call__(self, q: Rat) -> Rat:
+        """Evaluate at a rational value of q (Horner), in the arithmetic of q:
+        an int polynomial gives an int at an int q, a Fraction at a Fraction."""
+        acc = q * 0
         for c in reversed(self.coeffs):
             acc = acc * q + c
         return acc

@@ -414,7 +414,7 @@ def _integer_terms(ctx: ModelContext, x: HeckeElement) -> tuple[list, int]:
     terms = [(reduced_word(w), poly(ctx.q)) for w, poly in x.terms.items()]
     terms = [(word, c) for word, c in terms if c != 0]
     denom = lcm(*(c.denominator * b ** len(word) for word, c in terms))
-    return [(word, int(c * denom / b ** len(word))) for word, c in terms], denom
+    return [(word, c * denom // b ** len(word)) for word, c in terms], denom
 
 
 def r_matrix_laws(ctx: ModelContext, side: Side) -> tuple[bool, bool]:

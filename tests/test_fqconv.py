@@ -259,6 +259,33 @@ def test_cell_labels_catch_a_matrix_in_the_wrong_cell(monkeypatch):
     ]
 
 
+def _failing_checks(case):
+    return [r.name for r in suites.convolution_suite(cases=(case,)) if not r.passed]
+
+
+def test_group_order_check_compares_the_group_with_the_cells(monkeypatch):
+    # one matrix of GL(3,2), not upper triangular, replaced by a singular
+    # one (two equal rows) that is not upper triangular either: the count
+    # still matches the group order
+    gl = list(enumerate_gl(3, 2))
+    i = next(i for i, g in enumerate(gl) if g[1][0])
+    gl[i] = ((1, 1, 1), (1, 1, 1), (0, 0, 1))
+    assert len(gl) == general_linear_order(3, 2)
+    monkeypatch.setattr(fqconv, "enumerate_gl", lambda n, p: tuple(gl))
+    assert _failing_checks((3, 2)) == ["convolution.gl(3,2).group_order"]
+
+
+def test_borel_order_check_compares_b_with_the_upper_triangular_group(monkeypatch):
+    # one member of B replaced by an invertible lower-triangular matrix:
+    # the count still matches |B|
+    bruhat_table(3, 2)  # cached from the true B before the patch
+    borel = list(borel_subgroup(3, 2))
+    borel[-1] = ((1, 0, 0), (1, 1, 0), (0, 0, 1))
+    assert len(borel) == borel_order(3, 2)
+    monkeypatch.setattr(fqconv, "borel_subgroup", lambda n, p: tuple(borel))
+    assert _failing_checks((3, 2)) == ["convolution.gl(3,2).borel_order"]
+
+
 def test_structure_table_asserts_the_counting_identity(monkeypatch):
     # label the s1 cell of GL(3,2) as the identity: every product that
     # meets it loses mass, so the table must refuse to build
@@ -313,6 +340,18 @@ def test_structure_constants_full(n, p):
     assert len(results) == len(all_perms(n)) ** 2
     bad = [r.line() for r in results if not r.passed]
     assert not bad, bad
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_cell_products_are_read_only_int_counts(n, p):
+    perms = all_perms(n)
+    for w1, w2 in cartesian(perms, repeat=2):
+        counts = cell_product(w1, w2, n, p)
+        assert counts and all(type(c) is int for c in counts.values()), (w1, w2)
+        with pytest.raises(TypeError):
+            counts[w1] = 0
+    f = convolve(sigma_element(1, n, p), cell_indicator(perms[-1], n, p))
+    assert all(type(c) is int for c in f.values.values())
 
 
 @pytest.mark.parametrize("n,p", [(2, 2), (2, 3), (3, 2)])

@@ -1,5 +1,6 @@
 """T-basis arithmetic in H_n(q)."""
 
+from functools import reduce
 from random import Random
 
 import pytest
@@ -11,7 +12,8 @@ from hecketrace.hecke import (
     zeta_interval,
     zeta_partition,
 )
-from hecketrace.permutations import adjacent_transposition, compose
+from hecketrace import hecke, permutations
+from hecketrace.permutations import adjacent_transposition, all_perms, compose
 from hecketrace.scalars import QPoly
 
 Q = QPoly.var()
@@ -165,12 +167,14 @@ def test_zeta_interval_examples():
 
 
 def test_zeta_interval_is_generator_product():
-    got = zeta_interval(1, 4)
-    want = mul(
-        mul(HeckeElement.generator(3, 4), HeckeElement.generator(2, 4)),
-        HeckeElement.generator(1, 4),
-    )
-    assert got == want
+    # sigma_{hi-1} .. sigma_lo by hecke.mul, the construction that
+    # zeta_interval replaces, for every interval within rank 7
+    for rank in range(1, 8):
+        for lo in range(1, rank + 1):
+            for hi in range(lo, rank + 1):
+                gens = [HeckeElement.generator(a, rank) for a in range(hi - 1, lo - 1, -1)]
+                want = reduce(mul, gens, HeckeElement.unit(rank))
+                assert zeta_interval(lo, hi, rank) == want, (lo, hi, rank)
 
 
 def test_zeta_partition_single_block_matches_interval():
@@ -195,6 +199,61 @@ def test_zeta_partition_validation():
         zeta_partition((1, 2))
     with pytest.raises(ValueError):
         zeta_partition((2, 0))
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 0), (-2, -2), (0, 2)])
+def test_zeta_interval_needs_lo_at_least_1(lo, hi):
+    with pytest.raises(ValueError, match=rf"\[{lo}, {hi}\]"):
+        zeta_interval(lo, hi)
+    with pytest.raises(ValueError, match=rf"\[{lo}, {hi}\]"):
+        zeta_interval(lo, hi, rank=4)
+
+
+@pytest.mark.parametrize("lo, hi, rank", [(3, 2, 4), (2, 5, 4), (1, 3, 2)])
+def test_zeta_interval_needs_lo_at_most_hi_at_most_rank(lo, hi, rank):
+    with pytest.raises(ValueError, match=rf"\[{lo}, {hi}\] at rank {rank}"):
+        zeta_interval(lo, hi, rank)
+
+
+def _partitions(n, largest=None):
+    """Every partition of n, as a nonincreasing tuple."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first, *rest)
+
+
+def test_zeta_partition_is_the_product_of_its_blocks():
+    for n in range(7):
+        for parts in _partitions(n):
+            for rank in range(max(n, 1), n + 3):
+                blocks, lo = [], 1
+                for part in parts:
+                    blocks.append(zeta_interval(lo, lo + part - 1, rank))
+                    lo += part
+                want = reduce(mul, blocks, HeckeElement.unit(rank))
+                assert zeta_partition(parts, rank) == want, (parts, rank)
+
+
+def test_zeta_elements_form_no_product(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a cycle element is built as its permutation")
+
+    monkeypatch.setattr(hecke, "mul", refuse)
+    monkeypatch.setattr(permutations, "compose", refuse)
+    monkeypatch.setattr(hecke, "compose", refuse, raising=False)
+    assert zeta_interval(2, 5, 6) == HeckeElement.basis((1, 5, 2, 3, 4, 6))
+    assert zeta_partition((3, 2, 1), 7) == HeckeElement.basis((3, 1, 2, 5, 4, 6, 7))
+
+
+def test_basis_products_have_int_coefficients():
+    perms = all_perms(4)
+    for u in perms:
+        for v in perms:
+            for c in mul(HeckeElement.basis(u), HeckeElement.basis(v)).terms.values():
+                assert all(type(a) is int for a in c.coeffs), (u, v, c)
 
 
 # ---------------------------------------------------------------------------

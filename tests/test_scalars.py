@@ -59,6 +59,22 @@ def test_qpoly_str():
     assert str(QPoly()) == "0"
 
 
+def test_qpoly_int_and_fraction_coefficients_are_one_value():
+    a, b = QPoly([1, 2]), QPoly([F(1), F(2)])
+    assert a == b and hash(a) == hash(b) and str(a) == str(b) == "1 + 2*q"
+    assert [type(c) for c in a.coeffs] == [int, int]
+    assert [type(c) for c in QPoly([True, 0.5, "1/3"]).coeffs] == [F, F, F]
+
+
+def test_qpoly_evaluates_in_the_arithmetic_of_q():
+    p = QPoly([1, -2, 3])
+    assert type(p(2)) is int and p(2) == 9
+    assert type(p(F(1, 2))) is F and p(F(1, 2)) == F(3, 4)
+    assert type(p(F(2))) is F and p(F(2)) == 9
+    assert type(QPoly()(F(1, 2))) is F
+    assert type((p * p)(3)) is int
+
+
 # ---------------------------------------------------------------------------
 # truncated power series
 

@@ -5,6 +5,7 @@ from itertools import product as cartesian
 from math import factorial, prod
 from random import Random
 from time import perf_counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,7 @@ from hecketrace.permutations import (
     length,
     reduced_word,
 )
-from hecketrace.scalars import CrossCheckError, RootElem, SqrtTable, sparse_sum
+from hecketrace.scalars import CrossCheckError, QPoly, RootElem, SqrtTable, sparse_sum
 from hecketrace.suites import default_profiles, profile_params
 from hecketrace.tensor import (
     ModelContext,
@@ -353,6 +354,17 @@ def test_rationality_check_holds_at_square_q(q):
         message = str(err.value)
         assert route in message
         assert f"'q': '{q}'" in message and "3 slots" in message
+
+
+def test_integer_terms_stay_exact_at_int_coefficients():
+    # at an int q every coefficient evaluates to an int, here one above
+    # 2^53, where a true division would round
+    big = 3**40 + 1
+    x = HeckeElement(3, {(2, 3, 1): QPoly([big]), (1, 2, 3): QPoly([1, big])})
+    terms, denom = tensor._integer_terms(SimpleNamespace(q=7), x)
+    assert denom == 1
+    assert sorted(terms) == [([], 1 + 7 * big), ([1, 2], big)]
+    assert all(type(f) is int for _, f in terms)
 
 
 def test_matrix_element_of_unit():
