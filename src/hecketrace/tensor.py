@@ -57,8 +57,19 @@ the weights a_J enter only in the pairing.  With q = a/b the walks apply
 b R, with coefficients a, -b, a - b and -t for t = b sqrt(q): the routes
 compute in Z[t], t formal with t^2 = a b.  The context writes b R once, as
 rows (image, k, v) for v t^k.  A walk term is an int times t^k, k in
-{0, 1}: a swap flips k, and a swap from k = 1 lands on t^2 = a b.  The
-right action is the left walk on the transposed keys (J, I).
+{0, 1}: a swap flips k, and a swap from k = 1 lands on t^2 = a b.
+
+A walk term is keyed by one int.  The support is sorted, so numbering it
+by position keeps the index order.  With B = |S| and code(I) = sum_k
+pos(I_k) B^(k-1), a state stores the term c t^k on eta[I; J] as the entry
+key: c, where key = 2 (code(I) + B^slots code(J)) + k.  At slot a the pair
+(I_a, I_(a+1)) is the digit (key // (2 B^(a-1))) % B^2, and each image
+adds a delta that is fixed per slot, pair and grade.  Each route derives
+these rows from ctx.r_matrix when it starts.  Index tuples make poor keys:
+in CPython hash(-1) == hash(-2), so all tuples of one length over the two
+beta indices -1 and -2 share one hash, and a dict lookup among them walks
+one long collision chain.
+The right action is the left walk with the codes of I and J swapped.
 
 The power of sqrt(q) is a grade, not a ring element.  The pairing sums
 the even and the odd power of t into two ints, and each route divides
@@ -80,7 +91,7 @@ from functools import cached_property
 from itertools import chain, product as _cartesian
 from math import lcm, prod
 from random import Random
-from typing import Iterable, Literal, Mapping
+from typing import Iterable, Literal, Mapping, NamedTuple
 
 from .hecke import HeckeElement, mul as hecke_mul
 from .permutations import Perm, all_perms, length, reduced_word
@@ -176,14 +187,16 @@ class ModelContext:
     @cached_property
     def unit_diagonal(self) -> tuple[dict, dict, int]:
         """Xi_1 as a flat state, the numerators n_J = prod_k n_{J_k} of the
-        weights a_i = n_i / d over the tuples J, and d^slots."""
-        live = {i: self.weight(i) for i in self.support if self.weight(i) != 0}
-        d = lcm(*(a.denominator for a in live.values()))
-        live = {i: (a * d).numerator for i, a in live.items()}
-        nums = {(): 1}
-        for _ in range(self.slots):
-            nums = {tup + (i,): n * m for tup, n in nums.items() for i, m in live.items()}
-        return {(tup, tup, 0): 1 for tup in nums}, nums, d**self.slots
+        weights a_i = n_i / d keyed by code(J), and d^slots."""
+        size = len(self.support)
+        live = [(p, self.weight(i)) for p, i in enumerate(self.support) if self.weight(i) != 0]
+        d = lcm(*(a.denominator for _, a in live))
+        live = [(p, (a * d).numerator) for p, a in live]
+        nums = {0: 1}
+        for k in range(self.slots):
+            unit = size**k
+            nums = {code + p * unit: n * m for code, n in nums.items() for p, m in live}
+        return _diagonal_keys(size**self.slots, nums), nums, d**self.slots
 
     @cached_property
     def table(self) -> SqrtTable:
@@ -339,58 +352,105 @@ def apply_hecke(
 # ---------------------------------------------------------------------------
 # integer walks from the unweighted diagonal Xi_1 (see the module docstring):
 # <X Xi, Y Xi> = sum_(I, J) a_J c_X(I, J) c_Y(I, J) for the coefficients c of
-# X Xi_1 and Y Xi_1.  A walk state is a flat dict {(I, J, k): coefficient}
-# for the term coefficient * t^k, k in {0, 1}.
+# X Xi_1 and Y Xi_1.  A walk state is a flat dict {key: coefficient} for the
+# term coefficient * t^k on eta[I; J], key = 2 (code(I) + span code(J)) + k.
 
 
-def _int_walk(table: dict, ab: int, slots: Iterable[int], state: dict) -> dict:
+class _Walk(NamedTuple):
+    """The integer walk of b R on one model, derived from ctx.r_matrix.
+
+    ab is t^2, size = |S|, and span = |S|^slots is the radix of code(J).
+    steps[a] = (unit, rows) for slot a, with unit = 2 |S|^(a - 1): the pair
+    (I_a, I_(a+1)) of a key has the code (key // unit) % size^2 =
+    pos(I_a) + size pos(I_(a+1)), and rows[k][pair code] lists the images
+    of the pair from grade k as (delta, coefficient).  An image adds delta
+    to the key, which moves the pair and, on a swap, flips the grade bit;
+    a swap from k = 1 carries t^2."""
+
+    ab: int
+    size: int
+    span: int
+    steps: dict
+
+
+def _walk_of(ctx: ModelContext, diagonal: bool = False) -> _Walk:
+    """The walk of b R read from ctx.r_matrix, with diagonal only the rows
+    whose image is the pair itself."""
+    support, ab = ctx.support, ctx.t_squared
+    size = len(support)
+    pos = {x: i for i, x in enumerate(support)}
+    base = []
+    for p in range(size * size):
+        x, y = support[p % size], support[p // size]
+        rows = ctx.r_matrix[x, y]
+        if diagonal:
+            rows = [row for row in rows if row[0] == (x, y)]
+        base.append([(pos[x2] + size * pos[y2] - p, k, v) for (x2, y2), k, v in rows])
+    steps = {}
+    for a in range(1, ctx.slots):
+        unit = 2 * size ** (a - 1)
+        from_even = [[(d * unit + k, v) for d, k, v in rows] for rows in base]
+        from_odd = [[(d * unit - k, v * ab if k else v) for d, k, v in rows] for rows in base]
+        steps[a] = (unit, (from_even, from_odd))
+    return _Walk(ab, size, size**ctx.slots, steps)
+
+
+def _diagonal_keys(span: int, codes: Iterable[int]) -> dict:
+    """The state sum eta[I; I] over the given codes of I, coefficients 1."""
+    return {2 * (span + 1) * code: 1 for code in codes}
+
+
+def _int_walk(walk: _Walk, slots: Iterable[int], state: dict) -> dict:
     """Apply b R at each slot in turn, the first slot first, to a flat
-    state; ab = t^2."""
+    state."""
+    pairs = walk.size**2
     for a in slots:
-        j = a - 1
+        unit, rows = walk.steps[a]
         out: dict = {}
-        for (ti, tj, k), c in state.items():
-            head, tail = ti[:j], ti[j + 2 :]
-            for image, k2, v in table[ti[j : j + 2]]:
-                key = (head + image + tail, tj, k ^ k2)
-                out[key] = out.get(key, 0) + (c * v * ab if k & k2 else c * v)
+        get = out.get
+        for key, c in state.items():
+            for delta, v in rows[key & 1][key // unit % pairs]:
+                key2 = key + delta
+                out[key2] = get(key2, 0) + c * v
         state = {key: c for key, c in out.items() if c}
     return state
 
 
-def _transposed(state: dict) -> dict:
-    """A flat state with its keys (I, J, k) read as (J, I, k)."""
-    return {(tj, ti, k): c for (ti, tj, k), c in state.items()}
-
-
-def _walk(table: dict, ab: int, side: Side, slots: Iterable[int], state: dict) -> dict:
-    """_int_walk on the given side: the right action is the left walk on
-    the transposed keys (J, I)."""
-    if side == "left":
-        return _int_walk(table, ab, slots, state)
-    return _transposed(_int_walk(table, ab, slots, _transposed(state)))
-
-
-def _by_pair(state: dict) -> dict:
-    """A flat state indexed by (I, J): {(I, J): [(k, coefficient), ...]}."""
-    out: dict = {}
-    for (ti, tj, k), c in state.items():
-        out.setdefault((ti, tj), []).append((k, c))
+def _transposed(walk: _Walk, state: dict) -> dict:
+    """A flat state with its codes of I and J swapped."""
+    span = walk.span
+    out = {}
+    for key, c in state.items():
+        code_j, code_i = divmod(key >> 1, span)
+        out[2 * (code_j + span * code_i) + (key & 1)] = c
     return out
 
 
-def _pairing(ab: int, left: dict, right: dict, nums: dict) -> tuple[int, int]:
-    """sum_(I, J) n_J c_L(I, J) c_R(I, J) for a flat state left and a state
-    right indexed by (I, J), as the two ints (even, odd) of even + odd t;
-    ab = t^2.  The caller divides by b^(walk steps) d^slots."""
-    sums = [0, 0]
-    for (ti, tj, k), c in left.items():
-        row = right.get((ti, tj))
-        if row:
-            c *= nums[tj]
-            for k2, c2 in row:
-                sums[k ^ k2] += c * c2 * ab if k & k2 else c * c2
-    return sums[0], sums[1]
+def _walk(walk: _Walk, side: Side, slots: Iterable[int], state: dict) -> dict:
+    """_int_walk on the given side: the right action is the left walk with
+    the codes of I and J swapped."""
+    if side == "left":
+        return _int_walk(walk, slots, state)
+    return _transposed(walk, _int_walk(walk, slots, _transposed(walk, state)))
+
+
+def _pairing(walk: _Walk, left: dict, right: dict, nums: dict) -> tuple[int, int]:
+    """sum_(I, J) n_J c_L(I, J) c_R(I, J) for two flat states, as the two
+    ints (even, odd) of even + odd t: each key of left meets key (same
+    grade) and key ^ 1 (the other grade) in right.  The caller divides by
+    b^(walk steps) d^slots."""
+    ab, radix = walk.ab, 2 * walk.span
+    get = right.get
+    even = odd = 0
+    for key, c in left.items():
+        same, other = get(key), get(key ^ 1)
+        if same or other:
+            c *= nums[key // radix]
+            if same:
+                even += c * same * ab if key & 1 else c * same
+            if other:
+                odd += c * other
+    return even, odd
 
 
 def _rational(ctx: ModelContext, even, odd, scale: int, route: str) -> Fraction:
@@ -431,12 +491,12 @@ def r_matrix_laws(ctx: ModelContext, side: Side) -> tuple[bool, bool]:
         raise ValueError(f"slot {ctx.slots} out of range for {ctx.slots} slots")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    table, ab = ctx.r_matrix, ctx.t_squared
-    a, b = ctx.q.numerator, ctx.q.denominator
-    basis = {(tup, tup, 0): 1 for tup in _cartesian(ctx.support, repeat=ctx.slots)}
+    walk = _walk_of(ctx)
+    a, b, ab = ctx.q.numerator, ctx.q.denominator, walk.ab
+    basis = _diagonal_keys(walk.span, range(walk.span))
 
     def r(slots: list[int], state: dict) -> dict:
-        return _walk(table, ab, side, slots, state)
+        return _walk(walk, side, slots, state)
 
     once = r([1], basis)
     combination = chain(
@@ -461,15 +521,15 @@ def matrix_element(ctx: ModelContext, x: HeckeElement) -> Fraction:
     and the sum is divided once and checked to be rational, which is
     asserted, not assumed."""
     _check_rank(ctx, x)
-    table, ab = ctx.r_matrix, ctx.t_squared
+    walk = _walk_of(ctx)
     xi1, nums, d_slots = ctx.unit_diagonal
     terms, denom = _integer_terms(ctx, x)
     even = odd = 0
     for word, f in terms:
         h = len(word) // 2
-        left = _int_walk(table, ab, reversed(word[h:]), xi1)
-        right = _by_pair(_int_walk(table, ab, word[:h], xi1))
-        e, o = _pairing(ab, left, right, nums)
+        left = _int_walk(walk, reversed(word[h:]), xi1)
+        right = _int_walk(walk, word[:h], xi1)
+        e, o = _pairing(walk, left, right, nums)
         even, odd = even + f * e, odd + f * o
     return _rational(ctx, even, odd, denom * d_slots, f"matrix element of {x!r}")
 
@@ -502,8 +562,9 @@ def normal_form(
     tag to the walked tuple keeping equal indices in their order.  A swap
     flips the power k of t and moves sigma by one transposition, so every
     walked term sits at the grade k = l(sigma) mod 2; this is asserted, and
-    a term off its grade raises CrossCheckError.  c and the division by b^k
-    are applied once per final entry.
+    a term off its grade raises CrossCheckError.  Each final key is decoded
+    once into its tuple and tag, and c and the division by b^k are applied
+    once per final entry.
 
     >>> ctx = ModelContext.create(TraceParams(q=Fraction(2), alpha=(Fraction(1, 2),) * 2), 2)
     >>> op = normal_form(ctx, HeckeElement.generator(1, 2))
@@ -515,13 +576,18 @@ def normal_form(
     5/4
     """
     _check_rank(ctx, x)
-    table, ab = ctx.r_matrix, ctx.t_squared
-    tagged = {(tup, tup, 0): 1 for tup in _cartesian(ctx.support, repeat=ctx.slots)}
+    walk = _walk_of(ctx)
+    span = walk.span
+    # tuples[code(I)] = I: the product varies its last entry fastest
+    tuples = [tup[::-1] for tup in _cartesian(ctx.support, repeat=ctx.slots)]
+    tagged = _diagonal_keys(span, range(span))
     terms, denom = _integer_terms(ctx, x)
     grades: dict[Perm, int] = {}
     raw: dict = {}
     for word, f in terms:
-        for (tup, tag, k), v in _int_walk(table, ab, word, tagged).items():
+        for key, v in _int_walk(walk, word, tagged).items():
+            code_tag, code = divmod(key >> 1, span)
+            tup, tag, k = tuples[code], tuples[code_tag], key & 1
             sigma = _carrying(tag, tup)
             grade = grades.get(sigma)
             if grade is None:
@@ -586,11 +652,10 @@ def diagonal_zeta(ctx: ModelContext, m: int) -> Fraction:
     Xi_1, and one division by b^(m - 1) d^slots returns to true units."""
     if not 1 <= m <= ctx.slots:
         raise ValueError(f"need 1 <= m <= {ctx.slots}, got {m}")
-    table, ab = ctx.r_matrix, ctx.t_squared
-    diagonal = {pair: [row for row in rows if row[0] == pair] for pair, rows in table.items()}
+    walk = _walk_of(ctx, diagonal=True)
     xi1, nums, d_slots = ctx.unit_diagonal
-    acted = _int_walk(diagonal, ab, range(1, m), xi1)
-    even, odd = _pairing(ab, acted, _by_pair(xi1), nums)
+    acted = _int_walk(walk, range(1, m), xi1)
+    even, odd = _pairing(walk, acted, xi1, nums)
     scale = ctx.q.denominator ** (m - 1) * d_slots
     return _rational(ctx, even, odd, scale, f"diagonal route for m={m}")
 
@@ -628,8 +693,9 @@ def bimodule_checks(
     by matrix_element.
     """
     n = ctx.slots
-    table, ab = ctx.r_matrix, ctx.t_squared
+    walk = _walk_of(ctx)
     xi1, nums, d_slots = ctx.unit_diagonal
+    where = f"(params {ctx.params.to_record()}, {n} slots)"
 
     def act(*steps: tuple[HeckeElement, Side]) -> tuple[dict, int]:
         # the basis elements T_w of steps applied to Xi_1 in turn, each along
@@ -638,14 +704,14 @@ def bimodule_checks(
         for x, side in steps:
             (w,) = x.terms
             word = reduced_word(w)
-            state = _walk(table, ab, side, reversed(word), state)
+            state = _walk(walk, side, reversed(word), state)
             taken += len(word)
         return state, taken
 
     def inner(left: tuple[dict, int], right: tuple[dict, int]) -> tuple[int, int, int]:
         # the pairing as (even, odd, scale), the value (even + odd t) / scale
         scale = ctx.q.denominator ** (left[1] + right[1]) * d_slots
-        return (*_pairing(ab, left[0], _by_pair(right[0]), nums), scale)
+        return (*_pairing(walk, left[0], right[0], nums), scale)
 
     results = []
     unit = act()
@@ -659,7 +725,7 @@ def bimodule_checks(
         rhs = inner(act((a, "left"), (b, "left")), unit)
         _rational(ctx, *lhs, "trace-property matrix element")
         if lhs != rhs:
-            ok, witness = False, f"A={a!r} B={b!r}"
+            ok, witness = False, f"A={a!r} B={b!r} {where}"
             break
     results.append(CheckResult("bimodule.trace_property", ok, witness))
 
@@ -669,7 +735,7 @@ def bimodule_checks(
         x = _random_basis_element(rng, n)
         # equal states after walks of equal length: w and w^-1 have one length
         if act((x, "right")) != act((x.transpose(), "left")):
-            ok, witness = False, f"X={x!r}"
+            ok, witness = False, f"X={x!r} {where}"
             break
     results.append(CheckResult("bimodule.right_equals_transposed_left", ok, witness))
 
@@ -686,7 +752,7 @@ def bimodule_checks(
         )
         rhs = matrix_element(ctx, prod)
         if lhs != rhs:
-            ok, witness = False, f"A={a!r} B={b!r} C={c!r} D={d!r}"
+            ok, witness = False, f"A={a!r} B={b!r} C={c!r} D={d!r} {where}"
             break
     results.append(CheckResult("bimodule.gram_identity", ok, witness))
     return results
@@ -703,16 +769,15 @@ def gram_matrix(params: TraceParams, rank: int) -> list[list[Fraction]]:
     the first entry of the matrix that fails the rationality check lies on
     or above the diagonal."""
     ctx = ModelContext.create(params, rank)
-    table, ab = ctx.r_matrix, ctx.t_squared
+    walk = _walk_of(ctx)
     xi1, nums, d_slots = ctx.unit_diagonal
     words = [reduced_word(u) for u in all_perms(rank)]
-    states = [_int_walk(table, ab, reversed(word), xi1) for word in words]
-    indexed = [_by_pair(state) for state in states]
+    states = [_int_walk(walk, reversed(word), xi1) for word in words]
     b = ctx.q.denominator
     gram = [[Fraction(0)] * len(words) for _ in words]
     for i, state in enumerate(states):
         for j in range(i, len(words)):
-            even, odd = _pairing(ab, state, indexed[j], nums)
+            even, odd = _pairing(walk, state, states[j], nums)
             scale = b ** (len(words[i]) + len(words[j])) * d_slots
             gram[i][j] = gram[j][i] = _rational(ctx, even, odd, scale, f"Gram entry ({i}, {j})")
     return gram

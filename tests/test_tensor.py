@@ -53,11 +53,15 @@ P_TRIV = params(2, alpha=(1,))
 P_SIGN = params(2, beta=(1,))
 P_MIX = params(2, alpha=("1/2",), beta=("1/2",))
 P_WIDE = params(2, alpha=("2/3", "1/6"), beta=("1/6",))
+# two beta weights: the walks meet the indices -1 and -2 side by side
+P_TWO_BETA = params(2, alpha=("1/2",), beta=("1/3", "1/6"))
 
-# P1-P5, and P5 with an extra index of weight 0: the models on which the
-# integer routes are compared with the RootElem action
+# P1-P5, P5 with an extra index of weight 0, and the two-beta profile with
+# one: the models on which the integer routes are compared with the
+# RootElem action
 ORACLE_MODELS = [(name, alpha, beta, ()) for name, alpha, beta in default_profiles()] + [
-    ("P5_zero_weight", P_WIDE.alpha, P_WIDE.beta, (3,))
+    ("P5_zero_weight", P_WIDE.alpha, P_WIDE.beta, (3,)),
+    ("two_beta_zero_weight", P_TWO_BETA.alpha, P_TWO_BETA.beta, (-3,)),
 ]
 ORACLE_QS = ["2", "2/3", "1", "9/4"]
 
@@ -258,8 +262,8 @@ def test_lift_rank_guard():
 
 @pytest.mark.parametrize(
     "p,extra",
-    [(P_MIX, ()), (P_WIDE, ()), (P_MIX, (2, -2))],
-    ids=["pair", "three_mixed", "pair_zero_weight_extras"],
+    [(P_MIX, ()), (P_WIDE, ()), (P_MIX, (2, -2)), (P_TWO_BETA, ())],
+    ids=["pair", "three_mixed", "pair_zero_weight_extras", "two_beta"],
 )
 @pytest.mark.parametrize("q", ["2", "1/3", "1", "3/2"])
 @pytest.mark.parametrize("rank", [3, 4])
@@ -365,6 +369,110 @@ def test_integer_terms_stay_exact_at_int_coefficients():
     assert denom == 1
     assert sorted(terms) == [([], 1 + 7 * big), ([1, 2], big)]
     assert all(type(f) is int for _, f in terms)
+
+
+def _tuple_walk(table, ab, side, slots, state):
+    """Oracle for the integer walk: b R from the rows of ctx.r_matrix on a
+    state keyed by index tuples, {(I, J, k): coefficient} for coefficient
+    t^k on eta[I; J], ab = t^2; the right action is the left walk on the
+    keys (J, I, k)."""
+
+    def transposed(state):
+        return {(tj, ti, k): c for (ti, tj, k), c in state.items()}
+
+    if side == "right":
+        return transposed(_tuple_walk(table, ab, "left", slots, transposed(state)))
+    for a in slots:
+        j = a - 1
+        out = {}
+        for (ti, tj, k), c in state.items():
+            head, tail = ti[:j], ti[j + 2 :]
+            for image, k2, v in table[ti[j : j + 2]]:
+                key = (head + image + tail, tj, k ^ k2)
+                out[key] = out.get(key, 0) + (c * v * ab if k & k2 else c * v)
+        state = {key: c for key, c in out.items() if c}
+    return state
+
+
+def _key_codec(ctx):
+    """The key layout of the integer walks, written out: code(I) =
+    sum_k pos(I_k) |S|^(k-1) for the position pos in the sorted support,
+    and key = 2 (code(I) + |S|^slots code(J)) + k.  Returns (encode,
+    decode) between keys and (I, J, k)."""
+    support, n = ctx.support, ctx.slots
+    size, span = len(support), len(support) ** n
+
+    def code(tup):
+        return sum(support.index(x) * size**k for k, x in enumerate(tup))
+
+    def tup(code):
+        return tuple(support[code // size**k % size] for k in range(n))
+
+    def encode(ti, tj, k):
+        return 2 * (code(ti) + span * code(tj)) + k
+
+    def decode(key):
+        code_j, code_i = divmod(key >> 1, span)
+        return tup(code_i), tup(code_j), key & 1
+
+    return encode, decode
+
+
+@pytest.mark.parametrize("q", ["2", "2/3"])
+@pytest.mark.parametrize("rank", [3, 4])
+def test_int_keyed_walk_equals_the_tuple_keyed_walk(rank, q):
+    # two beta weights and an extra index of weight 0, so the walk moves
+    # -1 beside -2 and beside an index off the support of Xi; from every
+    # basis tensor eta[I; I] and from a mixed state of both grades
+    p = TraceParams(q=F(q), alpha=P_TWO_BETA.alpha, beta=P_TWO_BETA.beta)
+    ctx = ModelContext.create(p, rank, extra_indices=(2,))
+    assert ctx.support == (-2, -1, 1, 2)
+    encode, decode = _key_codec(ctx)
+    basis = {(tup, tup, 0): 1 for tup in cartesian(ctx.support, repeat=rank)}
+    rng = Random(rank)
+    mixed = {
+        (tuple(rng.choices(ctx.support, k=rank)), tuple(rng.choices(ctx.support, k=rank)), k): c
+        for k, c in zip([0, 1] * 20, range(1, 41))
+    }
+    walk = tensor._walk_of(ctx)
+    for start in (basis, mixed):
+        keyed = {encode(*key): c for key, c in start.items()}
+        assert {decode(key): c for key, c in keyed.items()} == start
+        for w in all_perms(rank):
+            word = reduced_word(w)
+            for side in ("left", "right"):
+                got = tensor._walk(walk, side, word, keyed)
+                want = _tuple_walk(ctx.r_matrix, ctx.t_squared, side, word, start)
+                assert {decode(key): c for key, c in got.items()} == want, (w, side)
+
+
+def test_unit_diagonal_is_xi1_under_the_key_layout():
+    ctx = ModelContext.create(P_TWO_BETA, 3, extra_indices=(2,))
+    encode, decode = _key_codec(ctx)
+    xi1, nums, d_slots = ctx.unit_diagonal
+    live = [i for i in ctx.support if ctx.weight(i) != 0]
+    assert xi1 == {encode(tup, tup, 0): 1 for tup in cartesian(live, repeat=3)}
+    assert d_slots == 6**3
+    for key in xi1:
+        tup, _, _ = decode(key)
+        assert nums[key // (2 * 4**3)] == prod(ctx.weight(i) * 6 for i in tup)
+
+
+def test_walk_keys_on_the_two_betas_have_distinct_hashes():
+    # hash(-1) == hash(-2) in CPython, so every index tuple over {-2, -1} of
+    # one length shares one hash; the int keys of the walks do not collide
+    assert hash(-1) == hash(-2)
+    ctx = ModelContext.create(params(2, beta=("1/2", "1/2")), slots=6)
+    assert ctx.support == (-2, -1)
+    walk = tensor._walk_of(ctx)
+    xi1, _, _ = ctx.unit_diagonal
+    state = tensor._int_walk(walk, reversed(reduced_word((6, 5, 4, 3, 2, 1))), xi1)
+    assert len(xi1) == 64 and len(state) > len(xi1)
+    for keys in (xi1, state):
+        assert all(type(key) is int for key in keys)
+        assert len({hash(key) for key in keys}) == len(keys)
+    _, decode = _key_codec(ctx)
+    assert len({hash(decode(key)) for key in state}) < len(state) // 8
 
 
 def test_matrix_element_of_unit():
@@ -552,11 +660,13 @@ def test_normal_form_of_generator():
     assert (1, 1) not in off
 
 
-# P5 and the (alpha, beta) pair P4, each with one extra index of weight 0
-NORMAL_FORM_MODELS = [(P_WIDE, (3,)), (P_MIX, (-2,))]
+# P5 and the (alpha, beta) pair P4, each with one extra index of weight 0,
+# and the two-beta profile
+NORMAL_FORM_MODELS = [(P_WIDE, (3,)), (P_MIX, (-2,)), (P_TWO_BETA, ())]
+NORMAL_FORM_IDS = ["P5", "pair", "two_beta"]
 
 
-@pytest.mark.parametrize("p,extra", NORMAL_FORM_MODELS, ids=["P5", "pair"])
+@pytest.mark.parametrize("p,extra", NORMAL_FORM_MODELS, ids=NORMAL_FORM_IDS)
 @pytest.mark.parametrize("q", ["2", "1/3", "1"])
 @pytest.mark.parametrize("rank", [3, 4])
 def test_normal_form_walk_equals_composition(rank, q, p, extra):
@@ -575,7 +685,7 @@ def test_normal_form_walk_equals_composition(rank, q, p, extra):
     assert omega_trace(ctx, op) == _omega_by_cycle_tuples(ctx, op)
 
 
-@pytest.mark.parametrize("p,extra", NORMAL_FORM_MODELS, ids=["P5", "pair"])
+@pytest.mark.parametrize("p,extra", NORMAL_FORM_MODELS, ids=NORMAL_FORM_IDS)
 @pytest.mark.parametrize("q", ["2", "1/3", "1"])
 def test_normal_form_tables_are_nonempty_and_nonzero(p, extra, q):
     ctx = ModelContext.create(TraceParams(q=F(q), alpha=p.alpha, beta=p.beta), 3, extra)
@@ -913,33 +1023,69 @@ def _bimodule_results(ctx):
     return {r.name: r.passed for r in bimodule_checks(ctx, Random(2026), 10, 5, 3)}
 
 
-def test_bimodule_trace_property_fails_on_slot_dependent_weights():
-    # a pairing whose weights depend on the slot: the state is no trace state
-    ctx = ModelContext.create(P_WIDE, slots=4)
+def _weigh_by_the_first_slot(monkeypatch, ctx):
+    # a pairing whose weights depend on the slot: the state is no trace
+    # state; nums is keyed by code(J), whose lowest digit is the position of
+    # J_1 in the support
     _, nums, _ = ctx.unit_diagonal
-    for tup in nums:
-        nums[tup] *= (1 + (tup[0] > 0)) ** 2
-    assert not _bimodule_results(ctx)["bimodule.trace_property"]
+    for code in nums:
+        nums[code] *= (1 + (ctx.support[code % len(ctx.support)] > 0)) ** 2
 
 
-def test_bimodule_transpose_check_fails_on_a_forward_right_walk(monkeypatch):
+def _walk_forwards_on_the_right(monkeypatch, ctx):
     # a right action that reads each reduced word from its start acts by
     # T_{w^-1}, not T_w
     walk = tensor._walk
 
-    def forwards_on_the_right(table, times, side, slots, state):
+    def forwards_on_the_right(model, side, slots, state):
         slots = list(slots)
-        return walk(table, times, side, slots[::-1] if side == "right" else slots, state)
+        return walk(model, side, slots[::-1] if side == "right" else slots, state)
 
     monkeypatch.setattr(tensor, "_walk", forwards_on_the_right)
-    results = _bimodule_results(ModelContext.create(P_WIDE, slots=4))
-    assert not results["bimodule.right_equals_transposed_left"]
+
+
+def _star_without_inverse(monkeypatch, ctx):
+    # T_w* = T_w instead of T_{w^-1}; transpose keeps its own binding
+    monkeypatch.setattr(HeckeElement, "star", lambda self: self)
+
+
+BIMODULE_FAULTS = [
+    ("bimodule.trace_property", _weigh_by_the_first_slot),
+    ("bimodule.right_equals_transposed_left", _walk_forwards_on_the_right),
+    ("bimodule.gram_identity", _star_without_inverse),
+]
+
+
+def test_bimodule_trace_property_fails_on_slot_dependent_weights(monkeypatch):
+    ctx = ModelContext.create(P_WIDE, slots=4)
+    _weigh_by_the_first_slot(monkeypatch, ctx)
+    assert not _bimodule_results(ctx)["bimodule.trace_property"]
+
+
+def test_bimodule_transpose_check_fails_on_a_forward_right_walk(monkeypatch):
+    ctx = ModelContext.create(P_WIDE, slots=4)
+    _walk_forwards_on_the_right(monkeypatch, ctx)
+    assert not _bimodule_results(ctx)["bimodule.right_equals_transposed_left"]
 
 
 def test_bimodule_gram_identity_fails_on_a_wrong_star(monkeypatch):
-    # T_w* = T_w instead of T_{w^-1}; transpose keeps its own binding
-    monkeypatch.setattr(HeckeElement, "star", lambda self: self)
-    assert not _bimodule_results(ModelContext.create(P_WIDE, slots=4))["bimodule.gram_identity"]
+    ctx = ModelContext.create(P_WIDE, slots=4)
+    _star_without_inverse(monkeypatch, ctx)
+    assert not _bimodule_results(ctx)["bimodule.gram_identity"]
+
+
+@pytest.mark.parametrize("check,fault", BIMODULE_FAULTS, ids=[c for c, _ in BIMODULE_FAULTS])
+def test_a_failing_bimodule_check_names_the_parameters_and_slots(monkeypatch, check, fault):
+    # the witness names the model as well as the drawn elements; the names
+    # and the number of checks stay
+    ctx = ModelContext.create(P_WIDE, slots=4)
+    fault(monkeypatch, ctx)
+    results = bimodule_checks(ctx, Random(2026), 10, 5, 3)
+    assert [r.name for r in results] == [name for name, _ in BIMODULE_FAULTS]
+    (result,) = [r for r in results if r.name == check]
+    assert not result.passed
+    assert result.detail.endswith(f" (params {P_WIDE.to_record()}, 4 slots)"), result.detail
+    assert str(P_WIDE.to_record()) in result.line()
 
 
 def test_transpose_identity_directly():
@@ -1039,7 +1185,11 @@ def _gram_of_xi_states(p, rank):
 
 
 @pytest.mark.parametrize("q", ["2", "2/3"])
-@pytest.mark.parametrize("profile", default_profiles(), ids=lambda p: p[0])
+@pytest.mark.parametrize(
+    "profile",
+    [*default_profiles(), ("two_beta", P_TWO_BETA.alpha, P_TWO_BETA.beta)],
+    ids=lambda p: p[0],
+)
 def test_gram_of_integer_walks_equals_gram_of_xi_states(profile, q):
     p = profile_params(profile, F(q))
     assert gram_matrix(p, 3) == _gram_of_xi_states(p, 3)
