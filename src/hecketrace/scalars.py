@@ -8,7 +8,7 @@ arithmetic).  On top of those this module provides:
   QPoly       polynomials in the indeterminate q, dense coefficient tuple
               (ints stay ints), lowest degree first, trailing zeros trimmed;
   PowerSeries formal series in z truncated at a fixed order M, coefficients
-              of degree 0..M only;
+              of degree 0..M only (ints stay ints);
   SqrtTable / RootElem
               the commutative ring Q[s_1, ..., s_s] / (s_i^2 - x_i) of
               formal square roots of a fixed finite set of positive
@@ -226,7 +226,9 @@ class PowerSeries:
 
     Operations never consult or produce coefficients above the truncation
     order, and combining series of different orders is an error (silent
-    truncation would silently weaken identity checks downstream).
+    truncation would silently weaken identity checks downstream).  Like a
+    QPoly coefficient, an int or Fraction coefficient is stored as given,
+    so products of int series stay in Z.
     """
 
     __slots__ = ("order", "coeffs")
@@ -234,14 +236,14 @@ class PowerSeries:
     def __init__(self, order: int, coeffs: Iterable[Rat] = ()):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_exact(c) for c in coeffs]
         if len(cs) > order + 1:
             raise ValueError(
                 f"got {len(cs)} coefficients for truncation order {order}"
             )
-        cs.extend([Fraction(0)] * (order + 1 - len(cs)))
+        cs.extend([0] * (order + 1 - len(cs)))
         self.order = order
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[Rat, ...] = tuple(cs)
 
     @classmethod
     def one(cls, order: int) -> "PowerSeries":
@@ -273,7 +275,7 @@ def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
             f"truncation orders differ: {a.order} != {b.order}"
         )
     m = a.order
-    out = [Fraction(0)] * (m + 1)
+    out = [0] * (m + 1)
     for i, ca in enumerate(a.coeffs):
         if ca == 0:
             continue
@@ -288,12 +290,13 @@ def series_linear_fraction(b: Rat, c: Rat, order: int) -> PowerSeries:
     """Expansion of (1 + b z) / (1 + c z) to the given order.
 
     The coefficient of z^k for k >= 1 is (-c)^(k-1) (b - c); for b == c the
-    factors cancel and the result is the constant series 1.
+    factors cancel and the result is the constant series 1.  Int b and c
+    give int coefficients.
     """
-    b, c = Fraction(b), Fraction(c)
-    coeffs = [Fraction(1)]
+    b, c = _exact(b), _exact(c)
+    coeffs = [1]
     diff = b - c
-    power = Fraction(1)  # (-c)^(k-1)
+    power = 1  # (-c)^(k-1)
     for _ in range(order):
         coeffs.append(power * diff)
         power *= -c

@@ -21,7 +21,14 @@ exp/Newton identity regroups it without the division: with
 
 which gives chi_1..chi_m in O(m^2) exact operations at every q > 0.  At
 q = 1 it reduces to chi_m = p_m, the classical Thoma character value.
-Values on products of disjoint cycle blocks multiply.
+Values on products of disjoint cycle blocks multiply.  The recurrence runs
+in integers: with q = a/b and the nonzero weights n_i/d, m_j/d over their
+common denominator d, Y_k = k! b^(k-1) d^k chi_k satisfies
+
+    Y_k = (k-1)! W_k + (a - b) sum_{j<k} (k-1)!/(k-j)! W_j Y_{k-j},
+
+where W_k = b^(k-1) [k]_q * d^k p_k is an integer, and each chi_k is one
+division at the end.
 
 Two further evaluation routes are provided for cross-checking: the
 generating function
@@ -29,10 +36,12 @@ generating function
     G(z) = prod_i (1 + beta_i q z)/(1 + beta_i z)
            * prod_j (1 - alpha_j z)/(1 - alpha_j q z)
 
-whose coefficients repackage the same values, and a diagonal-operator sum
-that evaluates the trace as a weighted sum of eigenvalues over
-nondecreasing index tuples (the scalar shadow of the tensor model in
-`tensor`, but computed here without any tensor machinery).
+whose coefficients repackage the same values (expanded in integers in
+u = z/(b d), where every factor has int coefficients, and divided by
+(b d)^k once per coefficient), and a diagonal-operator sum that evaluates
+the trace as a weighted sum of eigenvalues over nondecreasing index tuples
+(the scalar shadow of the tensor model in `tensor`, but computed here
+without any tensor machinery).
 
 All arithmetic is exact; every function either returns a Fraction or an
 exact PowerSeries.
@@ -43,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import prod
+from math import lcm, prod
 from typing import Iterator, Mapping, Sequence
 
 from .scalars import (
@@ -198,19 +207,51 @@ def enumerate_multiplicities(m: int) -> Iterator[dict[int, int]]:
     return rec(m, m)
 
 
+def _weight_numerators(params: TraceParams) -> tuple[int, list[int], list[int]]:
+    """(d, [n_i], [m_j]): the common denominator d of the weights and the
+    numerators of the nonzero ones, alpha_i = n_i/d and beta_j = m_j/d."""
+    d = lcm(*(w.denominator for w in (*params.alpha, *params.beta)))
+
+    def numerators(weights):
+        return [w.numerator * (d // w.denominator) for w in weights if w]
+
+    return d, numerators(params.alpha), numerators(params.beta)
+
+
 def _cycle_values(m: int, params: TraceParams) -> list[Fraction]:
     """[chi(zeta_1), ..., chi(zeta_m)] by the recurrence
-    k chi_k = [k]_q p_k + (q-1) sum_{j<k} [j]_q p_j chi_{k-j}, p_1 := 1."""
-    q = params.q
-    weighted = []  # weighted[k-1] = [k]_q p_k
-    q_int = Fraction(0)
+    k chi_k = [k]_q p_k + (q-1) sum_{j<k} [j]_q p_j chi_{k-j}, p_1 := 1,
+    run in integers.  With q = a/b and the weights over their common
+    denominator d, Q_k = b^(k-1) [k]_q, P_k = d^k p_k and W_k = Q_k P_k are
+    integers, and so is Y_k = k! b^(k-1) d^k chi_k:
+
+        Y_k = (k-1)! W_k + (a-b) sum_{j<k} (k-1)!/(k-j)! W_j Y_{k-j}.
+
+    At gamma = 0, chi_k lies in Z[q, alpha, beta], of degree k-1 in q and
+    homogeneous of degree k in the weights, so b^(k-1) d^k chi_k is already
+    an integer; the k! keeps gamma > 0 integral too (pure gamma gives
+    (q-1)^(k-1)/k!), so one path serves every q > 0 and gamma >= 0.  Each
+    chi_k is formed as a Fraction once, from Y_k.
+    """
+    a, b = params.q.numerator, params.q.denominator
+    d, alphas, betas = _weight_numerators(params)
+    neg_betas = [-x for x in betas]
+    alpha_pows, beta_pows = [1] * len(alphas), [1] * len(betas)  # n_i^k, (-m_j)^k
+    W, Y, chi = [0], [0], []  # W[k], Y[k]; index 0 unused
+    q_k, fact, b_pow, d_pow = 0, 1, 1, 1  # Q_k, (k-1)!, b^(k-1), d^k
     for k in range(1, m + 1):
-        q_int = q_int * q + 1
-        weighted.append(q_int if k == 1 else q_int * super_newton(k, params))
-    chi = []
-    for k in range(1, m + 1):
-        tail = sum((weighted[j - 1] * chi[k - j - 1] for j in range(1, k)), Fraction(0))
-        chi.append((weighted[k - 1] + (q - 1) * tail) / k)
+        q_k = a * q_k + b_pow
+        d_pow *= d
+        alpha_pows = [p * n for p, n in zip(alpha_pows, alphas)]
+        beta_pows = [p * n for p, n in zip(beta_pows, neg_betas)]
+        W.append(q_k * (d if k == 1 else sum(alpha_pows) - sum(beta_pows)))
+        tail = 0  # by Horner: the factor between the j and j+1 terms is k-j
+        for j in range(k - 1, 0, -1):
+            tail = tail * (k - j) + W[j] * Y[k - j]
+        Y.append(fact * W[k] + (a - b) * tail)
+        chi.append(Fraction(Y[k], k * fact * b_pow * d_pow))
+        fact *= k
+        b_pow *= b
     return chi
 
 
@@ -256,20 +297,23 @@ def thoma_trace(m: int, params: TraceParams) -> Fraction:
 def generating_series(params: TraceParams, order: int) -> PowerSeries:
     """The product formula for G(z), expanded exactly to the given order.
 
-    Well defined for every q > 0 including q = 1, where all factors cancel
-    and G is the constant series 1.
+    Expanded in integers in u = z/(b d), for q = a/b and the weights over
+    their common denominator d: a beta factor is (1 + m a u)/(1 + m b u)
+    and an alpha factor (1 - n b u)/(1 - n a u), so the z^k coefficient is
+    an integer over (b d)^k.  Well defined for every q > 0 including q = 1,
+    where all factors cancel and G is the constant series 1.
     """
     if params.gamma != 0:
         raise ValueError("the generating function requires gamma = 0")
-    q = params.q
+    a, b = params.q.numerator, params.q.denominator
+    d, alphas, betas = _weight_numerators(params)
     out = PowerSeries.one(order)
-    for b in params.beta:
-        if b != 0:
-            out = series_mul(out, series_linear_fraction(b * q, b, order))
-    for a in params.alpha:
-        if a != 0:
-            out = series_mul(out, series_linear_fraction(-a, -a * q, order))
-    return out
+    for m_j in betas:
+        out = series_mul(out, series_linear_fraction(m_j * a, m_j * b, order))
+    for n_i in alphas:
+        out = series_mul(out, series_linear_fraction(-n_i * b, -n_i * a, order))
+    scale = b * d
+    return PowerSeries(order, (Fraction(c, scale**k) for k, c in enumerate(out.coeffs)))
 
 
 def series_from_traces(params: TraceParams, order: int) -> PowerSeries:

@@ -101,6 +101,19 @@ def test_series_mul_order_mismatch():
         series_mul(PowerSeries.one(3), PowerSeries.one(4))
 
 
+def test_int_series_stay_int_and_equal_their_fraction_twins():
+    s = PowerSeries(4, [1, -2, 0, 5])
+    assert [type(c) for c in s.coeffs] == [int] * 5
+    twin = PowerSeries(4, [F(1), F(-2), F(0), F(5), F(0)])
+    assert s == twin and hash(s) == hash(twin)
+    assert PowerSeries(2, ["1/2"]).coeffs == (F(1, 2), 0, 0)
+    product = series_mul(s, series_linear_fraction(3, -2, 4))
+    assert all(type(c) is int for c in product.coeffs)
+    assert product == series_mul(twin, series_linear_fraction(F(3), F(-2), 4))
+    assert series_linear_fraction(3, -2, 4) == PowerSeries(4, [1, 5, 10, 20, 40])
+    assert all(type(c) is int for c in series_linear_fraction(3, -2, 4).coeffs)
+
+
 def test_linear_fraction_geometric():
     # 1/(1 - 2z): b = 0, c = -2
     assert series_linear_fraction(0, -2, 3) == PowerSeries(3, [1, 2, 4, 8])

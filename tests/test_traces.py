@@ -1,14 +1,19 @@
 """Closed-form trace evaluators and their internal cross-checks."""
 
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hecketrace import traces
 from hecketrace.hecke import zeta_interval
-from hecketrace.scalars import CrossCheckError, PowerSeries
+from hecketrace.scalars import (
+    CrossCheckError,
+    PowerSeries,
+    series_linear_fraction,
+    series_mul,
+)
 from hecketrace.tensor import ModelContext, matrix_element
 from hecketrace.traces import (
     TraceParams,
@@ -357,3 +362,81 @@ def test_all_routes_agree_on_random_parameters(p):
                 slots = max(m, 2)
                 ctx = ModelContext.create(p, slots=slots)
                 assert matrix_element(ctx, zeta_interval(1, m, rank=slots)) == value
+
+
+# ---------------------------------------------------------------------------
+# the integer routes against their Fraction oracles
+
+
+def cycle_values_by_fractions(m, p):
+    """The recurrence k chi_k = [k]_q p_k + (q-1) sum_{j<k} [j]_q p_j chi_{k-j}
+    run step by step in Fraction, as traces._cycle_values did before it
+    moved into integers; the oracle for that integer route."""
+    q = p.q
+    weighted = []  # weighted[k-1] = [k]_q p_k
+    q_int = F(0)
+    for k in range(1, m + 1):
+        q_int = q_int * q + 1
+        weighted.append(q_int if k == 1 else q_int * super_newton(k, p))
+    chi = []
+    for k in range(1, m + 1):
+        tail = sum((weighted[j - 1] * chi[k - j - 1] for j in range(1, k)), F(0))
+        chi.append((weighted[k - 1] + (q - 1) * tail) / k)
+    return chi
+
+
+def generating_series_by_fractions(p, order):
+    """The product formula for G(z) expanded factor by factor in Fraction
+    in the variable z itself; the oracle for the integer expansion in
+    u = z/(b d) of traces.generating_series."""
+    q = p.q
+    out = PowerSeries.one(order)
+    for b in p.beta:
+        if b != 0:
+            out = series_mul(out, series_linear_fraction(b * q, b, order))
+    for a in p.alpha:
+        if a != 0:
+            out = series_mul(out, series_linear_fraction(-a, -a * q, order))
+    return out
+
+
+# pure-alpha, pure-beta and mixed profiles at gamma = 0, 1/3 and 1, one of
+# them with a zero weight entry
+ORACLE_PROFILES = [
+    (("1/2", "0"), ("1/2",), 0),
+    (("2/3", "1/3"), (), 0),
+    ((), ("3/4", "1/4"), 0),
+    (("1/3",), ("1/3",), "1/3"),
+    (("2/3",), (), "1/3"),
+    ((), ("1/2", "1/6"), "1/3"),
+    ((), (), 1),
+]
+
+
+@pytest.mark.parametrize("q", ["1", "2", "4", "1/3", "5/3"])
+@pytest.mark.parametrize("alpha,beta,gamma", ORACLE_PROFILES)
+def test_integer_routes_equal_the_fraction_oracles(q, alpha, beta, gamma):
+    p = params(q, alpha=alpha, beta=beta, gamma=gamma)
+    assert traces._cycle_values(0, p) == []
+    chi = traces._cycle_values(40, p)
+    assert chi == cycle_values_by_fractions(40, p)
+    for m, value in enumerate(chi[:14], start=1):
+        assert value == (thoma_trace(m, p) if p.q == 1 else paper_partition_sum(m, p))
+    if p.gamma == 0:
+        for order in (0, 1, 40):
+            got = generating_series(p, order)
+            assert got == generating_series_by_fractions(p, order)
+            assert got == series_from_traces(p, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=random_params().filter(lambda p: p.gamma == 0))
+def test_gamma0_values_are_integers_over_one_denominator(p):
+    # trace values lie in Z[q, alpha, beta], of degree m-1 in q and
+    # homogeneous of degree m in the weights
+    b = p.q.denominator
+    d = lcm(*(w.denominator for w in (*p.alpha, *p.beta)))
+    for m, value in enumerate(traces._cycle_values(30, p), start=1):
+        assert (value * b ** (m - 1) * d**m).denominator == 1
+    for k, c in enumerate(generating_series(p, 30).coeffs):
+        assert (c * (b * d) ** k).denominator == 1
