@@ -370,8 +370,8 @@ def test_all_routes_agree_on_random_parameters(p):
 
 def cycle_values_by_fractions(m, p):
     """The recurrence k chi_k = [k]_q p_k + (q-1) sum_{j<k} [j]_q p_j chi_{k-j}
-    run step by step in Fraction, as traces._cycle_values did before it
-    moved into integers; the oracle for that integer route."""
+    run step by step in Fraction; the oracle for the integer route
+    traces._cycle_values."""
     q = p.q
     weighted = []  # weighted[k-1] = [k]_q p_k
     q_int = F(0)
