@@ -64,8 +64,10 @@ by position keeps the index order.  With B = |S| and code(I) = sum_k
 pos(I_k) B^(k-1), a state stores the term c t^k on eta[I; J] as the entry
 key: c, where key = 2 (code(I) + B^slots code(J)) + k.  At slot a the pair
 (I_a, I_(a+1)) is the digit (key // (2 B^(a-1))) % B^2, and each image
-adds a delta that is fixed per slot, pair and grade.  Each route derives
-these rows from ctx.r_matrix when it starts.  Index tuples make poor keys:
+adds a delta that is fixed per slot, pair and grade.  Each model derives
+these rows from ctx.r_matrix once, on first use (ModelContext.walk, and
+ModelContext.diagonal_walk for the diagonal rows), and every route of the
+model reads them there.  Index tuples make poor keys:
 in CPython hash(-1) == hash(-2), so all tuples of one length over the two
 beta indices -1 and -2 share one hash, and a dict lookup among them walks
 one long collision chain.
@@ -76,8 +78,10 @@ the even and the odd power of t into two ints, and each route divides
 once, by b^(steps) d^slots for d the common denominator of the weights.
 Trace values are rational, so every route asserts that the odd sum
 vanishes and raises CrossCheckError otherwise.  normal_form keeps the
-grade in sigma, and omega_trace reads the odd permutations as the
-sqrt(q) part that must vanish.  No route forms a RootElem.  apply_r,
+grade in sigma, which it reads off per-code tables of stable-sort ranks,
+and omega_trace reads the odd permutations as the sqrt(q) part that must
+vanish; it sums its entries in integers over d^slots, one Fraction per
+denominator of the entries.  No route forms a RootElem.  apply_r,
 apply_hecke and xi_state keep the RootElem states in Q[sqrt(q), sqrt(a_i)]
 as the reference action: verify -v prints Xi, and the tests hold them as
 the oracle of the walks.  Only they build the context's SqrtTable.
@@ -85,6 +89,7 @@ the oracle of the walks.  Only they build the context's SqrtTable.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -94,7 +99,7 @@ from random import Random
 from typing import Iterable, Literal, Mapping, NamedTuple
 
 from .hecke import HeckeElement, mul as hecke_mul
-from .permutations import Perm, all_perms, length, reduced_word
+from .permutations import Perm, all_perms, inverse, length, reduced_word
 from .report import CheckResult
 from .scalars import CrossCheckError, RootElem, SqrtTable, format_fraction, sparse_sum
 from .traces import TraceParams, WeightFunction
@@ -179,19 +184,37 @@ class ModelContext:
                     rows.append(((y, x), 1, -1))
         return table
 
+    @cached_property
+    def walk(self) -> "_Walk":
+        """The integer walk of b R, read from r_matrix on first use; every
+        route of the model walks it."""
+        return _walk_of(self)
+
+    @cached_property
+    def diagonal_walk(self) -> "_Walk":
+        """The walk of the diagonal rows of r_matrix only (diagonal_zeta)."""
+        return _walk_of(self, diagonal=True)
+
     @property
     def t_squared(self) -> int:
         """t^2 = a b for q = a/b."""
         return self.q.numerator * self.q.denominator
 
     @cached_property
+    def weight_numerators(self) -> tuple[int, dict]:
+        """(d, {i: n_i}): the common denominator d of the nonzero weights and
+        the numerator n_i of a_i = n_i / d for every index of the support,
+        0 for an index of weight zero."""
+        d = lcm(*(self.weight(i).denominator for i in self.support))
+        return d, {i: (self.weight(i) * d).numerator for i in self.support}
+
+    @cached_property
     def unit_diagonal(self) -> tuple[dict, dict, int]:
         """Xi_1 as a flat state, the numerators n_J = prod_k n_{J_k} of the
         weights a_i = n_i / d keyed by code(J), and d^slots."""
         size = len(self.support)
-        live = [(p, self.weight(i)) for p, i in enumerate(self.support) if self.weight(i) != 0]
-        d = lcm(*(a.denominator for _, a in live))
-        live = [(p, (a * d).numerator) for p, a in live]
+        d, numerators = self.weight_numerators
+        live = [(p, numerators[i]) for p, i in enumerate(self.support) if numerators[i]]
         nums = {0: 1}
         for k in range(self.slots):
             unit = size**k
@@ -375,7 +398,8 @@ class _Walk(NamedTuple):
 
 def _walk_of(ctx: ModelContext, diagonal: bool = False) -> _Walk:
     """The walk of b R read from ctx.r_matrix, with diagonal only the rows
-    whose image is the pair itself."""
+    whose image is the pair itself: the builder behind ModelContext.walk and
+    ModelContext.diagonal_walk."""
     support, ab = ctx.support, ctx.t_squared
     size = len(support)
     pos = {x: i for i, x in enumerate(support)}
@@ -491,7 +515,7 @@ def r_matrix_laws(ctx: ModelContext, side: Side) -> tuple[bool, bool]:
         raise ValueError(f"slot {ctx.slots} out of range for {ctx.slots} slots")
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    walk = _walk_of(ctx)
+    walk = ctx.walk
     a, b, ab = ctx.q.numerator, ctx.q.denominator, walk.ab
     basis = _diagonal_keys(walk.span, range(walk.span))
 
@@ -521,7 +545,7 @@ def matrix_element(ctx: ModelContext, x: HeckeElement) -> Fraction:
     and the sum is divided once and checked to be rational, which is
     asserted, not assumed."""
     _check_rank(ctx, x)
-    walk = _walk_of(ctx)
+    walk = ctx.walk
     xi1, nums, d_slots = ctx.unit_diagonal
     terms, denom = _integer_terms(ctx, x)
     even = odd = 0
@@ -559,12 +583,19 @@ def normal_form(
     the basis tensors eta[I; I]: the tag J = I of each walked term names
     the entry it started from.  R swaps only unequal indices, so equal
     indices never cross, and sigma is the one permutation that carries the
-    tag to the walked tuple keeping equal indices in their order.  A swap
-    flips the power k of t and moves sigma by one transposition, so every
-    walked term sits at the grade k = l(sigma) mod 2; this is asserted, and
-    a term off its grade raises CrossCheckError.  Each final key is decoded
-    once into its tuple and tag, and c and the division by b^k are applied
-    once per final entry.
+    tag to the walked tuple keeping equal indices in their order: with
+    start(I) the stable sorting order of I as a permutation, sigma =
+    start(tag) start(I)^-1, that is sigma[k] = start(tag)[rank(I)[k]] for
+    rank(I)[k] the place of position k in the stable sort.  These tables are
+    built once per call, one entry per code of the |S|^slots codes, so no
+    entry sorts a tuple.  A swap flips the power k of t and moves sigma by
+    one transposition, so every walked term sits at the grade k = l(sigma)
+    mod 2, the sum of the parities of start(tag) and start(I); this is
+    asserted, and a term off its grade raises CrossCheckError.  The entry
+    (sigma, I) determines its tag, so the terms of x are summed on the walked
+    keys themselves; sigma and I are decoded only for the final nonzero
+    entries, and c and the division by b^k are applied once per final
+    entry.
 
     >>> ctx = ModelContext.create(TraceParams(q=Fraction(2), alpha=(Fraction(1, 2),) * 2), 2)
     >>> op = normal_form(ctx, HeckeElement.generator(1, 2))
@@ -576,44 +607,58 @@ def normal_form(
     5/4
     """
     _check_rank(ctx, x)
-    walk = _walk_of(ctx)
+    walk = ctx.walk
     span = walk.span
     # tuples[code(I)] = I: the product varies its last entry fastest
     tuples = [tup[::-1] for tup in _cartesian(ctx.support, repeat=ctx.slots)]
+    starts, ranks, parity = _stable_sorts(walk.size, ctx.slots)
     tagged = _diagonal_keys(span, range(span))
     terms, denom = _integer_terms(ctx, x)
-    grades: dict[Perm, int] = {}
-    raw: dict = {}
+    raw: dict = {}  # every walked key, also where the terms cancel
+    get = raw.get
     for word, f in terms:
         for key, v in _int_walk(walk, word, tagged).items():
-            code_tag, code = divmod(key >> 1, span)
-            tup, tag, k = tuples[code], tuples[code_tag], key & 1
-            sigma = _carrying(tag, tup)
-            grade = grades.get(sigma)
-            if grade is None:
-                grade = grades[sigma] = length(sigma) % 2
-            if k != grade:
-                raise CrossCheckError(
-                    f"normal form entry {sigma} at {tup} from {tag} has t^{k}, off its grade "
-                    f"{grade} (params {ctx.params.to_record()}, {ctx.slots} slots)"
-                )
-            raw[sigma, tup] = raw.get((sigma, tup), 0) + v * f
-    b = ctx.q.denominator
+            raw[key] = get(key, 0) + v * f
+    scales = (1, ctx.q.denominator)  # b^k
     out: dict[Perm, dict[tuple[int, ...], Fraction]] = {}
-    for (sigma, tup), v in raw.items():
+    for key, v in raw.items():
+        code_tag, code = divmod(key >> 1, span)
+        grade = parity[code_tag] ^ parity[code]
+        if key & 1 != grade:
+            sigma = tuple(map(starts[code_tag].__getitem__, ranks[code]))
+            raise CrossCheckError(
+                f"normal form entry {sigma} at {tuples[code]} from {tuples[code_tag]} has "
+                f"t^{key & 1}, off its grade {grade} (params {ctx.params.to_record()}, "
+                f"{ctx.slots} slots)"
+            )
         if v:
-            out.setdefault(sigma, {})[tup] = Fraction(v * b ** grades[sigma], denom)
+            sigma = tuple(map(starts[code_tag].__getitem__, ranks[code]))
+            table = out.get(sigma)
+            if table is None:
+                table = out[sigma] = {}
+            table[tuples[code]] = Fraction(v * scales[grade], denom)
     return out
 
 
-def _carrying(start: tuple[int, ...], end: tuple[int, ...]) -> Perm:
-    """The permutation sigma with end[k] = start[sigma(k) - 1] that keeps
-    equal indices in their order."""
-    sigma = [0] * len(end)
-    order = sorted(range(len(start)), key=start.__getitem__)
-    for k, s in zip(sorted(range(len(end)), key=end.__getitem__), order):
-        sigma[k] = s + 1
-    return tuple(sigma)
+def _stable_sorts(size: int, slots: int) -> tuple[list, list, list]:
+    """The stable sort of every index tuple, by code: (starts, ranks,
+    parity) with starts[c] = start(I) = (p_1 + 1, .., p_n + 1) for
+    I[p_1] <= .. <= I[p_n], equal indices in their order, ranks[c][k] the
+    place of position k in that sort (start(I)^-1 - 1), and parity[c] =
+    l(start(I)) mod 2, for I the tuple of code c.
+
+    Built one slot at a time, in code order: appending position k with
+    support place p to a tuple whose entries le[r] have places <= r puts k
+    at place le[p] of the sort, behind the k - 1 - le[p] larger entries it
+    adds as inversions.  No index tuple is sorted; ranks inverts each start."""
+    starts, parity, le = [()], [0], [(0,) * size]
+    for k in range(1, slots + 1):
+        starts = [s[: g[p]] + (k,) + s[g[p] :] for p in range(size) for s, g in zip(starts, le)]
+        parity = [x ^ ((k - 1 - g[p]) & 1) for p in range(size) for x, g in zip(parity, le)]
+        if k < slots:
+            le = [g[:p] + tuple(v + 1 for v in g[p:]) for p in range(size) for g in le]
+    ranks = [sorted(range(slots), key=start.__getitem__) for start in starts]
+    return starts, ranks, parity
 
 
 def omega_trace(
@@ -630,13 +675,30 @@ def omega_trace(
     On the output of normal_form only the identity table contributes: R
     swaps only unequal indices, so no entry with sigma != id fixes its
     tuple.  Every entry given is still read, so a normal form from elsewhere
-    is summed in full."""
-    parts = [Fraction(0), Fraction(0)]
+    is summed in full.  The index tuples have the model's slot count.
+
+    The sums run in integers: the points that sigma moves are found once per
+    table, a_i = n_i / d, and phi.numerator n_I for n_I = prod_k n_(I_k) is
+    summed per grade and per phi.denominator, over d^slots; one Fraction is
+    formed per distinct denominator."""
+    d, numerators = ctx.weight_numerators
+    weight = defaultdict(int, numerators).__getitem__  # 0 off the support
+    sums: tuple[dict, dict] = ({}, {})  # per grade: {phi.denominator: sum}
     for sigma, table in op.items():
-        grade = length(sigma) % 2
-        for tup, phi in table.items():
-            if all(tup[s - 1] == i for s, i in zip(sigma, tup)):
-                parts[grade] += phi * prod(map(ctx.weight, tup))
+        moved = [(k, s - 1) for k, s in enumerate(sigma) if s != k + 1]
+        fixed = table.items()
+        if moved:
+            fixed = [(tup, phi) for tup, phi in fixed if all(tup[k] == tup[s] for k, s in moved)]
+        acc = sums[length(sigma) % 2]
+        for tup, phi in fixed:
+            n = prod(map(weight, tup))
+            if n:
+                acc[phi.denominator] = acc.get(phi.denominator, 0) + phi.numerator * n
+    d_slots = d**ctx.slots
+    parts = [
+        sum((Fraction(n, den * d_slots) for den, n in acc.items()), Fraction(0))
+        for acc in sums
+    ]
     # sqrt(q) = t / b
     return _rational(ctx, parts[0], parts[1] / ctx.q.denominator, 1, "omega trace")
 
@@ -652,7 +714,7 @@ def diagonal_zeta(ctx: ModelContext, m: int) -> Fraction:
     Xi_1, and one division by b^(m - 1) d^slots returns to true units."""
     if not 1 <= m <= ctx.slots:
         raise ValueError(f"need 1 <= m <= {ctx.slots}, got {m}")
-    walk = _walk_of(ctx, diagonal=True)
+    walk = ctx.diagonal_walk
     xi1, nums, d_slots = ctx.unit_diagonal
     acted = _int_walk(walk, range(1, m), xi1)
     even, odd = _pairing(walk, acted, xi1, nums)
@@ -693,7 +755,7 @@ def bimodule_checks(
     by matrix_element.
     """
     n = ctx.slots
-    walk = _walk_of(ctx)
+    walk = ctx.walk
     xi1, nums, d_slots = ctx.unit_diagonal
     where = f"(params {ctx.params.to_record()}, {n} slots)"
 
@@ -769,7 +831,7 @@ def gram_matrix(params: TraceParams, rank: int) -> list[list[Fraction]]:
     the first entry of the matrix that fails the rationality check lies on
     or above the diagonal."""
     ctx = ModelContext.create(params, rank)
-    walk = _walk_of(ctx)
+    walk = ctx.walk
     xi1, nums, d_slots = ctx.unit_diagonal
     words = [reduced_word(u) for u in all_perms(rank)]
     states = [_int_walk(walk, reversed(word), xi1) for word in words]

@@ -28,7 +28,7 @@ common denominator d, Y_k = k! b^(k-1) d^k chi_k satisfies
     Y_k = (k-1)! W_k + (a - b) sum_{j<k} (k-1)!/(k-j)! W_j Y_{k-j},
 
 where W_k = b^(k-1) [k]_q * d^k p_k is an integer, and each chi_k is one
-division at the end.
+division at the end; zeta_trace divides out chi_m alone.
 
 Two further evaluation routes are provided for cross-checking: the
 generating function
@@ -41,7 +41,8 @@ u = z/(b d), where every factor has int coefficients, and divided by
 (b d)^k once per coefficient), and a diagonal-operator sum that evaluates
 the trace as a weighted sum of eigenvalues over nondecreasing index tuples
 (the scalar shadow of the tensor model in `tensor`, but computed here
-without any tensor machinery).
+without any tensor machinery).  Its two summation strategies, by tuples and
+by exponent vectors, each run in integers over b^(m-1) d^m and divide once.
 
 All arithmetic is exact; every function either returns a Fraction or an
 exact PowerSeries.
@@ -218,8 +219,9 @@ def _weight_numerators(params: TraceParams) -> tuple[int, list[int], list[int]]:
     return d, numerators(params.alpha), numerators(params.beta)
 
 
-def _cycle_values(m: int, params: TraceParams) -> list[Fraction]:
-    """[chi(zeta_1), ..., chi(zeta_m)] by the recurrence
+def _cycle_numerators(m: int, params: TraceParams) -> Iterator[tuple[int, int]]:
+    """The pairs (Y_k, k! b^(k-1) d^k) for k = 1, .., m, chi(zeta_k) = Y_k /
+    (k! b^(k-1) d^k), by the recurrence
     k chi_k = [k]_q p_k + (q-1) sum_{j<k} [j]_q p_j chi_{k-j}, p_1 := 1,
     run in integers.  With q = a/b and the weights over their common
     denominator d, Q_k = b^(k-1) [k]_q, P_k = d^k p_k and W_k = Q_k P_k are
@@ -230,14 +232,15 @@ def _cycle_values(m: int, params: TraceParams) -> list[Fraction]:
     At gamma = 0, chi_k lies in Z[q, alpha, beta], of degree k-1 in q and
     homogeneous of degree k in the weights, so b^(k-1) d^k chi_k is already
     an integer; the k! keeps gamma > 0 integral too (pure gamma gives
-    (q-1)^(k-1)/k!), so one path serves every q > 0 and gamma >= 0.  Each
-    chi_k is formed as a Fraction once, from Y_k.
+    (q-1)^(k-1)/k!), so one path serves every q > 0 and gamma >= 0.  No
+    value is divided here: the caller forms each chi_k it needs as a
+    Fraction once.
     """
     a, b = params.q.numerator, params.q.denominator
     d, alphas, betas = _weight_numerators(params)
     neg_betas = [-x for x in betas]
     alpha_pows, beta_pows = [1] * len(alphas), [1] * len(betas)  # n_i^k, (-m_j)^k
-    W, Y, chi = [0], [0], []  # W[k], Y[k]; index 0 unused
+    W, Y = [0], [0]  # W[k], Y[k]; index 0 unused
     q_k, fact, b_pow, d_pow = 0, 1, 1, 1  # Q_k, (k-1)!, b^(k-1), d^k
     for k in range(1, m + 1):
         q_k = a * q_k + b_pow
@@ -249,15 +252,20 @@ def _cycle_values(m: int, params: TraceParams) -> list[Fraction]:
         for j in range(k - 1, 0, -1):
             tail = tail * (k - j) + W[j] * Y[k - j]
         Y.append(fact * W[k] + (a - b) * tail)
-        chi.append(Fraction(Y[k], k * fact * b_pow * d_pow))
+        yield Y[k], k * fact * b_pow * d_pow
         fact *= k
         b_pow *= b
-    return chi
+
+
+def _cycle_values(m: int, params: TraceParams) -> list[Fraction]:
+    """[chi(zeta_1), ..., chi(zeta_m)], each formed as a Fraction once from
+    _cycle_numerators."""
+    return [Fraction(y, scale) for y, scale in _cycle_numerators(m, params)]
 
 
 def zeta_trace(m: int, params: TraceParams) -> Fraction:
     """Trace value on the m-cycle element zeta_m, by the cycle-value
-    recurrence; defined at every q > 0.
+    recurrence; defined at every q > 0.  Only chi_m is divided out.
 
     >>> half = Fraction(1, 2)
     >>> zeta_trace(2, TraceParams(q=2, alpha=(half, half)))
@@ -267,7 +275,8 @@ def zeta_trace(m: int, params: TraceParams) -> Fraction:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _cycle_values(m, params)[-1]
+    *_, (y, scale) = _cycle_numerators(m, params)
+    return Fraction(y, scale)
 
 
 def partition_trace(parts: Sequence[int], params: TraceParams) -> Fraction:
@@ -350,16 +359,20 @@ def delta_eigenvalue(indices: Sequence[int], q: Rat) -> Fraction:
     if any(indices[i] > indices[i + 1] for i in range(len(indices) - 1)):
         raise ValueError("indices must be nondecreasing")
     q = Fraction(q)
-    neg_mult: dict[int, int] = {}
-    pos_mult: dict[int, int] = {}
-    for i in indices:
-        (neg_mult if i < 0 else pos_mult)[i] = (
-            (neg_mult if i < 0 else pos_mult).get(i, 0) + 1
-        )
-    sign = -1 if sum(c - 1 for c in neg_mult.values()) % 2 else 1
-    qpow = q ** sum(c - 1 for c in pos_mult.values())
-    blocks = len(neg_mult) + len(pos_mult)
-    return sign * qpow * (q - 1) ** (blocks - 1)
+    sign, e, r = _eigen_exponents(indices)
+    return sign * q**e * (q - 1) ** (r - 1)
+
+
+def _eigen_exponents(indices: Sequence[int]) -> tuple[int, int, int]:
+    """(sign, e, r) of the eigenvalue sign q^e (q-1)^(r-1) of delta_eigenvalue
+    on a tuple of nonzero indices: sign = (-1)^(sum(mu_k - 1)) over the
+    negative blocks, e = sum(nu_l - 1) over the positive ones, and r the
+    number of blocks, u + v."""
+    negative = [i for i in indices if i < 0]
+    positive = [i for i in indices if i > 0]
+    u, v = len(set(negative)), len(set(positive))
+    sign = -1 if (len(negative) - u) % 2 else 1
+    return sign, len(positive) - v, u + v
 
 
 def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
@@ -373,10 +386,23 @@ def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
 
 
 def _zeta_by_tuples(m: int, weights: WeightFunction, q: Fraction) -> Fraction:
-    total = Fraction(0)
+    """The sum over nondecreasing index tuples I of delta_eigenvalue(I)
+    prod_k a_(I_k), in integers: with q = a/b and a_i = n_i/d, the tuple
+    adds sign a^e (a-b)^(r-1) b^(m-e-r) prod_k n_(I_k) over b^(m-1) d^m
+    (e + r <= m, the number of positive entries plus the negative blocks).
+    The tuples are grouped by (sign, e, r), and one Fraction is formed."""
+    a, b = q.numerator, q.denominator
+    d = lcm(*(w.denominator for w in weights.weights.values()))
+    numerators = {i: (weights(i) * d).numerator for i in weights.support}
+    groups: dict[tuple[int, int, int], int] = {}
     for tup in combinations_with_replacement(weights.support, m):
-        total += delta_eigenvalue(tup, q) * prod(map(weights, tup))
-    return total
+        exponents = _eigen_exponents(tup)
+        groups[exponents] = groups.get(exponents, 0) + prod(map(numerators.__getitem__, tup))
+    total = sum(
+        sign * a**e * (a - b) ** (r - 1) * b ** (m - e - r) * n
+        for (sign, e, r), n in groups.items()
+    )
+    return Fraction(total, b ** (m - 1) * d**m)
 
 
 def _zeta_by_exponents(m: int, params: TraceParams, q: Fraction) -> Fraction:
@@ -384,21 +410,27 @@ def _zeta_by_exponents(m: int, params: TraceParams, q: Fraction) -> Fraction:
     beta entries and psi over the nonzero alpha entries, sum(phi) +
     sum(psi) = m; each nonzero exponent block contributes
     -(-beta_i)^phi_i resp. (q alpha_j)^psi_j / q, and r nonzero blocks
-    together contribute (q-1)^(r-1)."""
-    betas = [b for b in params.beta if b != 0]
-    alphas = [a for a in params.alpha if a != 0]
-    total = Fraction(0)
+    together contribute (q-1)^(r-1).  In integers, with q = a/b and the
+    weights m_i/d, n_j/d: a block adds -(-m_i)^phi_i resp. a^(psi_j - 1)
+    n_j^psi_j, and the term is over b^(r - 1 + sum(psi_j - 1)) d^m, the
+    sum over the nonzero psi_j, which divides b^(m-1) d^m; one Fraction is
+    formed."""
+    a, b = q.numerator, q.denominator
+    d, alphas, betas = _weight_numerators(params)
+    total = 0
     for combo in _compositions(m, len(betas) + len(alphas)):
         phi, psi = combo[: len(betas)], combo[len(betas):]
-        term = (q - 1) ** (sum(1 for e in combo if e) - 1)
-        for b, e in zip(betas, phi):
+        r = sum(1 for e in combo if e)
+        term, shift = (a - b) ** (r - 1), r - 1  # shift: the power of b taken
+        for m_i, e in zip(betas, phi):
             if e:
-                term *= -((-b) ** e)
-        for a, e in zip(alphas, psi):
+                term *= -((-m_i) ** e)
+        for n_j, e in zip(alphas, psi):
             if e:
-                term *= (q * a) ** e / q
-        total += term
-    return total
+                term *= a ** (e - 1) * n_j**e
+                shift += e - 1
+        total += term * b ** (m - 1 - shift)
+    return Fraction(total, b ** (m - 1) * d**m)
 
 
 def zeta_trace_diagonal(m: int, params: TraceParams) -> Fraction:

@@ -12,7 +12,7 @@ from hecketrace.hecke import (
     zeta_interval,
     zeta_partition,
 )
-from hecketrace import hecke, permutations
+from hecketrace import hecke, permutations, suites
 from hecketrace.permutations import adjacent_transposition, all_perms, compose
 from hecketrace.scalars import QPoly
 
@@ -123,6 +123,20 @@ def test_basis_closure():
         for _ in range(6):
             x = gen_mul_left(rng.randrange(1, n), x)
         assert all(len(w) == n for w in x.terms)
+
+
+def test_basis_closure_check_rejects_a_key_that_is_no_permutation(monkeypatch):
+    # a product whose one key has length n but repeats a letter: within n!
+    # keys of length n, yet outside the T-basis
+    def faulty(m, x):
+        out = HeckeElement.unit(x.rank)
+        out.terms = {(1,) * x.rank: QPoly.const(1)}
+        return out
+
+    assert all(r.passed for r in suites.hecke_suite())
+    monkeypatch.setattr(suites, "gen_mul_left", faulty)
+    closure = {r.name: r.passed for r in suites.hecke_suite() if ".basis_closure." in r.name}
+    assert closure == {f"hecke.basis_closure.n{n}": False for n in range(2, 6)}
 
 
 # ---------------------------------------------------------------------------

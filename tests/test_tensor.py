@@ -724,6 +724,126 @@ def test_no_normal_form_entry_off_the_identity_fixes_its_tuple(rank, q):
                 assert sigma == identity(rank) or not fixed, (w, sigma, fixed)
 
 
+# the per-entry bodies that normal_form and omega_trace replaced, kept as
+# their oracles
+
+
+def carrying_by_sorts(start, end):
+    """The permutation sigma with end[k] = start[sigma(k) - 1] that keeps
+    equal indices in their order, by two stable sorts per pair of tuples."""
+    sigma = [0] * len(end)
+    order = sorted(range(len(start)), key=start.__getitem__)
+    for k, s in zip(sorted(range(len(end)), key=end.__getitem__), order):
+        sigma[k] = s + 1
+    return tuple(sigma)
+
+
+def normal_form_by_carrying(ctx, x):
+    """Oracle for normal_form: the same walk from every basis tensor, with
+    sigma found per walked entry by carrying_by_sorts, its grade asserted,
+    and the coefficients summed keyed by (sigma, I)."""
+    walk = tensor._walk_of(ctx)
+    span = walk.span
+    tuples = [tup[::-1] for tup in cartesian(ctx.support, repeat=ctx.slots)]
+    tagged = tensor._diagonal_keys(span, range(span))
+    terms, denom = tensor._integer_terms(ctx, x)
+    raw = {}
+    for word, f in terms:
+        for key, v in tensor._int_walk(walk, word, tagged).items():
+            code_tag, code = divmod(key >> 1, span)
+            entry = carrying_by_sorts(tuples[code_tag], tuples[code]), tuples[code]
+            assert key & 1 == length(entry[0]) % 2, entry
+            raw[entry] = raw.get(entry, 0) + v * f
+    out = {}
+    for (sigma, tup), v in raw.items():
+        if v:
+            out.setdefault(sigma, {})[tup] = F(v * ctx.q.denominator ** (length(sigma) % 2), denom)
+    return out
+
+
+def omega_trace_by_fractions(ctx, op):
+    """Oracle for omega_trace: every entry whose permutation fixes its
+    tuple adds phi prod_k a_(I_k) in Fraction to the part of its grade."""
+    parts = [F(0), F(0)]
+    for sigma, table in op.items():
+        grade = length(sigma) % 2
+        for tup, phi in table.items():
+            if all(tup[s - 1] == i for s, i in zip(sigma, tup)):
+                parts[grade] += phi * prod(map(ctx.weight, tup))
+    return tensor._rational(ctx, parts[0], parts[1] / ctx.q.denominator, 1, "omega trace")
+
+
+def test_stable_sort_tables_equal_carrying_by_sorts():
+    # every pair of tuples of 4 slots over 3 indices, not only the pairs a
+    # walk reaches
+    tuples = [tup[::-1] for tup in cartesian((-1, 1, 2), repeat=4)]
+    starts, ranks, parity = tensor._stable_sorts(3, 4)
+    assert len(starts) == len(ranks) == len(parity) == 81
+    for c, tup in enumerate(tuples):
+        assert parity[c] == length(starts[c]) % 2 == length(carrying_by_sorts(tuples[0], tup)) % 2
+        for tag_code, tag in enumerate(tuples):
+            sigma = tuple(map(starts[tag_code].__getitem__, ranks[c]))
+            assert sigma == carrying_by_sorts(tag, tup), (tag, tup)
+
+
+# P1-P5, each without and with an extra index of weight 0
+PER_ENTRY_MODELS = [
+    (name, alpha, beta, extra) for name, alpha, beta in default_profiles() for extra in ((), (-2,))
+]
+
+
+@pytest.mark.parametrize("q", ["2", "1/3", "1", "5/4"])
+@pytest.mark.parametrize(
+    "model", PER_ENTRY_MODELS, ids=lambda m: m[0] + ("_zero_weight" if m[3] else "")
+)
+def test_normal_form_and_omega_trace_equal_their_per_entry_oracles(model, q):
+    for rank in (3, 4):
+        ctx = oracle_context(model, q, rank)
+        elements = [HeckeElement.basis(w) for w in all_perms(rank)]
+        elements.append(
+            HeckeElement.basis(tuple(range(rank, 0, -1)))
+            + HeckeElement.generator(1, rank).scale(F(-3, 2))
+        )
+        for x in elements:
+            op = normal_form(ctx, x)
+            assert op == normal_form_by_carrying(ctx, x), x
+            value = omega_trace(ctx, op)
+            assert value == omega_trace_by_fractions(ctx, op) == matrix_element(ctx, x), x
+
+
+def test_omega_trace_sums_mixed_denominators_like_its_fraction_oracle():
+    # entries over 1, 3, 4, 5, 6, 7 and 10, one on the index 3 of weight 0,
+    # and an even 3-cycle that fixes only constant tuples; an odd table
+    # whose entries on (1, 1, 2) and (-1, -1, 2) fix their tuples leaves a
+    # sqrt(q) part, and both sums must raise the same error
+    ctx = ModelContext.create(P_WIDE, slots=3, extra_indices=(3,))
+    op = {
+        identity(3): {
+            (1, 1, 1): F(1, 3),
+            (1, 2, -1): F(-2, 5),
+            (2, 2, 2): F(7),
+            (3, 1, 1): F(5),
+            (-1, 1, 2): F(1, 6),
+        },
+        (2, 3, 1): {(1, 1, 1): F(3, 7), (2, 2, 1): F(9, 4), (-1, -1, -1): F(1, 10)},
+    }
+    want = (
+        F(1, 3) * F(2, 3) ** 3
+        - F(2, 5) * F(2, 3) * F(1, 6) ** 2
+        + 7 * F(1, 6) ** 3
+        + F(1, 6) * F(1, 6) * F(2, 3) * F(1, 6)
+        + F(3, 7) * F(2, 3) ** 3
+        + F(1, 10) * F(1, 6) ** 3
+    )
+    assert omega_trace(ctx, op) == omega_trace_by_fractions(ctx, op) == want
+    op[(2, 1, 3)] = {(1, 1, 2): F(2, 3), (2, 1, 1): F(5, 9), (-1, -1, 2): F(1, 4)}
+    with pytest.raises(CrossCheckError, match="omega trace .* 3 slots") as got:
+        omega_trace(ctx, op)
+    with pytest.raises(CrossCheckError) as oracle:
+        omega_trace_by_fractions(ctx, op)
+    assert str(got.value) == str(oracle.value)
+
+
 def test_generator_operator_matches_apply_r():
     ctx = ModelContext.create(P_WIDE, slots=4)
     rng = Random(31)

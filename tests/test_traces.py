@@ -1,7 +1,10 @@
 """Closed-form trace evaluators and their internal cross-checks."""
 
+import inspect
+import textwrap
 from fractions import Fraction as F
-from math import factorial, lcm
+from itertools import combinations_with_replacement
+from math import factorial, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -440,3 +443,100 @@ def test_gamma0_values_are_integers_over_one_denominator(p):
         assert (value * b ** (m - 1) * d**m).denominator == 1
     for k, c in enumerate(generating_series(p, 30).coeffs):
         assert (c * (b * d) ** k).denominator == 1
+
+
+# the Fraction bodies of the two diagonal-sum strategies, kept as the
+# oracles of the integer sums in traces
+
+
+def zeta_by_tuples_by_fractions(m, weights, q):
+    """sum over the nondecreasing index tuples I of delta_eigenvalue(I, q)
+    prod_k a_(I_k), one Fraction per tuple."""
+    total = F(0)
+    for tup in combinations_with_replacement(weights.support, m):
+        total += delta_eigenvalue(tup, q) * prod(map(weights, tup))
+    return total
+
+
+def zeta_by_exponents_by_fractions(m, p, q):
+    """The same sum over exponent vectors: each nonzero block contributes
+    -(-beta_i)^phi_i resp. (q alpha_j)^psi_j / q, and r nonzero blocks
+    (q-1)^(r-1), in Fraction."""
+    betas = [b for b in p.beta if b != 0]
+    alphas = [a for a in p.alpha if a != 0]
+    total = F(0)
+    for combo in traces._compositions(m, len(betas) + len(alphas)):
+        phi, psi = combo[: len(betas)], combo[len(betas):]
+        term = (q - 1) ** (sum(1 for e in combo if e) - 1)
+        for b, e in zip(betas, phi):
+            if e:
+                term *= -((-b) ** e)
+        for a, e in zip(alphas, psi):
+            if e:
+                term *= (q * a) ** e / q
+        total += term
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=random_params().filter(lambda p: p.gamma == 0))
+def test_diagonal_strategies_are_integers_over_one_denominator(p):
+    # both sums lie in Z[q, alpha, beta], of degree m-1 in q and homogeneous
+    # of degree m in the weights, so b^(m-1) d^m times each is an integer;
+    # the integer strategies equal their Fraction oracles
+    b = p.q.denominator
+    d = lcm(*(w.denominator for w in (*p.alpha, *p.beta)))
+    weights = WeightFunction.from_params(p)
+    for m in range(1, 8):
+        scale = b ** (m - 1) * d**m
+        by_tuples = zeta_by_tuples_by_fractions(m, weights, p.q)
+        by_exponents = zeta_by_exponents_by_fractions(m, p, p.q)
+        assert by_tuples == by_exponents
+        assert (by_tuples * scale).denominator == 1
+        assert traces._zeta_by_tuples(m, weights, p.q) == by_tuples
+        assert traces._zeta_by_exponents(m, p, p.q) == by_exponents
+
+
+def _mutated(fn, old, new):
+    """fn recompiled from its source with the one occurrence of old replaced
+    by new, in the globals of its module."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, old
+    code = compile(source.replace(old, new), inspect.getsourcefile(fn), "exec")
+    namespace = {}
+    exec(code, fn.__globals__, namespace)
+    return namespace[fn.__name__]
+
+
+@pytest.mark.parametrize("strategy", ["_zeta_by_tuples", "_zeta_by_exponents"])
+def test_a_wrong_power_of_a_minus_b_in_one_strategy_raises(monkeypatch, strategy):
+    # (q - 1)^r for (q - 1)^(r - 1) in one integer sum: the other strategy
+    # catches it at every m, for a - b = 2, -2 and 2
+    wrong = _mutated(getattr(traces, strategy), "(a - b) ** (r - 1)", "(a - b) ** r")
+    monkeypatch.setattr(traces, strategy, wrong)
+    for q in ("3", "1/3", "5/3"):
+        p = params(q, alpha=("2/3", "1/6"), beta=("1/6",))
+        for m in range(1, 6):
+            with pytest.raises(CrossCheckError, match=f"disagree at m={m}, params"):
+                zeta_trace_diagonal(m, p)
+
+
+def test_zeta_trace_forms_one_fraction(monkeypatch):
+    # zeta_trace divides out chi_m only; series_from_traces still gets every
+    # value, each formed once
+    p = params("5/4", alpha=("1/2", "1/4"), beta=("1/4",))
+    want = cycle_values_by_fractions(30, p)
+    made = []
+    original = traces.Fraction
+
+    class Counted(original):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return original(*args, **kwargs)
+
+    monkeypatch.setattr(traces, "Fraction", Counted)
+    value = zeta_trace(30, p)
+    assert len(made) == 1 and value == want[-1]
+    made.clear()
+    assert traces._cycle_values(30, p) == want
+    assert len(made) == 30
