@@ -47,9 +47,11 @@ EXIT_MISMATCH = 3
 MAX_SIZE = 300
 
 # most basis tensors |S|^slots per side of a tensor model the CLI builds, for
-# |S| nonzero weights: at 3^8 a cycle-type matrix element takes 0.1-0.2 s and
-# the longest element of S_8 about 2.7 s (CPython 3.11, shared 2-vCPU VM),
-# and the cost grows about |S|-fold with each slot
+# |S| nonzero weights: at 3^8 a cycle-type matrix element takes under 1 ms,
+# its walk holding a few open slots at a time, but the longest element of S_8
+# takes 0.6-0.9 s, and the normal form, the Gram matrix and the verify suites
+# walk all |S|^slots basis tensors, a cost that grows about |S|-fold with each
+# slot (CPython 3.11, shared 2-vCPU VM)
 MAX_TENSOR_SIZE = 3**8
 
 

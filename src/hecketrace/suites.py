@@ -170,9 +170,10 @@ def _four_way_checks(name: str, params: TraceParams, m_max: int) -> list[CheckRe
     and the scalar diagonal sum, which are the independent ones, and three
     tensor routes that all walk the one table of b R, ctx.r_matrix, with
     _int_walk: the tensor-side diagonal sum (the diagonal rows of the
-    table), the R-matrix matrix element, and the normal-form cycle sum,
-    which differs from the matrix element only in the midpoint split and
-    the sigma bookkeeping."""
+    table), the R-matrix matrix element, and the normal-form cycle sum.
+    The matrix element takes each slot's weighted sum during its walk,
+    where the normal form walks every basis tensor over the full width and
+    reads sigma off the walked tuples."""
     out = []
     for m in range(1, m_max + 1):
         slots = max(m, 2)

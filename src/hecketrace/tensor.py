@@ -40,22 +40,26 @@ paths used for cross-checking:
     survives in the Xi-matrix element, giving a swap-free evaluation
     (diagonal_zeta).
 
-R is a symmetric table, so T_u* acts as the adjoint of T_u for the inner
-product of the eta-basis.  matrix_element uses this to meet in the middle:
-it splits a reduced word of each w at its midpoint, w = u v, and takes
-<T_v Xi, T_u* Xi>, two half-length walks from Xi in place of one
-full-length walk.  The Gram matrix G[u][v] = trace(T_v* T_u) is built from
-the n! states T_u Xi as <T_u Xi, T_v Xi>, so it is positive semidefinite by
-construction.
+<X Xi, Xi> = sum_J a_J <J| X |J> is a weighted trace of X on the V-slots
+(see Xi_1 below), and a step at slot a touches only the slots a and a + 1.
+So matrix_element walks a reduced word of each w once, in action order,
+opens each slot at the first step that touches it and closes it, taking
+that slot's weighted sum, after the last: the walked state holds the open
+slots only, a few keys per cycle block where the full width has
+|S|^slots basis tensors.  R is a symmetric table, so T_u* acts as the
+adjoint of T_u for the inner product of the eta-basis.  The Gram matrix
+G[u][v] = trace(T_v* T_u) is built from the n! states T_u Xi as
+<T_u Xi, T_v Xi>, so it is positive semidefinite by construction.
 
 Every route walks in exact integers.  Write Xi = S Xi_1, where Xi_1 =
 sum_J eta[J; J] is the diagonal with every coefficient 1 over the tuples
 of nonzero-weight indices and S multiplies eta[I; J] by sqrt(a_J).  The
 left action never touches J, and the right action only permutes it, which
 leaves prod_k sqrt(a_{J_k}) alone; so S commutes with both actions, and
-the weights a_J enter only in the pairing.  With q = a/b the walks apply
-b R, with coefficients a, -b, a - b and -t for t = b sqrt(q): the routes
-compute in Z[t], t formal with t^2 = a b.  The context writes b R once, as
+the weights a_J enter only in the pairing, or where matrix_element closes
+a slot.  With q = a/b the walks apply b R, with coefficients a, -b, a - b
+and -t for t = b sqrt(q): the routes compute in Z[t], t formal with
+t^2 = a b.  The context writes b R once, as
 rows (image, k, v) for v t^k.  A walk term is an int times t^k, k in
 {0, 1}: a swap flips k, and a swap from k = 1 lands on t^2 = a b.
 
@@ -73,8 +77,9 @@ beta indices -1 and -2 share one hash, and a dict lookup among them walks
 one long collision chain.
 The right action is the left walk with the codes of I and J swapped.
 
-The power of sqrt(q) is a grade, not a ring element.  The pairing sums
-the even and the odd power of t into two ints, and each route divides
+The power of sqrt(q) is a grade, not a ring element.  The pairing, and
+the closed walk of matrix_element, sum the even and the odd power of t
+into two ints, and each route divides
 once, by b^(steps) d^slots for d the common denominator of the weights.
 Trace values are rational, so every route asserts that the odd sum
 vanishes and raises CrossCheckError otherwise.  normal_form keeps the
@@ -532,30 +537,76 @@ def r_matrix_laws(ctx: ModelContext, side: Side) -> tuple[bool, bool]:
     return quadratic, braid
 
 
+def _closed_walk(ctx: ModelContext, walk: _Walk, steps: list[int]) -> tuple[int, int]:
+    """sum_J n_J <J| b R_(a_k) .. b R_(a_1) |J> over the tuples J of
+    nonzero-weight indices, for the slots a_1, .., a_k of steps in action
+    order, as the two ints (even, odd) of even + odd t.  The caller divides
+    by b^k d^slots.
+
+    This is a weighted trace, so each slot's sum is taken as soon as no
+    later step touches the slot.  The walk starts from {0: 1}, every slot
+    closed with digit 0 in I and in J.  Before the first step at a slot
+    the walk opens it: each key branches into I_s = J_s = p, coefficient
+    1, for every position p of nonzero weight.  After the last step at a
+    slot the walk closes it: it keeps the keys with I_s = J_s, multiplies
+    them by n_(I_s) and resets both digits to 0.  A slot that no step
+    touches gives the factor sum_i n_i.  The walk ends on the keys 0 and
+    1, the even and the odd part."""
+    size, span = walk.size, walk.span
+    _, numerators = ctx.weight_numerators
+    weight = [numerators[i] for i in ctx.support]  # n_i by position
+    live = [p for p, n in enumerate(weight) if n]
+    first, last = {}, {}
+    for i, a in enumerate(steps):
+        for s in (a, a + 1):
+            first.setdefault(s, i)
+            last[s] = i
+    state = {0: 1}
+    for i, a in enumerate(steps):
+        for s in (a, a + 1):
+            if first[s] == i:
+                shift = 2 * (span + 1) * size ** (s - 1)  # one in each of I_s and J_s
+                state = {key + p * shift: c for key, c in state.items() for p in live}
+        state = _int_walk(walk, (a,), state)
+        for s in (a, a + 1):
+            if last[s] == i:
+                unit = 2 * size ** (s - 1)
+                shift = unit * (span + 1)
+                out: dict = {}
+                get = out.get
+                for key, c in state.items():
+                    p = key // unit % size
+                    if p == key // (unit * span) % size:
+                        key -= p * shift
+                        out[key] = get(key, 0) + c * weight[p]
+                state = {key: c for key, c in out.items() if c}
+    free = sum(weight) ** (ctx.slots - len(first))
+    return state.get(0, 0) * free, state.get(1, 0) * free
+
+
 def matrix_element(ctx: ModelContext, x: HeckeElement) -> Fraction:
     """<X Xi, Xi> for the left action; this is the trace value of X.
 
-    Each term c T_w is evaluated as c <T_v Xi, T_u* Xi>, where w = u v
-    splits a reduced word a_1 .. a_k of w at its midpoint: T_v Xi applies
-    R at a_k, .., a_{h+1} and T_u* Xi applies R at a_1, .., a_h.  This
-    equals <T_w Xi, Xi> because R is symmetric, so T_u* acts as the adjoint
-    of T_u.  Both walks start from the unweighted diagonal Xi_1, with Xi =
-    S Xi_1, and apply b R in exact integers; the weights a_J enter only in
-    the pairing.  The terms are summed as two ints over one denominator,
-    and the sum is divided once and checked to be rational, which is
-    asserted, not assumed."""
+    With Xi = S Xi_1, <T_w Xi, Xi> = sum_J a_J <J| T_w |J> over the tuples
+    J of nonzero-weight indices, a weighted trace of T_w on the V-slots.
+    Each term c T_w walks b R along a reduced word of w in action order,
+    the last letter first, in exact integers, and takes each slot's sum as
+    soon as no later step touches it (_closed_walk): a slot is opened
+    before its first step and closed after its last, so the walked state
+    holds only the slots in between.  Nothing assumes that the value is
+    multiplicative over cycle blocks; the closed slots make it so.  The
+    terms are summed as two ints over one denominator, and the sum is
+    divided once and checked to be rational, which is asserted, not
+    assumed."""
     _check_rank(ctx, x)
     walk = ctx.walk
-    xi1, nums, d_slots = ctx.unit_diagonal
     terms, denom = _integer_terms(ctx, x)
     even = odd = 0
     for word, f in terms:
-        h = len(word) // 2
-        left = _int_walk(walk, reversed(word[h:]), xi1)
-        right = _int_walk(walk, word[:h], xi1)
-        e, o = _pairing(walk, left, right, nums)
+        e, o = _closed_walk(ctx, walk, word[::-1])
         even, odd = even + f * e, odd + f * o
-    return _rational(ctx, even, odd, denom * d_slots, f"matrix element of {x!r}")
+    d, _ = ctx.weight_numerators
+    return _rational(ctx, even, odd, denom * d**ctx.slots, f"matrix element of {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -709,16 +760,15 @@ def diagonal_zeta(ctx: ModelContext, m: int) -> Fraction:
     contribute to this particular matrix element).
 
     The walk applies the diagonal part of b R, for q = a/b, at the slots
-    1, .., m - 1 to the unweighted diagonal Xi_1: its coefficients are a,
-    -b and a - b.  The weight numerators n_J enter in the pairing with
-    Xi_1, and one division by b^(m - 1) d^slots returns to true units."""
+    1, .., m - 1 in exact integers: its coefficients are a, -b and a - b.
+    It is the closed walk of matrix_element on the diagonal rows, so each
+    slot is weighted by n_(I_s) and closed after its step, and one division
+    by b^(m - 1) d^slots returns to true units."""
     if not 1 <= m <= ctx.slots:
         raise ValueError(f"need 1 <= m <= {ctx.slots}, got {m}")
-    walk = ctx.diagonal_walk
-    xi1, nums, d_slots = ctx.unit_diagonal
-    acted = _int_walk(walk, range(1, m), xi1)
-    even, odd = _pairing(walk, acted, xi1, nums)
-    scale = ctx.q.denominator ** (m - 1) * d_slots
+    even, odd = _closed_walk(ctx, ctx.diagonal_walk, list(range(1, m)))
+    d, _ = ctx.weight_numerators
+    scale = ctx.q.denominator ** (m - 1) * d**ctx.slots
     return _rational(ctx, even, odd, scale, f"diagonal route for m={m}")
 
 
@@ -852,27 +902,37 @@ def ldlt_pivots(matrix: list[list[Fraction]]) -> tuple[list[Fraction], bool]:
     A zero pivot is admissible only when its entire trailing row vanishes
     (as it must for a semidefinite matrix); a negative pivot, or a zero
     pivot with a nonzero trailing entry, witnesses indefiniteness and
-    stops the sweep."""
+    stops the sweep.
+
+    The sweep runs in integers: the matrix times the lcm s of its
+    denominators goes through fraction-free (Bareiss) elimination, where
+    after the nonzero pivots so far each trailing entry is the Schur
+    complement entry times prev, the last nonzero Bareiss pivot (1 before
+    the first).  So pivot k is a[k][k] / (prev s), and a skipped zero
+    pivot leaves prev as it is."""
     n = len(matrix)
-    a = [[Fraction(x) for x in row] for row in matrix]
+    fractions = [[Fraction(x) for x in row] for row in matrix]
     for i in range(n):
         for j in range(n):
-            if a[i][j] != a[j][i]:
+            if fractions[i][j] != fractions[j][i]:
                 raise ValueError("matrix is not symmetric")
+    s = lcm(*(x.denominator for row in fractions for x in row))
+    a = [[x.numerator * (s // x.denominator) for x in row] for row in fractions]
     pivots: list[Fraction] = []
+    prev = 1
     for k in range(n):
         d = a[k][k]
-        pivots.append(d)
+        pivots.append(Fraction(d, prev * s))
         if d == 0:
             if any(a[k][j] != 0 for j in range(k + 1, n)):
                 return pivots, False
             continue
         if d < 0:
             return pivots, False
+        row_k = a[k]
         for i in range(k + 1, n):
-            f = a[i][k] / d
-            if f == 0:
-                continue
+            row, f = a[i], a[i][k]
             for j in range(k + 1, n):
-                a[i][j] -= f * a[k][j]
+                row[j] = (d * row[j] - f * row_k[j]) // prev
+        prev = d
     return pivots, True

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hecketrace import tensor
-from hecketrace.hecke import HeckeElement, mul, zeta_interval
+from hecketrace.hecke import HeckeElement, mul, zeta_interval, zeta_partition
 from hecketrace.permutations import (
     all_perms,
     compose,
@@ -39,7 +39,7 @@ from hecketrace.tensor import (
     r_matrix_laws,
     xi_state,
 )
-from hecketrace.traces import TraceParams, thoma_trace, zeta_trace
+from hecketrace.traces import TraceParams, partition_trace, thoma_trace, zeta_trace
 
 
 def params(q, alpha=(), beta=()):
@@ -268,8 +268,8 @@ def test_lift_rank_guard():
 @pytest.mark.parametrize("q", ["2", "1/3", "1", "3/2"])
 @pytest.mark.parametrize("rank", [3, 4])
 def test_matrix_element_equals_one_walk_inner_product(rank, q, p, extra):
-    # the midpoint split of integer walks from the unweighted diagonal
-    # against the one-walk oracle <T_w Xi, Xi> on RootElem states
+    # the closed integer walk against the one-walk oracle <T_w Xi, Xi> on
+    # RootElem states
     ctx = ModelContext.create(TraceParams(q=F(q), alpha=p.alpha, beta=p.beta), rank, extra)
     xi = xi_state(ctx)
 
@@ -369,6 +369,90 @@ def test_integer_terms_stay_exact_at_int_coefficients():
     assert denom == 1
     assert sorted(terms) == [([], 1 + 7 * big), ([1, 2], big)]
     assert all(type(f) is int for _, f in terms)
+
+
+def matrix_element_by_midpoint_split(ctx, x):
+    """Oracle for matrix_element: each term c T_w as c <T_v Xi, T_u* Xi>
+    for w = u v split at the midpoint of a reduced word, two half-length
+    integer walks from the unweighted diagonal Xi_1 paired with the weights
+    n_J over the full |S|^slots width (R is symmetric, so T_u* acts as the
+    adjoint of T_u)."""
+    walk = ctx.walk
+    xi1, nums, d_slots = ctx.unit_diagonal
+    terms, denom = tensor._integer_terms(ctx, x)
+    even = odd = 0
+    for word, f in terms:
+        h = len(word) // 2
+        left = tensor._int_walk(walk, reversed(word[h:]), xi1)
+        right = tensor._int_walk(walk, word[:h], xi1)
+        e, o = tensor._pairing(walk, left, right, nums)
+        even, odd = even + f * e, odd + f * o
+    return tensor._rational(ctx, even, odd, denom * d_slots, f"matrix element of {x!r}")
+
+
+def diagonal_zeta_by_pairing(ctx, m):
+    """Oracle for diagonal_zeta: the diagonal rows walked at the slots 1,
+    .., m - 1 from Xi_1 over the full width, paired with Xi_1."""
+    walk = ctx.diagonal_walk
+    xi1, nums, d_slots = ctx.unit_diagonal
+    even, odd = tensor._pairing(walk, tensor._int_walk(walk, range(1, m), xi1), xi1, nums)
+    return tensor._rational(ctx, even, odd, ctx.q.denominator ** (m - 1) * d_slots, "diagonal")
+
+
+# P5, two beta weights, and P5 with an index of weight zero
+CLOSED_WALK_MODELS = [
+    ("P5", P_WIDE.alpha, P_WIDE.beta, ()),
+    ("two_beta", P_TWO_BETA.alpha, P_TWO_BETA.beta, ()),
+    ("P5_zero_weight", P_WIDE.alpha, P_WIDE.beta, (3,)),
+]
+
+
+@pytest.mark.parametrize("q", ["2", "1/3", "1"])
+@pytest.mark.parametrize("model", CLOSED_WALK_MODELS, ids=lambda m: m[0])
+def test_closed_walks_equal_the_full_width_oracles(model, q):
+    # every cycle type of n <= 7 at rank 7, so the blocks leave up to six
+    # slots untouched; the longest element of S_5, whose walk opens every
+    # slot at once, and a two-term element; the diagonal route for m <= 6
+    ctx = oracle_context(model, q, 7)
+    for n in range(1, 8):
+        for parts in _partitions(n):
+            x = zeta_partition(parts, rank=7)
+            assert matrix_element(ctx, x) == matrix_element_by_midpoint_split(ctx, x), parts
+    for m in range(1, 7):
+        assert diagonal_zeta(ctx, m) == diagonal_zeta_by_pairing(ctx, m), m
+    ctx = oracle_context(model, q, 5)
+    w0 = HeckeElement.basis((5, 4, 3, 2, 1))
+    x = mul(w0, HeckeElement.generator(4, 5))
+    assert len(x.terms) == 2
+    for element in (w0, x):
+        assert matrix_element(ctx, element) == matrix_element_by_midpoint_split(ctx, element)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [P_WIDE, params(2, alpha=("1/2", "1/4"), beta=("1/8", "1/8"))],
+    ids=["three_weights", "four_weights"],
+)
+def test_no_walked_state_of_a_cycle_type_exceeds_three_slots(monkeypatch, p):
+    # a cycle type walks each block slot by slot, so the state never holds
+    # more than |S|^3 keys, where a walk over the full width starts from
+    # |S|^7 of them
+    sizes = []
+    int_walk = tensor._int_walk
+
+    def recorded(walk, slots, state):
+        out = int_walk(walk, slots, state)
+        sizes.extend((len(state), len(out)))
+        return out
+
+    monkeypatch.setattr(tensor, "_int_walk", recorded)
+    for q in ("2", "1/3"):
+        ctx = ModelContext.create(TraceParams(q=F(q), alpha=p.alpha, beta=p.beta), 7)
+        for n in range(1, 8):
+            for parts in _partitions(n):
+                value = matrix_element(ctx, zeta_partition(parts, rank=7))
+                assert value == partition_trace(parts, ctx.params)
+    assert sizes and max(sizes) <= len(ctx.support) ** 3, max(sizes)
 
 
 def _tuple_walk(table, ab, side, slots, state):
@@ -1416,6 +1500,74 @@ def test_ldlt_on_known_matrices():
     assert not psd
     with pytest.raises(ValueError):
         ldlt_pivots([[F(0), F(1)], [F(2), F(0)]])
+
+
+def ldlt_pivots_by_fractions(matrix):
+    """Oracle for ldlt_pivots: the same sweep as Fraction elimination."""
+    n = len(matrix)
+    a = [[F(x) for x in row] for row in matrix]
+    pivots = []
+    for k in range(n):
+        d = a[k][k]
+        pivots.append(d)
+        if d == 0:
+            if any(a[k][j] != 0 for j in range(k + 1, n)):
+                return pivots, False
+            continue
+        if d < 0:
+            return pivots, False
+        for i in range(k + 1, n):
+            f = a[i][k] / d
+            if f == 0:
+                continue
+            for j in range(k + 1, n):
+                a[i][j] -= f * a[k][j]
+    return pivots, True
+
+
+def _random_symmetric(rng, n, kind):
+    """A symmetric n x n matrix over small fractions: B B^T for a B of
+    rank <= n with zero rows mixed in (semidefinite, often singular), or
+    a random symmetric matrix with zero entries (mostly indefinite)."""
+
+    def entry():
+        return F(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 6]))
+
+    if kind == "gram":
+        r = rng.randint(0, n)
+        b = [[entry() for _ in range(r)] if rng.random() < 0.8 else [F(0)] * r for _ in range(n)]
+        return [[sum((x * y for x, y in zip(u, v)), F(0)) for v in b] for u in b]
+    a = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = entry() if rng.random() < 0.7 else F(0)
+    return a
+
+
+@pytest.mark.parametrize("kind", ["gram", "symmetric"])
+def test_integer_ldlt_equals_fraction_elimination(kind):
+    rng = Random(2207)
+    singular = psd = 0
+    for _ in range(400):
+        matrix = _random_symmetric(rng, rng.randint(0, 6), kind)
+        got = ldlt_pivots(matrix)
+        assert got == ldlt_pivots_by_fractions(matrix), matrix
+        assert all(type(d) is F for d in got[0])
+        psd += got[1]
+        singular += got[1] and 0 in got[0][:-1]
+    # both rules are met: semidefinite matrices with a skipped zero pivot
+    # before the last, and indefinite ones that stop the sweep
+    assert singular and (psd < 400 if kind == "symmetric" else psd == 400)
+
+
+@pytest.mark.parametrize(
+    "p", [P_FLAT, P_MIX, P_WIDE, P_TWO_BETA], ids=["flat", "mix", "wide", "two_beta"]
+)
+def test_integer_ldlt_of_rank_four_grams(p):
+    gram = gram_matrix(TraceParams(q=F(2, 3), alpha=p.alpha, beta=p.beta), 4)
+    pivots, psd = ldlt_pivots(gram)
+    assert (pivots, psd) == ldlt_pivots_by_fractions(gram)
+    assert psd and len(pivots) == 24
 
 
 @pytest.mark.parametrize("p", [P_FLAT, P_MIX])
