@@ -152,20 +152,28 @@ def rmatrix_suite(profiles=None, qs=DEFAULT_QS) -> list[CheckResult]:
 
 
 def tensor_suite(profiles=None, qs=DEFAULT_QS, m_max: int = 5) -> list[CheckResult]:
+    """One model per (profile, q), at model_slots("tensor", m_max) slots:
+    the four-way checks at every m and the shift checks read their
+    narrower models off it (ModelContext.with_slots).  The Thoma checks
+    build one model per profile at q = 1."""
     results = []
     profiles = profiles if profiles is not None else default_profiles()
+    widest = max(profiles, key=lambda p: sum(1 for a in (*p[1], *p[2]) if a != 0))
+    shift_model = None
     for q in qs:
         for profile in profiles:
             params = profile_params(profile, q)
-            results.extend(_four_way_checks(profile[0], params, m_max))
+            model = ModelContext.create(params, model_slots("tensor", m_max))
+            if shift_model is None and profile is widest:  # at the first q
+                shift_model = model
+            results.extend(_four_way_checks(profile[0], model, m_max))
             results.append(_series_check(profile[0], params))
     results.extend(_thoma_checks(profiles, m_max=min(m_max, 4)))
-    widest = max(profiles, key=lambda p: sum(1 for a in (*p[1], *p[2]) if a != 0))
-    results.extend(_shift_checks(profile_params(widest, qs[0])))
+    results.extend(_shift_checks(shift_model))
     return results
 
 
-def _four_way_checks(name: str, params: TraceParams, m_max: int) -> list[CheckResult]:
+def _four_way_checks(name: str, model: ModelContext, m_max: int) -> list[CheckResult]:
     """The same trace value along five routes: the cycle-value recurrence
     and the scalar diagonal sum, which are the independent ones, and three
     tensor routes that all walk the one table of b R, ctx.r_matrix, with
@@ -173,11 +181,13 @@ def _four_way_checks(name: str, params: TraceParams, m_max: int) -> list[CheckRe
     table), the R-matrix matrix element, and the normal-form cycle sum.
     The matrix element takes each slot's weighted sum during its walk,
     where the normal form walks every basis tensor over the full width and
-    reads sigma off the walked tuples."""
+    reads sigma off the walked tuples.  Cycle m runs on max(m, 2) slots,
+    a model derived from `model`, which has at least m_max slots."""
+    params = model.params
     out = []
     for m in range(1, m_max + 1):
         slots = max(m, 2)
-        ctx = ModelContext.create(params, slots=slots)
+        ctx = model.with_slots(slots)
         element = zeta_interval(1, m, rank=slots)
         direct = tensor.matrix_element(ctx, element)
         diag_tensor = tensor.diagonal_zeta(ctx, m)
@@ -214,11 +224,12 @@ def _thoma_checks(profiles, m_max: int = 4) -> list[CheckResult]:
     character value p_m(alpha, beta)."""
     out = []
     for profile in profiles:
-        if profile[0] not in ("P3", "P4"):
+        if profile[0] not in ("P3", "P4") or m_max < 2:
             continue
         params = profile_params(profile, Fraction(1))
+        model = ModelContext.create(params, slots=m_max)
         for m in range(2, m_max + 1):
-            ctx = ModelContext.create(params, slots=m)
+            ctx = model.with_slots(m)
             got = tensor.matrix_element(ctx, zeta_interval(1, m, rank=m))
             want = thoma_trace(m, params)
             out.append(
@@ -231,16 +242,17 @@ def _thoma_checks(profiles, m_max: int = 4) -> list[CheckResult]:
     return out
 
 
-def _shift_checks(params: TraceParams) -> list[CheckResult]:
+def _shift_checks(model: ModelContext) -> list[CheckResult]:
     """Trace values of interval cycles do not depend on where the interval
     sits: shifting [1, m] to [1+k, m+k] leaves the matrix element alone.
     The tensor suite runs them on its profile with the most nonzero weights
-    (the first on a tie) at its first q, on models of up to 5 slots."""
+    (the first on a tie) at its first q, on models of up to 5 slots derived
+    from `model`, which has at least 5."""
     out = []
     for m in (2, 3):
         for k in (1, 2):
             slots = m + k
-            ctx = ModelContext.create(params, slots=slots)
+            ctx = model.with_slots(slots)
             base = tensor.matrix_element(ctx, zeta_interval(1, m, rank=slots))
             shifted = tensor.matrix_element(
                 ctx, zeta_interval(1 + k, m + k, rank=slots)

@@ -71,7 +71,12 @@ key: c, where key = 2 (code(I) + B^slots code(J)) + k.  At slot a the pair
 adds a delta that is fixed per slot, pair and grade.  Each model derives
 these rows from ctx.r_matrix once, on first use (ModelContext.walk, and
 ModelContext.diagonal_walk for the diagonal rows), and every route of the
-model reads them there.  Index tuples make poor keys:
+model reads them there.  The rows of a slot do not depend on the slot
+count, so ctx.with_slots(n) derives the n-slot model of the same weights
+that reads r_matrix, the weight numerators and the rows of the slots 1,
+.., n - 1 from the wide model: a suite that evaluates one parameter set
+at several slot counts builds these tables once.  Only span and the
+unit diagonal are the derived model's own.  Index tuples make poor keys:
 in CPython hash(-1) == hash(-2), so all tuples of one length over the two
 beta indices -1 and -2 share one hash, and a dict lookup among them walks
 one long collision chain.
@@ -95,11 +100,11 @@ the oracle of the walks.  Only they build the context's SqrtTable.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, product as _cartesian
-from math import lcm, prod
+from math import gcd, lcm, prod
 from random import Random
 from typing import Iterable, Literal, Mapping, NamedTuple
 
@@ -142,11 +147,21 @@ class ModelContext:
     support, and the integer model built from them on first use.
 
     Extra indices of weight zero may be present in the support; they carry
-    no component of Xi and provide the truncation-exactness check."""
+    no component of Xi and provide the truncation-exactness check.
+
+    create builds a model from parameters; with_slots(n) derives the n-slot
+    model of the same weights from it.  A derived context reads r_matrix,
+    weight_numerators, the square-root table and the walk and diagonal-walk
+    rows of the slots 1, .., n - 1 from the wide model it was derived from,
+    since none of them depends on the slot count; only the radix span =
+    |S|^n of its walks and unit_diagonal are its own.  So a fault put into
+    the wide model's r_matrix reaches every slot count derived from it."""
 
     params: TraceParams
     slots: int
     weights: WeightFunction
+    # the model with_slots derived this one from, whose tables it reads
+    _wide: "ModelContext | None" = field(default=None, repr=False, compare=False)
 
     @classmethod
     def create(
@@ -161,6 +176,16 @@ class ModelContext:
         for i in extra_indices:
             weights.setdefault(i, Fraction(0))
         return cls(params, slots, WeightFunction(weights))
+
+    def with_slots(self, slots: int) -> "ModelContext":
+        """The model of the same weights on slots <= self.slots slots, which
+        shares the tables of the wide model (see the class docstring)."""
+        if not 1 <= slots <= self.slots:
+            raise ValueError(f"need 1 <= slots <= {self.slots}, got {slots}")
+        if slots == self.slots:
+            return self
+        wide = self if self._wide is None else self._wide
+        return ModelContext(self.params, slots, self.weights, wide)
 
     @property
     def q(self) -> Fraction:
@@ -177,6 +202,8 @@ class ModelContext:
         v times t^k.  The diagonal part diag_coeff, q, -1 or q - 1, scales to
         a, -b or a - b at t^0, and the swap -sqrt(q) to -1 at t^1.  This is
         the one place the R coefficients are formed."""
+        if self._wide is not None:
+            return self._wide.r_matrix
         b = self.q.denominator
         table = {}
         for x in self.support:
@@ -193,11 +220,15 @@ class ModelContext:
     def walk(self) -> "_Walk":
         """The integer walk of b R, read from r_matrix on first use; every
         route of the model walks it."""
+        if self._wide is not None:
+            return self._wide.walk.narrowed(self.slots)
         return _walk_of(self)
 
     @cached_property
     def diagonal_walk(self) -> "_Walk":
         """The walk of the diagonal rows of r_matrix only (diagonal_zeta)."""
+        if self._wide is not None:
+            return self._wide.diagonal_walk.narrowed(self.slots)
         return _walk_of(self, diagonal=True)
 
     @property
@@ -210,6 +241,8 @@ class ModelContext:
         """(d, {i: n_i}): the common denominator d of the nonzero weights and
         the numerator n_i of a_i = n_i / d for every index of the support,
         0 for an index of weight zero."""
+        if self._wide is not None:
+            return self._wide.weight_numerators
         d = lcm(*(self.weight(i).denominator for i in self.support))
         return d, {i: (self.weight(i) * d).numerator for i in self.support}
 
@@ -230,6 +263,8 @@ class ModelContext:
     def table(self) -> SqrtTable:
         """The square-root symbols of the reference action: sqrt(q) and the
         root of each nonzero weight."""
+        if self._wide is not None:
+            return self._wide.table
         bindings = {_SQRT_Q: self.q}
         for i in self.support:
             if self.weight(i) != 0:
@@ -400,6 +435,12 @@ class _Walk(NamedTuple):
     span: int
     steps: dict
 
+    def narrowed(self, slots: int) -> "_Walk":
+        """The walk on the first `slots` slots: the rows of a slot do not
+        depend on the slot count, only span does."""
+        steps = {a: self.steps[a] for a in range(1, slots)}
+        return _Walk(self.ab, self.size, self.size**slots, steps)
+
 
 def _walk_of(ctx: ModelContext, diagonal: bool = False) -> _Walk:
     """The walk of b R read from ctx.r_matrix, with diagonal only the rows
@@ -498,12 +539,28 @@ def _rational(ctx: ModelContext, even, odd, scale: int, route: str) -> Fraction:
 def _integer_terms(ctx: ModelContext, x: HeckeElement) -> tuple[list, int]:
     """The terms c T_w of x with c != 0 over one denominator, for q = a/b:
     the list of (reduced word of w, f) and denom with c / b^l(w) = f / denom.
-    A walk of b R along the word, times f / denom, is the walk of c T_w."""
-    b = ctx.q.denominator
-    terms = [(reduced_word(w), poly(ctx.q)) for w, poly in x.terms.items()]
-    terms = [(word, c) for word, c in terms if c != 0]
-    denom = lcm(*(c.denominator * b ** len(word) for word, c in terms))
-    return [(word, c * denom // b ** len(word)) for word, c in terms], denom
+    A walk of b R along the word, times f / denom, is the walk of c T_w.
+
+    Each coefficient P = sum_i c_i q^i is evaluated in integers: over the
+    lcm L of the denominators of its c_i, b^deg L P(q) = sum_i L c_i a^i
+    b^(deg - i) by Horner in a and b, so c / b^l(w) is that int over
+    L b^(deg + l(w)), brought to lowest terms; denom is the lcm of these
+    denominators."""
+    a, b = ctx.q.numerator, ctx.q.denominator
+    terms = []
+    for w, poly in x.terms.items():
+        scale = lcm(*(c.denominator for c in poly.coeffs))
+        num, b_pow = 0, 1
+        for c in reversed(poly.coeffs):
+            num = num * a + c.numerator * (scale // c.denominator) * b_pow
+            b_pow *= b
+        if num:
+            word = reduced_word(w)
+            den = scale * b_pow // b * b ** len(word)  # L b^(deg + l(w))
+            g = gcd(num, den)
+            terms.append((word, num // g, den // g))
+    denom = lcm(*(den for _, _, den in terms))
+    return [(word, num * (denom // den)) for word, num, den in terms], denom
 
 
 def r_matrix_laws(ctx: ModelContext, side: Side) -> tuple[bool, bool]:
@@ -637,11 +694,13 @@ def normal_form(
     tag to the walked tuple keeping equal indices in their order: with
     start(I) the stable sorting order of I as a permutation, sigma =
     start(tag) start(I)^-1, that is sigma[k] = start(tag)[rank(I)[k]] for
-    rank(I)[k] the place of position k in the stable sort.  These tables are
-    built once per call, one entry per code of the |S|^slots codes, so no
-    entry sorts a tuple.  A swap flips the power k of t and moves sigma by
-    one transposition, so every walked term sits at the grade k = l(sigma)
-    mod 2, the sum of the parities of start(tag) and start(I); this is
+    rank(I)[k] the place of position k in the stable sort.  These tables
+    hold one entry per code of the |S|^slots codes, so no entry sorts a
+    tuple; they depend only on the support and the slot count and are
+    cached per process (_stable_sorts, _code_tuples).  A swap flips the
+    power k of t and moves sigma by one transposition, so every walked term
+    sits at the grade k = l(sigma) mod 2, the sum of the parities of
+    start(tag) and start(I); this is
     asserted, and a term off its grade raises CrossCheckError.  The entry
     (sigma, I) determines its tag, so the terms of x are summed on the walked
     keys themselves; sigma and I are decoded only for the final nonzero
@@ -660,8 +719,7 @@ def normal_form(
     _check_rank(ctx, x)
     walk = ctx.walk
     span = walk.span
-    # tuples[code(I)] = I: the product varies its last entry fastest
-    tuples = [tup[::-1] for tup in _cartesian(ctx.support, repeat=ctx.slots)]
+    tuples = _code_tuples(ctx.support, ctx.slots)
     starts, ranks, parity = _stable_sorts(walk.size, ctx.slots)
     tagged = _diagonal_keys(span, range(span))
     terms, denom = _integer_terms(ctx, x)
@@ -691,7 +749,22 @@ def normal_form(
     return out
 
 
-def _stable_sorts(size: int, slots: int) -> tuple[list, list, list]:
+# The tables of normal_form depend only on the support and the slot count,
+# never on q, the weights or r_matrix, so no fault put into a model can hide
+# in them, and the last few of each are kept for the process: one entry per
+# code, at most cli.MAX_TENSOR_SIZE entries each in the CLI.
+_TABLES_CACHED = 32
+
+
+@lru_cache(maxsize=_TABLES_CACHED)
+def _code_tuples(support: tuple[int, ...], slots: int) -> tuple[tuple[int, ...], ...]:
+    """The index tuple of every code, tuples[code(I)] = I: the product
+    varies its last entry fastest."""
+    return tuple(tup[::-1] for tup in _cartesian(support, repeat=slots))
+
+
+@lru_cache(maxsize=_TABLES_CACHED)
+def _stable_sorts(size: int, slots: int) -> tuple[tuple, tuple, tuple]:
     """The stable sort of every index tuple, by code: (starts, ranks,
     parity) with starts[c] = start(I) = (p_1 + 1, .., p_n + 1) for
     I[p_1] <= .. <= I[p_n], equal indices in their order, ranks[c][k] the
@@ -708,8 +781,8 @@ def _stable_sorts(size: int, slots: int) -> tuple[list, list, list]:
         parity = [x ^ ((k - 1 - g[p]) & 1) for p in range(size) for x, g in zip(parity, le)]
         if k < slots:
             le = [g[:p] + tuple(v + 1 for v in g[p:]) for p in range(size) for g in le]
-    ranks = [sorted(range(slots), key=start.__getitem__) for start in starts]
-    return starts, ranks, parity
+    ranks = tuple(tuple(sorted(range(slots), key=start.__getitem__)) for start in starts)
+    return tuple(starts), ranks, tuple(parity)
 
 
 def omega_trace(

@@ -62,8 +62,6 @@ from .scalars import (
     Rat,
     format_fraction,
     parse_fraction,
-    series_linear_fraction,
-    series_mul,
 )
 
 __all__ = [
@@ -311,18 +309,26 @@ def generating_series(params: TraceParams, order: int) -> PowerSeries:
     and an alpha factor (1 - n b u)/(1 - n a u), so the z^k coefficient is
     an integer over (b d)^k.  Well defined for every q > 0 including q = 1,
     where all factors cancel and G is the constant series 1.
+
+    Each factor (1 + B u)/(1 + C u) is applied to the coefficients in
+    place: times 1 + B u from the top degree down, then divided by 1 + C u
+    from degree 1 up, 2 order int steps per factor.
     """
     if params.gamma != 0:
         raise ValueError("the generating function requires gamma = 0")
     a, b = params.q.numerator, params.q.denominator
     d, alphas, betas = _weight_numerators(params)
-    out = PowerSeries.one(order)
-    for m_j in betas:
-        out = series_mul(out, series_linear_fraction(m_j * a, m_j * b, order))
-    for n_i in alphas:
-        out = series_mul(out, series_linear_fraction(-n_i * b, -n_i * a, order))
+    factors = [(m_j * a, m_j * b) for m_j in betas] + [(-n_i * b, -n_i * a) for n_i in alphas]
+    coeffs = [1] + [0] * order
+    for up, down in factors:
+        if up == down:
+            continue
+        for k in range(order, 0, -1):
+            coeffs[k] += up * coeffs[k - 1]
+        for k in range(1, order + 1):
+            coeffs[k] -= down * coeffs[k - 1]
     scale = b * d
-    return PowerSeries(order, (Fraction(c, scale**k) for k, c in enumerate(out.coeffs)))
+    return PowerSeries(order, (Fraction(c, scale**k) for k, c in enumerate(coeffs)))
 
 
 def series_from_traces(params: TraceParams, order: int) -> PowerSeries:

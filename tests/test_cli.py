@@ -275,6 +275,36 @@ def test_tensor_suite_builds_models_only_on_its_own_parameters(monkeypatch):
     assert max(slots for _, slots in built) == suites.model_slots("tensor", 2) == 5
 
 
+@pytest.mark.parametrize("m_max", [1, 3, 5])
+def test_tensor_suite_creates_one_model_per_parameter_set(monkeypatch, m_max):
+    # one model per (profile, q) at the suite's model_slots, from which the
+    # four-way and the shift checks derive theirs, and one per P3 and P4 at
+    # q = 1 for the Thoma checks (none below m = 2)
+    built = []
+    create = ModelContext.create.__func__
+
+    def spy(cls, params, slots, *rest):
+        built.append((params, slots))
+        return create(cls, params, slots, *rest)
+
+    monkeypatch.setattr(ModelContext, "create", classmethod(spy))
+    results = suites.tensor_suite(m_max=m_max)
+    assert all(r.passed for r in results)
+    slots = suites.model_slots("tensor", m_max)
+    want = [
+        (suites.profile_params(profile, q), slots)
+        for q in suites.DEFAULT_QS
+        for profile in suites.default_profiles()
+    ]
+    if m_max >= 2:
+        want += [
+            (suites.profile_params(profile, Fraction(1)), min(m_max, 4))
+            for profile in suites.default_profiles()
+            if profile[0] in ("P3", "P4")
+        ]
+    assert built == want
+
+
 def test_verify_tensor_bounds_the_shift_models_by_the_profile(capsys):
     # six weights: the cycles at m = 2 need 6^2 tensors, the shift checks 6^5
     six = ",".join(["1/6"] * 6)

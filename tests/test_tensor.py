@@ -2,7 +2,7 @@
 
 from fractions import Fraction as F
 from itertools import product as cartesian
-from math import factorial, prod
+from math import factorial, lcm, prod
 from random import Random
 from time import perf_counter
 from types import SimpleNamespace
@@ -369,6 +369,37 @@ def test_integer_terms_stay_exact_at_int_coefficients():
     assert denom == 1
     assert sorted(terms) == [([], 1 + 7 * big), ([1, 2], big)]
     assert all(type(f) is int for _, f in terms)
+
+
+@pytest.mark.parametrize("q", ["1", "2", "1/3", "9/4", "5/7"])
+def test_integer_terms_equal_the_coefficients_evaluated_at_q(q):
+    # the oracle is poly(q) / b^l(w) in Fraction; the element has Fraction
+    # coefficients, an int one above 2^53 and the term (q - 1) T_w, which
+    # cancels at q = 1 and must then be dropped
+    q = F(q)
+    big = 3**40 + 1
+    x = HeckeElement(
+        4,
+        {
+            (1, 2, 3, 4): QPoly([F(1, 6), 0, F(-3, 4), F(2, 9)]),
+            (2, 1, 3, 4): QPoly([-1, 1]),
+            (4, 3, 2, 1): QPoly([big, F(1, 3), -big]),
+            (1, 3, 2, 4): QPoly([F(5, 2), F(-7, 10)]),
+        },
+    )
+    terms, denom = tensor._integer_terms(SimpleNamespace(q=q), x)
+    assert type(denom) is int and all(type(f) is int for _, f in terms)
+    got = {tuple(word): F(f, denom) for word, f in terms}
+    b = q.denominator
+    want = {}
+    for w, poly in x.terms.items():
+        word = reduced_word(w)
+        if poly(q) != 0:
+            want[tuple(word)] = poly(q) / b ** len(word)
+    assert got == want
+    assert len(terms) == len(want) == (3 if q == 1 else 4)
+    # one denominator, the least one over which every term is an int
+    assert denom == lcm(*(c.denominator for c in want.values()))
 
 
 def matrix_element_by_midpoint_split(ctx, x):
@@ -1593,3 +1624,76 @@ def test_state_dump_format():
     ctx = ModelContext.create(P_TRIV, slots=2)
     lines = xi_state(ctx).dump_lines()
     assert lines == ["I=[1,1] J=[1,1] coeff=1"]
+
+
+# ---------------------------------------------------------------------------
+# narrower models derived from a wide one (ModelContext.with_slots)
+
+
+@pytest.mark.parametrize("q", ["2", "1/3", "1"])
+def test_derived_contexts_equal_fresh_contexts(q):
+    # P5 with the zero-weight index 3: every route, and every table a route
+    # reads, on the model derived from a 5-slot one equals a model created
+    # at that slot count
+    model = ORACLE_MODELS[5]
+    assert model[0] == "P5_zero_weight"
+    wide = oracle_context(model, q, 5)
+    assert wide.with_slots(5) is wide
+    for slots in range(1, 5):
+        derived, fresh = wide.with_slots(slots), oracle_context(model, q, slots)
+        assert derived == fresh and derived.slots == slots
+        assert derived.r_matrix is wide.r_matrix and derived.r_matrix == fresh.r_matrix
+        assert derived.weight_numerators == fresh.weight_numerators
+        assert derived.walk == fresh.walk and derived.diagonal_walk == fresh.diagonal_walk
+        assert derived.unit_diagonal == fresh.unit_diagonal
+        for m in range(1, slots + 1):
+            assert diagonal_zeta(derived, m) == diagonal_zeta(fresh, m)
+        elements = [HeckeElement.basis(w) for w in all_perms(slots)]
+        if slots > 1:
+            elements.append(
+                HeckeElement.basis(tuple(range(slots, 0, -1)))
+                + HeckeElement.generator(1, slots).scale(F(-3, 2))
+            )
+        for x in elements[:: max(1, len(elements) // 8)]:
+            assert matrix_element(derived, x) == matrix_element(fresh, x), x
+            op = normal_form(derived, x)
+            assert op == normal_form(fresh, x), x
+            assert omega_trace(derived, op) == omega_trace(fresh, op), x
+        if slots >= 3:
+            for side in ("left", "right"):
+                assert r_matrix_laws(derived, side) == r_matrix_laws(fresh, side) == (True, True)
+            checks = bimodule_checks(derived, Random(2026), 4, 3, 2)
+            assert checks == bimodule_checks(fresh, Random(2026), 4, 3, 2)
+            assert all(c.passed for c in checks)
+
+
+def test_a_derived_context_reads_the_wide_model_it_came_from():
+    wide = ModelContext.create(P_WIDE, 5)
+    view = wide.with_slots(4)
+    assert view.with_slots(2).r_matrix is wide.r_matrix
+    assert view.walk.steps[3] is wide.walk.steps[3] and 4 not in view.walk.steps
+    for slots in (0, 6):
+        with pytest.raises(ValueError, match="need 1 <= slots <= 5"):
+            wide.with_slots(slots)
+
+
+@pytest.mark.parametrize("derive_first", [False, True], ids=["fault_first", "derive_first"])
+def test_a_fault_in_the_wide_r_matrix_reaches_every_derived_slot_count(derive_first):
+    # R(1, 1) = q - 1 + sqrt(q), b R = (a - b) + t: a sqrt(q) part that the
+    # matrix element and the diagonal route of every derived model must
+    # report, also when the fault is put in after the models were derived
+    q = F(2, 3)
+    wide = ModelContext.create(params(q, alpha=("1/2", "1/2")), 5)
+    views = {slots: wide.with_slots(slots) for slots in range(2, 6)} if derive_first else {}
+    wide.r_matrix[(1, 1)] = [((1, 1), 0, q.numerator - q.denominator), ((1, 1), 1, 1)]
+    for slots in range(2, 6):
+        ctx = views.get(slots) or wide.with_slots(slots)
+        routes = {
+            "matrix element": lambda: matrix_element(ctx, HeckeElement.generator(1, slots)),
+            "diagonal route for m=2": lambda: diagonal_zeta(ctx, 2),
+            "normal form": lambda: normal_form(ctx, HeckeElement.generator(1, slots)),
+        }
+        for route, evaluate in routes.items():
+            with pytest.raises(CrossCheckError) as err:
+                evaluate()
+            assert route in str(err.value) and f"{slots} slots" in str(err.value)
