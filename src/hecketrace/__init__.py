@@ -29,7 +29,6 @@ from .scalars import (
     QPoly,
     RootElem,
     SqrtTable,
-    series_linear_fraction,
     series_mul,
 )
 from .tensor import (
@@ -85,7 +84,6 @@ __all__ = [
     "omega_trace",
     "partition_trace",
     "series_from_traces",
-    "series_linear_fraction",
     "series_mul",
     "super_newton",
     "thoma_trace",

@@ -280,8 +280,10 @@ def cmd_verify(args) -> int:
                     f"the {args.suite} suite does not read {flag}; "
                     f"it is read by {', '.join(readers)} and all"
                 )
-        if args.m is not None and args.m < 1:
-            raise ValueError(f"--m must be >= 1, got {args.m}")
+        if args.m is not None:
+            if args.m < 1:
+                raise ValueError(f"--m must be >= 1, got {args.m}")
+            _check_size("--m", args.m)
         if args.verbose and args.format == "records":
             raise ValueError("-v dumps states as text; use it without --format records")
         profiles = None

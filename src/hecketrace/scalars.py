@@ -38,7 +38,6 @@ __all__ = [
     "QPoly",
     "PowerSeries",
     "series_mul",
-    "series_linear_fraction",
     "SqrtTable",
     "RootElem",
     "format_fraction",
@@ -284,23 +283,6 @@ def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
             if cb != 0:
                 out[i + j] += ca * cb
     return PowerSeries(m, out)
-
-
-def series_linear_fraction(b: Rat, c: Rat, order: int) -> PowerSeries:
-    """Expansion of (1 + b z) / (1 + c z) to the given order.
-
-    The coefficient of z^k for k >= 1 is (-c)^(k-1) (b - c); for b == c the
-    factors cancel and the result is the constant series 1.  Int b and c
-    give int coefficients.
-    """
-    b, c = _exact(b), _exact(c)
-    coeffs = [1]
-    diff = b - c
-    power = 1  # (-c)^(k-1)
-    for _ in range(order):
-        coeffs.append(power * diff)
-        power *= -c
-    return PowerSeries(order, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -152,10 +152,10 @@ def rmatrix_suite(profiles=None, qs=DEFAULT_QS) -> list[CheckResult]:
 
 
 def tensor_suite(profiles=None, qs=DEFAULT_QS, m_max: int = 5) -> list[CheckResult]:
-    """One model per (profile, q), at model_slots("tensor", m_max) slots:
-    the four-way checks at every m and the shift checks read their
-    narrower models off it (ModelContext.with_slots).  The Thoma checks
-    build one model per profile at q = 1."""
+    """One model per (profile, q), at model_slots("tensor", m_max) slots,
+    on which the four-way checks evaluate every cycle length and the shift
+    checks every shift.  The Thoma checks build one model per profile at
+    q = 1."""
     results = []
     profiles = profiles if profiles is not None else default_profiles()
     widest = max(profiles, key=lambda p: sum(1 for a in (*p[1], *p[2]) if a != 0))
@@ -180,18 +180,16 @@ def _four_way_checks(name: str, model: ModelContext, m_max: int) -> list[CheckRe
     _int_walk: the tensor-side diagonal sum (the diagonal rows of the
     table), the R-matrix matrix element, and the normal-form cycle sum.
     The matrix element takes each slot's weighted sum during its walk,
-    where the normal form walks every basis tensor over the full width and
-    reads sigma off the walked tuples.  Cycle m runs on max(m, 2) slots,
-    a model derived from `model`, which has at least m_max slots."""
+    where the normal form walks every basis tensor of the cycle's rank and
+    reads sigma off the walked tuples.  Every cycle runs on `model`, which
+    has at least m_max slots."""
     params = model.params
     out = []
     for m in range(1, m_max + 1):
-        slots = max(m, 2)
-        ctx = model.with_slots(slots)
-        element = zeta_interval(1, m, rank=slots)
-        direct = tensor.matrix_element(ctx, element)
-        diag_tensor = tensor.diagonal_zeta(ctx, m)
-        omega = tensor.omega_trace(ctx, tensor.normal_form(ctx, element))
+        element = zeta_interval(1, m)
+        direct = tensor.matrix_element(model, element)
+        diag_tensor = tensor.diagonal_zeta(model, m)
+        omega = tensor.omega_trace(model, tensor.normal_form(model, element))
         closed = zeta_trace(m, params)
         diag_scalar = zeta_trace_diagonal(m, params)
         agree = closed == diag_scalar == diag_tensor == direct == omega
@@ -229,8 +227,7 @@ def _thoma_checks(profiles, m_max: int = 4) -> list[CheckResult]:
         params = profile_params(profile, Fraction(1))
         model = ModelContext.create(params, slots=m_max)
         for m in range(2, m_max + 1):
-            ctx = model.with_slots(m)
-            got = tensor.matrix_element(ctx, zeta_interval(1, m, rank=m))
+            got = tensor.matrix_element(model, zeta_interval(1, m))
             want = thoma_trace(m, params)
             out.append(
                 CheckResult(
@@ -246,17 +243,13 @@ def _shift_checks(model: ModelContext) -> list[CheckResult]:
     """Trace values of interval cycles do not depend on where the interval
     sits: shifting [1, m] to [1+k, m+k] leaves the matrix element alone.
     The tensor suite runs them on its profile with the most nonzero weights
-    (the first on a tie) at its first q, on models of up to 5 slots derived
-    from `model`, which has at least 5."""
+    (the first on a tie) at its first q, on `model`, which has at least 5
+    slots."""
     out = []
     for m in (2, 3):
         for k in (1, 2):
-            slots = m + k
-            ctx = model.with_slots(slots)
-            base = tensor.matrix_element(ctx, zeta_interval(1, m, rank=slots))
-            shifted = tensor.matrix_element(
-                ctx, zeta_interval(1 + k, m + k, rank=slots)
-            )
+            base = tensor.matrix_element(model, zeta_interval(1, m))
+            shifted = tensor.matrix_element(model, zeta_interval(1 + k, m + k))
             out.append(
                 CheckResult(
                     f"tensor.shift.m{m}.k{k}",

@@ -65,32 +65,33 @@ rows (image, k, v) for v t^k.  A walk term is an int times t^k, k in
 
 A walk term is keyed by one int.  The support is sorted, so numbering it
 by position keeps the index order.  With B = |S| and code(I) = sum_k
-pos(I_k) B^(k-1), a state stores the term c t^k on eta[I; J] as the entry
-key: c, where key = 2 (code(I) + B^slots code(J)) + k.  At slot a the pair
-(I_a, I_(a+1)) is the digit (key // (2 B^(a-1))) % B^2, and each image
-adds a delta that is fixed per slot, pair and grade.  Each model derives
-these rows from ctx.r_matrix once, on first use (ModelContext.walk, and
-ModelContext.diagonal_walk for the diagonal rows), and every route of the
-model reads them there.  The rows of a slot do not depend on the slot
-count, so ctx.with_slots(n) derives the n-slot model of the same weights
-that reads r_matrix, the weight numerators and the rows of the slots 1,
-.., n - 1 from the wide model: a suite that evaluates one parameter set
-at several slot counts builds these tables once.  Only span and the
-unit diagonal are the derived model's own.  Index tuples make poor keys:
-in CPython hash(-1) == hash(-2), so all tuples of one length over the two
-beta indices -1 and -2 share one hash, and a dict lookup among them walks
-one long collision chain.
+pos(I_k) B^(k-1), a walk over n slots stores the term c t^k on eta[I; J]
+as the entry key: c, where key = 2 (code(I) + B^n code(J)) + k.  At slot a
+the pair (I_a, I_(a+1)) is the digit (key // (2 B^(a-1))) % B^2, and each
+image adds a delta that is fixed per slot, pair and grade.  Each model
+derives these rows from ctx.r_matrix once, on first use
+(ModelContext.walk, and ModelContext.diagonal_walk for the diagonal rows),
+and every route of the model reads them there.  The rows of a slot do not
+depend on the slot count, and a value does not depend on the width it is
+taken at: the traces live on the union of the H_n.  So no route walks more
+slots than its element touches.  matrix_element and diagonal_zeta open
+only the slots a step touches, and normal_form walks the x.rank slots of
+its element, so one model per parameter set evaluates every element of
+rank up to its slot count.  Index tuples make poor keys: in CPython
+hash(-1) == hash(-2), so all tuples of one length over the two beta
+indices -1 and -2 share one hash, and a dict lookup among them walks one
+long collision chain.
 The right action is the left walk with the codes of I and J swapped.
 
-The power of sqrt(q) is a grade, not a ring element.  The pairing, and
-the closed walk of matrix_element, sum the even and the odd power of t
-into two ints, and each route divides
-once, by b^(steps) d^slots for d the common denominator of the weights.
-Trace values are rational, so every route asserts that the odd sum
-vanishes and raises CrossCheckError otherwise.  normal_form keeps the
-grade in sigma, which it reads off per-code tables of stable-sort ranks,
-and omega_trace reads the odd permutations as the sqrt(q) part that must
-vanish; it sums its entries in integers over d^slots, one Fraction per
+The power of sqrt(q) is a grade, not a ring element.  The pairing, and the
+closed walk of matrix_element, sum the even and the odd power of t into
+two ints, and each route divides once, by b^(steps) d^slots for d the
+common denominator of the weights.  Trace values are rational, so every
+route asserts that the odd sum vanishes and raises CrossCheckError
+otherwise.  normal_form keeps the grade in sigma, which it reads off
+per-code tables of stable-sort ranks, and omega_trace reads the odd
+permutations as the sqrt(q) part that must vanish; it sums its entries in
+integers over d^n, for n the length of their tuples, one Fraction per
 denominator of the entries.  No route forms a RootElem.  apply_r,
 apply_hecke and xi_state keep the RootElem states in Q[sqrt(q), sqrt(a_i)]
 as the reference action: verify -v prints Xi, and the tests hold them as
@@ -100,7 +101,7 @@ the oracle of the walks.  Only they build the context's SqrtTable.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product as _cartesian
@@ -149,19 +150,15 @@ class ModelContext:
     Extra indices of weight zero may be present in the support; they carry
     no component of Xi and provide the truncation-exactness check.
 
-    create builds a model from parameters; with_slots(n) derives the n-slot
-    model of the same weights from it.  A derived context reads r_matrix,
-    weight_numerators, the square-root table and the walk and diagonal-walk
-    rows of the slots 1, .., n - 1 from the wide model it was derived from,
-    since none of them depends on the slot count; only the radix span =
-    |S|^n of its walks and unit_diagonal are its own.  So a fault put into
-    the wide model's r_matrix reaches every slot count derived from it."""
+    One model serves every element of rank up to its slot count: each
+    route walks only the slots its element touches (see the module
+    docstring), so a suite that evaluates one parameter set at several
+    ranks builds r_matrix and the walk rows once, and a fault put into
+    r_matrix reaches every rank."""
 
     params: TraceParams
     slots: int
     weights: WeightFunction
-    # the model with_slots derived this one from, whose tables it reads
-    _wide: "ModelContext | None" = field(default=None, repr=False, compare=False)
 
     @classmethod
     def create(
@@ -176,16 +173,6 @@ class ModelContext:
         for i in extra_indices:
             weights.setdefault(i, Fraction(0))
         return cls(params, slots, WeightFunction(weights))
-
-    def with_slots(self, slots: int) -> "ModelContext":
-        """The model of the same weights on slots <= self.slots slots, which
-        shares the tables of the wide model (see the class docstring)."""
-        if not 1 <= slots <= self.slots:
-            raise ValueError(f"need 1 <= slots <= {self.slots}, got {slots}")
-        if slots == self.slots:
-            return self
-        wide = self if self._wide is None else self._wide
-        return ModelContext(self.params, slots, self.weights, wide)
 
     @property
     def q(self) -> Fraction:
@@ -202,8 +189,6 @@ class ModelContext:
         v times t^k.  The diagonal part diag_coeff, q, -1 or q - 1, scales to
         a, -b or a - b at t^0, and the swap -sqrt(q) to -1 at t^1.  This is
         the one place the R coefficients are formed."""
-        if self._wide is not None:
-            return self._wide.r_matrix
         b = self.q.denominator
         table = {}
         for x in self.support:
@@ -220,15 +205,11 @@ class ModelContext:
     def walk(self) -> "_Walk":
         """The integer walk of b R, read from r_matrix on first use; every
         route of the model walks it."""
-        if self._wide is not None:
-            return self._wide.walk.narrowed(self.slots)
         return _walk_of(self)
 
     @cached_property
     def diagonal_walk(self) -> "_Walk":
         """The walk of the diagonal rows of r_matrix only (diagonal_zeta)."""
-        if self._wide is not None:
-            return self._wide.diagonal_walk.narrowed(self.slots)
         return _walk_of(self, diagonal=True)
 
     @property
@@ -237,21 +218,11 @@ class ModelContext:
         return self.q.numerator * self.q.denominator
 
     @cached_property
-    def weight_numerators(self) -> tuple[int, dict]:
-        """(d, {i: n_i}): the common denominator d of the nonzero weights and
-        the numerator n_i of a_i = n_i / d for every index of the support,
-        0 for an index of weight zero."""
-        if self._wide is not None:
-            return self._wide.weight_numerators
-        d = lcm(*(self.weight(i).denominator for i in self.support))
-        return d, {i: (self.weight(i) * d).numerator for i in self.support}
-
-    @cached_property
     def unit_diagonal(self) -> tuple[dict, dict, int]:
         """Xi_1 as a flat state, the numerators n_J = prod_k n_{J_k} of the
         weights a_i = n_i / d keyed by code(J), and d^slots."""
         size = len(self.support)
-        d, numerators = self.weight_numerators
+        d, numerators = self.weights.numerators
         live = [(p, numerators[i]) for p, i in enumerate(self.support) if numerators[i]]
         nums = {0: 1}
         for k in range(self.slots):
@@ -263,8 +234,6 @@ class ModelContext:
     def table(self) -> SqrtTable:
         """The square-root symbols of the reference action: sqrt(q) and the
         root of each nonzero weight."""
-        if self._wide is not None:
-            return self._wide.table
         bindings = {_SQRT_Q: self.q}
         for i in self.support:
             if self.weight(i) != 0:
@@ -435,12 +404,6 @@ class _Walk(NamedTuple):
     span: int
     steps: dict
 
-    def narrowed(self, slots: int) -> "_Walk":
-        """The walk on the first `slots` slots: the rows of a slot do not
-        depend on the slot count, only span does."""
-        steps = {a: self.steps[a] for a in range(1, slots)}
-        return _Walk(self.ab, self.size, self.size**slots, steps)
-
 
 def _walk_of(ctx: ModelContext, diagonal: bool = False) -> _Walk:
     """The walk of b R read from ctx.r_matrix, with diagonal only the rows
@@ -610,7 +573,7 @@ def _closed_walk(ctx: ModelContext, walk: _Walk, steps: list[int]) -> tuple[int,
     touches gives the factor sum_i n_i.  The walk ends on the keys 0 and
     1, the even and the odd part."""
     size, span = walk.size, walk.span
-    _, numerators = ctx.weight_numerators
+    _, numerators = ctx.weights.numerators
     weight = [numerators[i] for i in ctx.support]  # n_i by position
     live = [p for p, n in enumerate(weight) if n]
     first, last = {}, {}
@@ -662,7 +625,7 @@ def matrix_element(ctx: ModelContext, x: HeckeElement) -> Fraction:
     for word, f in terms:
         e, o = _closed_walk(ctx, walk, word[::-1])
         even, odd = even + f * e, odd + f * o
-    d, _ = ctx.weight_numerators
+    d, _ = ctx.weights.numerators
     return _rational(ctx, even, odd, denom * d**ctx.slots, f"matrix element of {x!r}")
 
 
@@ -694,9 +657,11 @@ def normal_form(
     tag to the walked tuple keeping equal indices in their order: with
     start(I) the stable sorting order of I as a permutation, sigma =
     start(tag) start(I)^-1, that is sigma[k] = start(tag)[rank(I)[k]] for
-    rank(I)[k] the place of position k in the stable sort.  These tables
-    hold one entry per code of the |S|^slots codes, so no entry sorts a
-    tuple; they depend only on the support and the slot count and are
+    rank(I)[k] the place of position k in the stable sort.  The walk runs
+    over the x.rank slots of the element, not the model's slot count, so
+    its tags are the |S|^rank codes and the tables are keyed by
+    x.rank-tuples.  The sort tables hold one entry per code, so no entry
+    sorts a tuple; they depend only on the support and the rank and are
     cached per process (_stable_sorts, _code_tuples).  A swap flips the
     power k of t and moves sigma by one transposition, so every walked term
     sits at the grade k = l(sigma) mod 2, the sum of the parities of
@@ -718,9 +683,9 @@ def normal_form(
     """
     _check_rank(ctx, x)
     walk = ctx.walk
-    span = walk.span
-    tuples = _code_tuples(ctx.support, ctx.slots)
-    starts, ranks, parity = _stable_sorts(walk.size, ctx.slots)
+    span = walk.size**x.rank  # the radix of code(J) on x.rank slots
+    tuples = _code_tuples(ctx.support, x.rank)
+    starts, ranks, parity = _stable_sorts(walk.size, x.rank)
     tagged = _diagonal_keys(span, range(span))
     terms, denom = _integer_terms(ctx, x)
     raw: dict = {}  # every walked key, also where the terms cancel
@@ -799,15 +764,17 @@ def omega_trace(
     On the output of normal_form only the identity table contributes: R
     swaps only unequal indices, so no entry with sigma != id fixes its
     tuple.  Every entry given is still read, so a normal form from elsewhere
-    is summed in full.  The index tuples have the model's slot count.
+    is summed in full.  The index tuples may have any length n, which
+    need not be the model's slot count: each entry is weighted over its own
+    tuple.
 
     The sums run in integers: the points that sigma moves are found once per
     table, a_i = n_i / d, and phi.numerator n_I for n_I = prod_k n_(I_k) is
-    summed per grade and per phi.denominator, over d^slots; one Fraction is
+    summed per grade and per phi.denominator, over d^n; one Fraction is
     formed per distinct denominator."""
-    d, numerators = ctx.weight_numerators
+    d, numerators = ctx.weights.numerators
     weight = defaultdict(int, numerators).__getitem__  # 0 off the support
-    sums: tuple[dict, dict] = ({}, {})  # per grade: {phi.denominator: sum}
+    sums: tuple[dict, dict] = ({}, {})  # per grade: {(n, phi.denominator): sum}
     for sigma, table in op.items():
         moved = [(k, s - 1) for k, s in enumerate(sigma) if s != k + 1]
         fixed = table.items()
@@ -817,10 +784,10 @@ def omega_trace(
         for tup, phi in fixed:
             n = prod(map(weight, tup))
             if n:
-                acc[phi.denominator] = acc.get(phi.denominator, 0) + phi.numerator * n
-    d_slots = d**ctx.slots
+                key = len(tup), phi.denominator
+                acc[key] = acc.get(key, 0) + phi.numerator * n
     parts = [
-        sum((Fraction(n, den * d_slots) for den, n in acc.items()), Fraction(0))
+        sum((Fraction(n, den * d**slots) for (slots, den), n in acc.items()), Fraction(0))
         for acc in sums
     ]
     # sqrt(q) = t / b
@@ -840,7 +807,7 @@ def diagonal_zeta(ctx: ModelContext, m: int) -> Fraction:
     if not 1 <= m <= ctx.slots:
         raise ValueError(f"need 1 <= m <= {ctx.slots}, got {m}")
     even, odd = _closed_walk(ctx, ctx.diagonal_walk, list(range(1, m)))
-    d, _ = ctx.weight_numerators
+    d, _ = ctx.weights.numerators
     scale = ctx.q.denominator ** (m - 1) * d**ctx.slots
     return _rational(ctx, even, odd, scale, f"diagonal route for m={m}")
 

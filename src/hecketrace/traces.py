@@ -52,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import lcm, prod
 from typing import Iterator, Mapping, Sequence
@@ -170,6 +171,14 @@ class WeightFunction:
 
     def __call__(self, i: int) -> Fraction:
         return self.weights.get(i, Fraction(0))
+
+    @cached_property
+    def numerators(self) -> tuple[int, dict[int, int]]:
+        """(d, {i: n_i}): the common denominator d of the weights and the
+        numerator n_i of a_i = n_i / d for every index of the support, 0
+        for an index of weight zero."""
+        d = lcm(*(a.denominator for a in self.weights.values()))
+        return d, {i: (self(i) * d).numerator for i in self.support}
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +407,7 @@ def _zeta_by_tuples(m: int, weights: WeightFunction, q: Fraction) -> Fraction:
     (e + r <= m, the number of positive entries plus the negative blocks).
     The tuples are grouped by (sign, e, r), and one Fraction is formed."""
     a, b = q.numerator, q.denominator
-    d = lcm(*(w.denominator for w in weights.weights.values()))
-    numerators = {i: (weights(i) * d).numerator for i in weights.support}
+    d, numerators = weights.numerators
     groups: dict[tuple[int, int, int], int] = {}
     for tup in combinations_with_replacement(weights.support, m):
         exponents = _eigen_exponents(tup)

@@ -60,6 +60,19 @@ def test_size_bound_exit_2_fast(capsys, argv, flag):
     assert f"{flag} must be <= {MAX_SIZE}, got 301" in err
 
 
+def test_verify_m_is_bounded_on_a_one_weight_profile(capsys):
+    # one weight gives 1^slots basis tensors, which the tensor-size bound
+    # lets through, but the suite's cost still grows about cubically in m
+    t0 = time.monotonic()
+    code, out, err = run(
+        capsys, "verify", "--suite", "tensor", "--m", "301", "--q", "5/4", "--beta", "1"
+    )
+    assert time.monotonic() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert f"--m must be <= {MAX_SIZE}, got 301" in err
+
+
 def test_trace_thoma_at_q1(capsys):
     code, out, _ = run(capsys, "trace", "--m", "2", "--q", "1", "--alpha", "1/2,1/2")
     assert code == 0

@@ -12,7 +12,6 @@ from hecketrace.scalars import (
     SqrtTable,
     format_fraction,
     parse_fraction,
-    series_linear_fraction,
     series_mul,
 )
 
@@ -107,37 +106,11 @@ def test_int_series_stay_int_and_equal_their_fraction_twins():
     twin = PowerSeries(4, [F(1), F(-2), F(0), F(5), F(0)])
     assert s == twin and hash(s) == hash(twin)
     assert PowerSeries(2, ["1/2"]).coeffs == (F(1, 2), 0, 0)
-    product = series_mul(s, series_linear_fraction(3, -2, 4))
+    # (1 + 3z)/(1 - 2z) to order 4
+    fraction = PowerSeries(4, [1, 5, 10, 20, 40])
+    product = series_mul(s, fraction)
     assert all(type(c) is int for c in product.coeffs)
-    assert product == series_mul(twin, series_linear_fraction(F(3), F(-2), 4))
-    assert series_linear_fraction(3, -2, 4) == PowerSeries(4, [1, 5, 10, 20, 40])
-    assert all(type(c) is int for c in series_linear_fraction(3, -2, 4).coeffs)
-
-
-def test_linear_fraction_geometric():
-    # 1/(1 - 2z): b = 0, c = -2
-    assert series_linear_fraction(0, -2, 3) == PowerSeries(3, [1, 2, 4, 8])
-
-
-def test_linear_fraction_cancel():
-    assert series_linear_fraction(F(1, 3), F(1, 3), 4) == PowerSeries.one(4)
-
-
-def test_linear_fraction_hand_expansion():
-    # (1 + z)/(1 + z/2) with beta = 1/2
-    got = series_linear_fraction(2 * F(1, 2), F(1, 2), 2)
-    assert got == PowerSeries(2, [1, F(1, 2), F(-1, 4)])
-
-
-@given(
-    b=st.fractions(min_value=-3, max_value=3, max_denominator=6),
-    c=st.fractions(min_value=-3, max_value=3, max_denominator=6),
-)
-def test_linear_fraction_times_denominator(b, c):
-    # (1+bz)/(1+cz) * (1+cz) == (1+bz) up to truncation
-    order = 6
-    lhs = series_mul(series_linear_fraction(b, c, order), PowerSeries(order, [1, c]))
-    assert lhs == PowerSeries(order, [1, b])
+    assert product == series_mul(twin, PowerSeries(4, [F(c) for c in fraction.coeffs]))
 
 
 # ---------------------------------------------------------------------------

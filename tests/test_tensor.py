@@ -1627,73 +1627,75 @@ def test_state_dump_format():
 
 
 # ---------------------------------------------------------------------------
-# narrower models derived from a wide one (ModelContext.with_slots)
+# one model per parameter set: every route walks only the slots its element
+# touches, so a value does not depend on the width of the model
+
+
+def _elements_of_rank(rank):
+    """Every eighth-or-so basis element of H_rank, and from rank 2 on a
+    combination of the longest element and a generator."""
+    elements = [HeckeElement.basis(w) for w in all_perms(rank)]
+    if rank > 1:
+        elements.append(
+            HeckeElement.basis(tuple(range(rank, 0, -1)))
+            + HeckeElement.generator(1, rank).scale(F(-3, 2))
+        )
+    return elements[:: max(1, len(elements) // 8)]
 
 
 @pytest.mark.parametrize("q", ["2", "1/3", "1"])
-def test_derived_contexts_equal_fresh_contexts(q):
-    # P5 with the zero-weight index 3: every route, and every table a route
-    # reads, on the model derived from a 5-slot one equals a model created
-    # at that slot count
+def test_one_model_gives_every_rank_the_values_of_a_fresh_model(q):
+    # P5 with the zero-weight index 3: each route on a 5-slot model, at
+    # every rank r, equals the route on a model created with r slots
     model = ORACLE_MODELS[5]
     assert model[0] == "P5_zero_weight"
     wide = oracle_context(model, q, 5)
-    assert wide.with_slots(5) is wide
-    for slots in range(1, 5):
-        derived, fresh = wide.with_slots(slots), oracle_context(model, q, slots)
-        assert derived == fresh and derived.slots == slots
-        assert derived.r_matrix is wide.r_matrix and derived.r_matrix == fresh.r_matrix
-        assert derived.weight_numerators == fresh.weight_numerators
-        assert derived.walk == fresh.walk and derived.diagonal_walk == fresh.diagonal_walk
-        assert derived.unit_diagonal == fresh.unit_diagonal
-        for m in range(1, slots + 1):
-            assert diagonal_zeta(derived, m) == diagonal_zeta(fresh, m)
-        elements = [HeckeElement.basis(w) for w in all_perms(slots)]
-        if slots > 1:
-            elements.append(
-                HeckeElement.basis(tuple(range(slots, 0, -1)))
-                + HeckeElement.generator(1, slots).scale(F(-3, 2))
-            )
-        for x in elements[:: max(1, len(elements) // 8)]:
-            assert matrix_element(derived, x) == matrix_element(fresh, x), x
-            op = normal_form(derived, x)
+    for rank in range(1, 6):
+        fresh = oracle_context(model, q, rank)
+        assert diagonal_zeta(wide, rank) == diagonal_zeta(fresh, rank)
+        for x in _elements_of_rank(rank):
+            assert matrix_element(wide, x) == matrix_element(fresh, x), x
+            op = normal_form(wide, x)
             assert op == normal_form(fresh, x), x
-            assert omega_trace(derived, op) == omega_trace(fresh, op), x
-        if slots >= 3:
-            for side in ("left", "right"):
-                assert r_matrix_laws(derived, side) == r_matrix_laws(fresh, side) == (True, True)
-            checks = bimodule_checks(derived, Random(2026), 4, 3, 2)
-            assert checks == bimodule_checks(fresh, Random(2026), 4, 3, 2)
-            assert all(c.passed for c in checks)
+            assert all(len(tup) == rank for table in op.values() for tup in table), x
+            assert omega_trace(wide, op) == omega_trace(fresh, op), x
 
 
-def test_a_derived_context_reads_the_wide_model_it_came_from():
-    wide = ModelContext.create(P_WIDE, 5)
-    view = wide.with_slots(4)
-    assert view.with_slots(2).r_matrix is wide.r_matrix
-    assert view.walk.steps[3] is wide.walk.steps[3] and 4 not in view.walk.steps
-    for slots in (0, 6):
-        with pytest.raises(ValueError, match="need 1 <= slots <= 5"):
-            wide.with_slots(slots)
+def test_normal_form_walks_only_the_rank_of_its_element(monkeypatch):
+    # on a 5-slot model the walk of an element of rank r starts from the
+    # |S|^r tagged basis tensors, not from the |S|^5 of the model
+    starts = []
+    int_walk = tensor._int_walk
+
+    def recorded(walk, slots, state):
+        starts.append(len(state))
+        return int_walk(walk, slots, state)
+
+    monkeypatch.setattr(tensor, "_int_walk", recorded)
+    ctx = oracle_context(ORACLE_MODELS[5], "2", 5)
+    size = len(ctx.support)
+    for rank in range(1, 5):
+        starts.clear()
+        for x in _elements_of_rank(rank):
+            normal_form(ctx, x)
+        assert starts and max(starts) <= size**rank, (rank, max(starts))
 
 
-@pytest.mark.parametrize("derive_first", [False, True], ids=["fault_first", "derive_first"])
-def test_a_fault_in_the_wide_r_matrix_reaches_every_derived_slot_count(derive_first):
+@pytest.mark.parametrize("ranks", [(2, 3, 4, 5), (5, 4, 3, 2)], ids=["low_rank_first", "high_rank_first"])
+def test_a_fault_in_r_matrix_reaches_every_rank(ranks):
     # R(1, 1) = q - 1 + sqrt(q), b R = (a - b) + t: a sqrt(q) part that the
-    # matrix element and the diagonal route of every derived model must
-    # report, also when the fault is put in after the models were derived
+    # matrix element, the diagonal route and the normal form of the one
+    # model must report at every rank, whichever rank builds the walk first
     q = F(2, 3)
-    wide = ModelContext.create(params(q, alpha=("1/2", "1/2")), 5)
-    views = {slots: wide.with_slots(slots) for slots in range(2, 6)} if derive_first else {}
-    wide.r_matrix[(1, 1)] = [((1, 1), 0, q.numerator - q.denominator), ((1, 1), 1, 1)]
-    for slots in range(2, 6):
-        ctx = views.get(slots) or wide.with_slots(slots)
+    ctx = ModelContext.create(params(q, alpha=("1/2", "1/2")), 5)
+    ctx.r_matrix[(1, 1)] = [((1, 1), 0, q.numerator - q.denominator), ((1, 1), 1, 1)]
+    for rank in ranks:
         routes = {
-            "matrix element": lambda: matrix_element(ctx, HeckeElement.generator(1, slots)),
-            "diagonal route for m=2": lambda: diagonal_zeta(ctx, 2),
-            "normal form": lambda: normal_form(ctx, HeckeElement.generator(1, slots)),
+            "matrix element": lambda: matrix_element(ctx, HeckeElement.generator(1, rank)),
+            f"diagonal route for m={rank}": lambda: diagonal_zeta(ctx, rank),
+            "normal form": lambda: normal_form(ctx, HeckeElement.generator(1, rank)),
         }
         for route, evaluate in routes.items():
             with pytest.raises(CrossCheckError) as err:
                 evaluate()
-            assert route in str(err.value) and f"{slots} slots" in str(err.value)
+            assert route in str(err.value) and "5 slots" in str(err.value)

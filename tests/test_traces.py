@@ -11,12 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from hecketrace import traces
 from hecketrace.hecke import zeta_interval
-from hecketrace.scalars import (
-    CrossCheckError,
-    PowerSeries,
-    series_linear_fraction,
-    series_mul,
-)
+from hecketrace.scalars import CrossCheckError, PowerSeries, series_mul
 from hecketrace.tensor import ModelContext, matrix_element
 from hecketrace.traces import (
     TraceParams,
@@ -388,6 +383,12 @@ def cycle_values_by_fractions(m, p):
     return chi
 
 
+def linear_fraction_by_fractions(b, c, order):
+    """(1 + b z)/(1 + c z) to the given order: the coefficient of z^k for
+    k >= 1 is (-c)^(k-1) (b - c)."""
+    return PowerSeries(order, [F(1)] + [(-c) ** (k - 1) * (b - c) for k in range(1, order + 1)])
+
+
 def generating_series_by_fractions(p, order):
     """The product formula for G(z) expanded factor by factor in Fraction
     in the variable z itself; the oracle for the integer expansion in
@@ -396,10 +397,10 @@ def generating_series_by_fractions(p, order):
     out = PowerSeries.one(order)
     for b in p.beta:
         if b != 0:
-            out = series_mul(out, series_linear_fraction(b * q, b, order))
+            out = series_mul(out, linear_fraction_by_fractions(b * q, b, order))
     for a in p.alpha:
         if a != 0:
-            out = series_mul(out, series_linear_fraction(-a, -a * q, order))
+            out = series_mul(out, linear_fraction_by_fractions(-a, -a * q, order))
     return out
 
 
