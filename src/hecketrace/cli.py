@@ -12,6 +12,11 @@ floating-point formatting anywhere in the output layer.  Exit codes:
 
 Parameters can come from flags (--q, --alpha, --beta, --gamma) or from a
 JSON file via --params; flags win on conflict, with a warning on stderr.
+
+argv is parsed once: when its first word names a subcommand, that
+subcommand's parser reads the rest, and the top-level parser reads only
+what names none (no argv, -h/--help, an unknown command).  Both come from
+the one parser build_parser() builds per process.
 """
 
 from __future__ import annotations
@@ -401,11 +406,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("csv", "records"), default="csv")
     p_verify.set_defaults(func=cmd_verify)
 
+    # the subcommand parsers by name, for _parse
+    parser.commands = subs.choices
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """The parsed request.  When argv[0] names a subcommand, only that
+    subcommand's parser reads argv[1:]; the top-level parser would scan
+    every flag before handing them to it.  Leftover arguments get the
+    top-level parser's error, as they would through it.  Anything else (no
+    argv, -h or --help, an unknown command) goes to the top-level parser."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one request, argv or sys.argv[1:], and return its exit code;
+    argparse exits 2 on a malformed command line.  A subcommand's own
+    parser reads its flags (see _parse)."""
+    args = _parse(argv)
     try:
         return args.func(args)
     except CrossCheckError as exc:

@@ -75,19 +75,21 @@ def reduced_word(w: Perm) -> list[int]:
     """A reduced word [a_1, .., a_k] with w = s_{a_1} s_{a_2} .. s_{a_k}
     (composition left to right) and k = length(w).
 
-    Built by repeatedly stripping a right descent, which lowers the length
-    by exactly one at each step.
+    Built by repeatedly stripping the first right descent, which lowers
+    the length by exactly one at each step.  A swap at i leaves no descent
+    before i - 1, so the scan for the next one resumes there: O(n + k)
+    steps in all.
     """
     img = list(w)
     rev: list[int] = []
-    while True:
-        for i in range(len(img) - 1):
-            if img[i] > img[i + 1]:
-                img[i], img[i + 1] = img[i + 1], img[i]
-                rev.append(i + 1)
-                break
+    i = 0
+    while i < len(img) - 1:
+        if img[i] > img[i + 1]:
+            img[i], img[i + 1] = img[i + 1], img[i]
+            rev.append(i + 1)
+            i = max(i - 1, 0)
         else:
-            break
+            i += 1
     return rev[::-1]
 
 

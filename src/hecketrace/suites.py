@@ -21,10 +21,10 @@ from .scalars import QPoly
 from .tensor import ModelContext
 from .traces import (
     TraceParams,
+    _cycle_values,
     generating_series,
     series_from_traces,
     thoma_trace,
-    zeta_trace,
     zeta_trace_diagonal,
 )
 
@@ -175,22 +175,22 @@ def tensor_suite(profiles=None, qs=DEFAULT_QS, m_max: int = 5) -> list[CheckResu
 
 def _four_way_checks(name: str, model: ModelContext, m_max: int) -> list[CheckResult]:
     """The same trace value along five routes: the cycle-value recurrence
-    and the scalar diagonal sum, which are the independent ones, and three
-    tensor routes that all walk the one table of b R, ctx.r_matrix, with
-    _int_walk: the tensor-side diagonal sum (the diagonal rows of the
-    table), the R-matrix matrix element, and the normal-form cycle sum.
+    (one run up to m_max gives every m) and the scalar diagonal sum, which
+    are the independent ones, and three tensor routes that all walk the
+    one table of b R, ctx.r_matrix, with _int_walk: the tensor-side
+    diagonal sum (the diagonal rows of the table), the R-matrix matrix
+    element, and the normal-form cycle sum.
     The matrix element takes each slot's weighted sum during its walk,
     where the normal form walks every basis tensor of the cycle's rank and
     reads sigma off the walked tuples.  Every cycle runs on `model`, which
     has at least m_max slots."""
     params = model.params
     out = []
-    for m in range(1, m_max + 1):
+    for m, closed in enumerate(_cycle_values(m_max, params), start=1):
         element = zeta_interval(1, m)
         direct = tensor.matrix_element(model, element)
         diag_tensor = tensor.diagonal_zeta(model, m)
         omega = tensor.omega_trace(model, tensor.normal_form(model, element))
-        closed = zeta_trace(m, params)
         diag_scalar = zeta_trace_diagonal(m, params)
         agree = closed == diag_scalar == diag_tensor == direct == omega
         detail = (

@@ -626,7 +626,9 @@ def matrix_element(ctx: ModelContext, x: HeckeElement) -> Fraction:
         e, o = _closed_walk(ctx, walk, word[::-1])
         even, odd = even + f * e, odd + f * o
     d, _ = ctx.weights.numerators
-    return _rational(ctx, even, odd, denom * d**ctx.slots, f"matrix element of {x!r}")
+    # the route label is read only on failure, and repr(x) is not cheap
+    route = f"matrix element of {x!r}" if odd else "matrix element"
+    return _rational(ctx, even, odd, denom * d**ctx.slots, route)
 
 
 # ---------------------------------------------------------------------------

@@ -80,10 +80,14 @@ __all__ = [
 ]
 
 
-def _check_weights(name: str, seq: tuple[Fraction, ...]):
-    if any(x < 0 for x in seq):
+def _fraction(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _check_weights(name: str, numerators: list[int]):
+    if any(n < 0 for n in numerators):
         raise ValueError(f"{name} entries must be nonnegative")
-    if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
+    if any(numerators[i] < numerators[i + 1] for i in range(len(numerators) - 1)):
         raise ValueError(f"{name} must be nonincreasing")
 
 
@@ -91,30 +95,51 @@ def _check_weights(name: str, seq: tuple[Fraction, ...]):
 class TraceParams:
     """Thoma-type parameters (alpha, beta, gamma) plus the deformation
     parameter q; validated so that sum(alpha) + sum(beta) + gamma == 1
-    holds exactly."""
+    holds exactly.
+
+    The check runs in integers: with d the common denominator of the alpha
+    and beta weights, alpha_i = n_i/d and beta_j = m_j/d, the weights are
+    compared by their numerators and the sum is checked over the common
+    denominator of d and gamma.  Each instance keeps weight_numerators =
+    (d, (n_i), (m_j)) with the numerators of the nonzero weights only (a
+    prefix of each nonincreasing sequence), which the integer routes of
+    this module read instead of working them out per call."""
 
     q: Fraction
     alpha: tuple[Fraction, ...] = ()
     beta: tuple[Fraction, ...] = ()
     gamma: Fraction = Fraction(0)
+    weight_numerators: tuple[int, tuple[int, ...], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
-        object.__setattr__(self, "alpha", tuple(Fraction(a) for a in self.alpha))
-        object.__setattr__(self, "beta", tuple(Fraction(b) for b in self.beta))
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
-        if self.q <= 0:
+        q, gamma = _fraction(self.q), _fraction(self.gamma)
+        alpha = tuple(map(_fraction, self.alpha))
+        beta = tuple(map(_fraction, self.beta))
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
+        if q.numerator <= 0:
             raise ValueError("q must be positive")
-        _check_weights("alpha", self.alpha)
-        _check_weights("beta", self.beta)
-        if self.gamma < 0:
+        d = lcm(*(w.denominator for w in (*alpha, *beta)))
+        alphas = [w.numerator * (d // w.denominator) for w in alpha]
+        betas = [w.numerator * (d // w.denominator) for w in beta]
+        _check_weights("alpha", alphas)
+        _check_weights("beta", betas)
+        g, h = gamma.numerator, gamma.denominator
+        if g < 0:
             raise ValueError("gamma must be nonnegative")
-        total = sum(self.alpha) + sum(self.beta) + self.gamma
-        if total != 1:
+        # sum(alpha) + sum(beta) + gamma - 1 over the denominator d h
+        excess = (sum(alphas) + sum(betas) - d) * h + g * d
+        if excess:
             raise ValueError(
                 "alpha, beta, gamma must sum to 1 exactly; "
-                f"off by {format_fraction(total - 1)}"
+                f"off by {format_fraction(Fraction(excess, d * h))}"
             )
+        nonzero = (tuple(n for n in alphas if n), tuple(m for m in betas if m))
+        object.__setattr__(self, "weight_numerators", (d, *nonzero))
 
     # -- serialization --------------------------------------------------
 
@@ -215,17 +240,6 @@ def enumerate_multiplicities(m: int) -> Iterator[dict[int, int]]:
     return rec(m, m)
 
 
-def _weight_numerators(params: TraceParams) -> tuple[int, list[int], list[int]]:
-    """(d, [n_i], [m_j]): the common denominator d of the weights and the
-    numerators of the nonzero ones, alpha_i = n_i/d and beta_j = m_j/d."""
-    d = lcm(*(w.denominator for w in (*params.alpha, *params.beta)))
-
-    def numerators(weights):
-        return [w.numerator * (d // w.denominator) for w in weights if w]
-
-    return d, numerators(params.alpha), numerators(params.beta)
-
-
 def _cycle_numerators(m: int, params: TraceParams) -> Iterator[tuple[int, int]]:
     """The pairs (Y_k, k! b^(k-1) d^k) for k = 1, .., m, chi(zeta_k) = Y_k /
     (k! b^(k-1) d^k), by the recurrence
@@ -244,7 +258,7 @@ def _cycle_numerators(m: int, params: TraceParams) -> Iterator[tuple[int, int]]:
     Fraction once.
     """
     a, b = params.q.numerator, params.q.denominator
-    d, alphas, betas = _weight_numerators(params)
+    d, alphas, betas = params.weight_numerators
     neg_betas = [-x for x in betas]
     alpha_pows, beta_pows = [1] * len(alphas), [1] * len(betas)  # n_i^k, (-m_j)^k
     W, Y = [0], [0]  # W[k], Y[k]; index 0 unused
@@ -326,7 +340,7 @@ def generating_series(params: TraceParams, order: int) -> PowerSeries:
     if params.gamma != 0:
         raise ValueError("the generating function requires gamma = 0")
     a, b = params.q.numerator, params.q.denominator
-    d, alphas, betas = _weight_numerators(params)
+    d, alphas, betas = params.weight_numerators
     factors = [(m_j * a, m_j * b) for m_j in betas] + [(-n_i * b, -n_i * a) for n_i in alphas]
     coeffs = [1] + [0] * order
     for up, down in factors:
@@ -430,7 +444,7 @@ def _zeta_by_exponents(m: int, params: TraceParams, q: Fraction) -> Fraction:
     sum over the nonzero psi_j, which divides b^(m-1) d^m; one Fraction is
     formed."""
     a, b = q.numerator, q.denominator
-    d, alphas, betas = _weight_numerators(params)
+    d, alphas, betas = params.weight_numerators
     total = 0
     for combo in _compositions(m, len(betas) + len(alphas)):
         phi, psi = combo[: len(betas)], combo[len(betas):]

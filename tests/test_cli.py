@@ -318,6 +318,24 @@ def test_tensor_suite_creates_one_model_per_parameter_set(monkeypatch, m_max):
     assert built == want
 
 
+def test_tensor_suite_runs_the_recurrence_once_per_parameter_set(monkeypatch):
+    # one run to m_max gives every four-way value, one to order 8 the
+    # series identity, per (profile, q): the run to each m is not repeated
+    from hecketrace import traces
+
+    runs = []
+    run_to = traces._cycle_numerators
+
+    def spy(m, params):
+        runs.append(m)
+        return run_to(m, params)
+
+    monkeypatch.setattr(traces, "_cycle_numerators", spy)
+    results = suites.tensor_suite(m_max=5)
+    assert all(r.passed for r in results)
+    assert runs == [5, 8] * len(suites.DEFAULT_QS) * len(suites.default_profiles())
+
+
 def test_verify_tensor_bounds_the_shift_models_by_the_profile(capsys):
     # six weights: the cycles at m = 2 need 6^2 tensors, the shift checks 6^5
     six = ",".join(["1/6"] * 6)
@@ -521,9 +539,17 @@ def test_verify_tensor_at_q1(capsys):
     assert out.strip().splitlines()[-1] == "passed 10/10"
 
 
-@pytest.mark.parametrize("route", ["zeta_trace", "zeta_trace_diagonal"])
-def test_verify_tensor_at_q1_compares_the_closed_routes(capsys, monkeypatch, route):
-    monkeypatch.setattr(suites, route, lambda m, params: Fraction(7))
+@pytest.mark.parametrize(
+    "route,wrong",
+    [
+        # the suite reads every recurrence value from one _cycle_values run
+        ("_cycle_values", lambda m, params: [Fraction(7)] * m),
+        ("zeta_trace_diagonal", lambda m, params: Fraction(7)),
+    ],
+    ids=["zeta_trace", "zeta_trace_diagonal"],
+)
+def test_verify_tensor_at_q1_compares_the_closed_routes(capsys, monkeypatch, route, wrong):
+    monkeypatch.setattr(suites, route, wrong)
     code, out, _ = run(capsys, *Q1_TENSOR)
     assert code == 1
     assert "FAIL tensor.four_way.custom.q=1.m1" in out
@@ -589,6 +615,53 @@ def test_parser_is_built_once(capsys, monkeypatch):
         code, _, _ = run(capsys, *argv)
         assert code == 0
     assert built == []
+
+
+def _through_the_top_level_parser(argv):
+    """The oracle of main's parse: all of argv through the top-level parser,
+    which scans every flag and hands the subcommand's words to its parser."""
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+def _outcome(capsys, request, argv):
+    try:
+        code = request(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+PARAMS = ("--q", "2", "--alpha", "1/2,1/2")
+PARSE_CASES = {
+    "trace": ("trace", "--m", "3", *PARAMS),
+    "series": ("series", "--degree", "3", *PARAMS),
+    "gram": ("gram", "--n", "2", *PARAMS),
+    "verify": ("verify", "--suite", "hecke"),
+    "trace_help": ("trace", "-h"),
+    "series_help": ("series", "-h"),
+    "gram_help": ("gram", "-h"),
+    "verify_help": ("verify", "-h"),
+    "help": ("--help",),
+    "no_argv": (),
+    "unknown_command": ("bogus", "--m", "3"),
+    "unknown_flag": ("trace", "--m", "3", *PARAMS, "--bogus"),
+    "unknown_flags_and_word": ("verify", "--suite", "hecke", "-x", "--y=3", "z"),
+    "bad_int": ("trace", "--m", "abc", *PARAMS),
+    "bad_choice": ("trace", "--m", "3", *PARAMS, "--format", "table"),
+    "abbreviation": ("trace", "--m", "3", "--q", "2", "--alph", "1/2,1/2"),
+}
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES.values(), ids=PARSE_CASES.keys())
+def test_one_parse_answers_as_the_top_level_parser(capsys, argv):
+    # the subcommand's parser alone reads its flags; exit code, stdout and
+    # stderr are those of the top-level parser's path, and so is the request
+    want = _outcome(capsys, _through_the_top_level_parser, argv)
+    assert _outcome(capsys, main, argv) == want
+    if want[0] == 0 and "-h" not in argv and "--help" not in argv:
+        assert cli._parse(list(argv)) == cli.build_parser().parse_args(list(argv))
 
 
 @pytest.mark.parametrize(

@@ -46,6 +46,35 @@ def test_reduced_word_reconstructs():
         assert acc == w
 
 
+def reduced_word_by_rescan(w):
+    """The oracle of reduced_word: strip the first right descent, then scan
+    again from position 0, O(n l(w)) steps."""
+    img = list(w)
+    rev = []
+    while True:
+        for i in range(len(img) - 1):
+            if img[i] > img[i + 1]:
+                img[i], img[i + 1] = img[i + 1], img[i]
+                rev.append(i + 1)
+                break
+        else:
+            break
+    return rev[::-1]
+
+
+def test_reduced_word_equals_the_rescan():
+    # the same word, not just a reduced one: every permutation up to S_7,
+    # then seeded ones up to rank 40
+    for n in range(8):
+        for w in all_perms(n):
+            assert reduced_word(w) == reduced_word_by_rescan(w)
+    rng = Random(40)
+    for _ in range(200):
+        n = rng.randrange(8, 41)
+        w = tuple(rng.sample(range(1, n + 1), n))
+        assert reduced_word(w) == reduced_word_by_rescan(w)
+
+
 def test_promotion_is_an_embedding():
     w = (2, 1, 3)
     assert promote(w, 5) == (2, 1, 3, 4, 5)

@@ -322,13 +322,20 @@ def test_r_matrix_rows_read_back_as_the_r_of_the_module_docstring(q):
         assert got == want, (x, y)
 
 
-def test_matrix_element_purity_guard_names_the_parameters():
+def test_matrix_element_purity_guard_names_the_parameters(monkeypatch):
+    # the message names the element, whose repr is formed only on failure
+    shown = []
+    show = HeckeElement.__repr__
+    monkeypatch.setattr(HeckeElement, "__repr__", lambda x: shown.append(x) or show(x))
+    x = HeckeElement.generator(1, 2)
+    assert matrix_element(ModelContext.create(P_FLAT, slots=2), x) == F(5, 4)
+    assert shown == []
     ctx = ModelContext.create(P_FLAT, slots=2)
     ctx.r_matrix[(1, 1)] = [((1, 1), 1, 1)]  # R(1, 1) = sqrt(q), and b = 1
     with pytest.raises(CrossCheckError) as err:
-        matrix_element(ctx, HeckeElement.generator(1, 2))
+        matrix_element(ctx, x)
     message = str(err.value)
-    assert "matrix element" in message
+    assert message.startswith("matrix element of T[2,1] has non-cancelling")
     assert str(P_FLAT.to_record()) in message and "2 slots" in message
 
 

@@ -5,13 +5,14 @@ import textwrap
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 from math import factorial, lcm, prod
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hecketrace import traces
 from hecketrace.hecke import zeta_interval
-from hecketrace.scalars import CrossCheckError, PowerSeries, series_mul
+from hecketrace.scalars import CrossCheckError, PowerSeries, format_fraction, series_mul
 from hecketrace.tensor import ModelContext, matrix_element
 from hecketrace.traces import (
     TraceParams,
@@ -64,6 +65,112 @@ def test_params_record_roundtrip():
     rec = p.to_record()
     assert rec == {"q": "1/2", "alpha": ["1/2"], "beta": ["1/4"], "gamma": "1/4"}
     assert TraceParams.from_record(rec) == p
+
+
+def fields_by_fractions(q, alpha=(), beta=(), gamma=0):
+    """The Fraction body of TraceParams validation, the oracle of its
+    integer check: the fields (q, alpha, beta, gamma), or the ValueError it
+    raises."""
+    q, gamma = F(q), F(gamma)
+    alpha, beta = tuple(F(a) for a in alpha), tuple(F(b) for b in beta)
+    if q <= 0:
+        raise ValueError("q must be positive")
+    for name, seq in (("alpha", alpha), ("beta", beta)):
+        if any(x < 0 for x in seq):
+            raise ValueError(f"{name} entries must be nonnegative")
+        if any(seq[i] < seq[i + 1] for i in range(len(seq) - 1)):
+            raise ValueError(f"{name} must be nonincreasing")
+    if gamma < 0:
+        raise ValueError("gamma must be nonnegative")
+    total = sum(alpha) + sum(beta) + gamma
+    if total != 1:
+        raise ValueError(
+            "alpha, beta, gamma must sum to 1 exactly; "
+            f"off by {format_fraction(total - 1)}"
+        )
+    return q, alpha, beta, gamma
+
+
+def _checked(build, record):
+    try:
+        return build(**record)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _valid_records(rng, count):
+    """Seeded valid records: 0-3 alpha and 0-3 beta weights, zeros
+    included, a gamma on about half of them, every weight k/D for one D up
+    to 30 (so the weights' own denominators differ), and q = 1 or a
+    fraction with numerator and denominator up to 30.  Values come as
+    Fraction, int or str, all of which TraceParams takes."""
+    for _ in range(count):
+        n_alpha, n_beta, n_gamma = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 1)
+        D = rng.randint(1, 30)
+        cuts = sorted(rng.randint(0, D) for _ in range(n_alpha + n_beta + n_gamma - 1))
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, D])]
+        if n_alpha + n_beta + n_gamma == 0:
+            parts, n_gamma = [D], 1  # no weight at all: gamma = 1
+        weights = [rng.choice((F, str))(F(k, D)) for k in parts]
+        alpha = sorted(weights[:n_alpha], key=F, reverse=True)
+        beta = sorted(weights[n_alpha : n_alpha + n_beta], key=F, reverse=True)
+        q = F(rng.randint(1, 30), rng.randint(1, 30))
+        if rng.random() < 0.2:
+            q = rng.choice((1, F(1)))
+        record = {"q": q, "alpha": alpha, "beta": beta}
+        if n_gamma:
+            record["gamma"] = weights[-1]
+        yield record
+
+
+# one record per reason TraceParams rejects, in the order it checks them,
+# each also breaking every later check it can
+INVALID_RECORDS = {
+    "q_zero": {"q": 0, "alpha": (F(1, 2),), "beta": (F(-1, 2),), "gamma": -1},
+    "q_negative": {"q": F(-2, 3), "alpha": (1,)},
+    "alpha_negative": {"q": 2, "alpha": (F(3, 2), F(-1, 2)), "beta": (F(-1, 4),)},
+    "alpha_increasing": {"q": 2, "alpha": (F(1, 4), F(3, 4)), "beta": (F(-1, 4),)},
+    "beta_negative": {"q": 2, "alpha": (F(1, 2),), "beta": (F(-1, 6),), "gamma": F(-1, 3)},
+    "beta_increasing": {"q": 2, "beta": (F(1, 6), F(1, 3)), "gamma": F(-1, 2)},
+    "gamma_negative": {"q": 2, "alpha": (F(3, 2),), "gamma": F(-1, 2)},
+    "sum_below": {"q": 1, "alpha": (F(1, 4), F(1, 4)), "beta": (F(1, 6),)},
+    "sum_above": {"q": 3, "alpha": (F(2, 3), F(1, 3)), "gamma": F(1, 3)},
+    # one unit over the common denominator 30, above and below
+    "sum_above_by_one_thirtieth": {"q": 2, "alpha": (1,), "gamma": F(1, 30)},
+    "sum_below_by_one_thirtieth": {"q": 2, "beta": (F(29, 30),)},
+    "nothing": {"q": 2},
+}
+
+
+@pytest.mark.parametrize("record", INVALID_RECORDS.values(), ids=INVALID_RECORDS.keys())
+def test_params_rejects_as_the_fraction_check(record):
+    want = _checked(fields_by_fractions, record)
+    assert want[0] is ValueError
+    assert _checked(TraceParams, record) == want
+
+
+def test_params_integer_check_equals_the_fraction_check():
+    # fields and the stored numerators on seeded valid records
+    rng = Random(2025)
+    for record in _valid_records(rng, 600):
+        p = TraceParams(**record)
+        q, alpha, beta, gamma = fields_by_fractions(**record)
+        assert (p.q, p.alpha, p.beta, p.gamma) == (q, alpha, beta, gamma)
+        assert all(type(x) is F for x in (p.q, *p.alpha, *p.beta, p.gamma))
+        # the nonzero weights lead each nonincreasing sequence, so the
+        # stored numerators sit at the indices 1, 2, .. and -1, -2, ..
+        weights = {j: a for j, a in enumerate(alpha, 1) if a}
+        weights.update({-j: b for j, b in enumerate(beta, 1) if b})
+        d, alphas, betas = p.weight_numerators
+        by_index = dict(enumerate(alphas, 1))
+        by_index.update({-j: m for j, m in enumerate(betas, 1)})
+        assert (d, by_index) == WeightFunction(weights).numerators
+
+
+def test_params_keep_a_fraction_as_given():
+    q, a = F(5, 4), F(1, 2)
+    p = TraceParams(q=q, alpha=(a, a))
+    assert p.q is q and all(x is a for x in p.alpha)
 
 
 def test_weight_function():
