@@ -178,18 +178,20 @@ def _four_way_checks(name: str, model: ModelContext, m_max: int) -> list[CheckRe
     (one run up to m_max gives every m) and the scalar diagonal sum, which
     are the independent ones, and three tensor routes that all walk the
     one table of b R, ctx.r_matrix, with _int_walk: the tensor-side
-    diagonal sum (the diagonal rows of the table), the R-matrix matrix
-    element, and the normal-form cycle sum.
+    diagonal sum (the diagonal rows of the table, one walk up to m_max
+    giving every m, read lazily), the R-matrix matrix element, and the
+    normal-form cycle sum.
     The matrix element takes each slot's weighted sum during its walk,
     where the normal form walks every basis tensor of the cycle's rank and
     reads sigma off the walked tuples.  Every cycle runs on `model`, which
     has at least m_max slots."""
     params = model.params
+    diagonal = tensor._diagonal_values(model, m_max)
     out = []
     for m, closed in enumerate(_cycle_values(m_max, params), start=1):
         element = zeta_interval(1, m)
         direct = tensor.matrix_element(model, element)
-        diag_tensor = tensor.diagonal_zeta(model, m)
+        diag_tensor = next(diagonal)  # after the matrix element at m, not before
         omega = tensor.omega_trace(model, tensor.normal_form(model, element))
         diag_scalar = zeta_trace_diagonal(m, params)
         agree = closed == diag_scalar == diag_tensor == direct == omega
@@ -247,8 +249,8 @@ def _shift_checks(model: ModelContext) -> list[CheckResult]:
     slots."""
     out = []
     for m in (2, 3):
+        base = tensor.matrix_element(model, zeta_interval(1, m))
         for k in (1, 2):
-            base = tensor.matrix_element(model, zeta_interval(1, m))
             shifted = tensor.matrix_element(model, zeta_interval(1 + k, m + k))
             out.append(
                 CheckResult(

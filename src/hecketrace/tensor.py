@@ -38,7 +38,9 @@ paths used for cross-checking:
 
   * for the descending cycle elements only the diagonal part of each R
     survives in the Xi-matrix element, giving a swap-free evaluation
-    (diagonal_zeta).
+    (diagonal_zeta).  The walk of zeta_(m+1) is the walk of zeta_m and
+    one step more, so one walk over the diagonal rows gives every m up to
+    a bound, one step per m (_diagonal_values).
 
 <X Xi, Xi> = sum_J a_J <J| X |J> is a weighted trace of X on the V-slots
 (see Xi_1 below), and a step at slot a touches only the slots a and a + 1.
@@ -88,14 +90,17 @@ closed walk of matrix_element, sum the even and the odd power of t into
 two ints, and each route divides once, by b^(steps) d^slots for d the
 common denominator of the weights.  Trace values are rational, so every
 route asserts that the odd sum vanishes and raises CrossCheckError
-otherwise.  normal_form keeps the grade in sigma, which it reads off
-per-code tables of stable-sort ranks, and omega_trace reads the odd
-permutations as the sqrt(q) part that must vanish; it sums its entries in
-integers over d^n, for n the length of their tuples, one Fraction per
-denominator of the entries.  No route forms a RootElem.  apply_r,
-apply_hecke and xi_state keep the RootElem states in Q[sqrt(q), sqrt(a_i)]
-as the reference action: verify -v prints Xi, and the tests hold them as
-the oracle of the walks.  Only they build the context's SqrtTable.
+otherwise.  normal_form keeps the grade in sigma, which it decodes per
+entry with one itemgetter per code over the stable-sort ranks, and forms
+one Fraction per distinct entry value.  omega_trace reads the odd
+permutations, by parity from the cycle count, as the sqrt(q) part that
+must vanish; it tests each entry off the identity with one itemgetter
+comparison and sums its entries in integers over d^n, for n the length of
+their tuples, one Fraction per denominator of the entries.  No route forms
+a RootElem.  apply_r, apply_hecke and xi_state keep the RootElem states in
+Q[sqrt(q), sqrt(a_i)] as the reference action: verify -v prints Xi, and
+the tests hold them as the oracle of the walks.  Only they build the
+context's SqrtTable.
 """
 
 from __future__ import annotations
@@ -106,11 +111,12 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product as _cartesian
 from math import gcd, lcm, prod
+from operator import itemgetter
 from random import Random
-from typing import Iterable, Literal, Mapping, NamedTuple
+from typing import Iterable, Iterator, Literal, Mapping, NamedTuple
 
 from .hecke import HeckeElement, mul as hecke_mul
-from .permutations import Perm, all_perms, inverse, length, reduced_word
+from .permutations import Perm, all_perms, cycles, reduced_word
 from .report import CheckResult
 from .scalars import CrossCheckError, RootElem, SqrtTable, format_fraction, sparse_sum
 from .traces import TraceParams, WeightFunction
@@ -169,10 +175,11 @@ class ModelContext:
     ) -> "ModelContext":
         if slots < 1:
             raise ValueError("need at least one slot")
-        weights = dict(WeightFunction.from_params(params).weights)
-        for i in extra_indices:
-            weights.setdefault(i, Fraction(0))
-        return cls(params, slots, WeightFunction(weights))
+        weights = params.weight_function
+        extra = [i for i in extra_indices if i not in weights.weights]
+        if extra:
+            weights = WeightFunction({**weights.weights, **dict.fromkeys(extra, Fraction(0))})
+        return cls(params, slots, weights)
 
     @property
     def q(self) -> Fraction:
@@ -435,7 +442,8 @@ def _diagonal_keys(span: int, codes: Iterable[int]) -> dict:
 
 def _int_walk(walk: _Walk, slots: Iterable[int], state: dict) -> dict:
     """Apply b R at each slot in turn, the first slot first, to a flat
-    state."""
+    state.  The keys whose terms cancel are dropped once, after the last
+    step: a zero coefficient walks on as zero until then."""
     pairs = walk.size**2
     for a in slots:
         unit, rows = walk.steps[a]
@@ -445,8 +453,8 @@ def _int_walk(walk: _Walk, slots: Iterable[int], state: dict) -> dict:
             for delta, v in rows[key & 1][key // unit % pairs]:
                 key2 = key + delta
                 out[key2] = get(key2, 0) + c * v
-        state = {key: c for key, c in out.items() if c}
-    return state
+        state = out
+    return {key: c for key, c in state.items() if c}
 
 
 def _transposed(walk: _Walk, state: dict) -> dict:
@@ -557,6 +565,37 @@ def r_matrix_laws(ctx: ModelContext, side: Side) -> tuple[bool, bool]:
     return quadratic, braid
 
 
+def _slot_weights(ctx: ModelContext) -> tuple[list[int], list[int]]:
+    """The weight numerators n_i by position in the support, and the
+    positions of nonzero weight, on which a closed walk opens its slots."""
+    _, numerators = ctx.weights.numerators
+    weight = [numerators[i] for i in ctx.support]
+    return weight, [p for p, n in enumerate(weight) if n]
+
+
+def _open_slot(walk: _Walk, s: int, live: list[int], state: dict) -> dict:
+    """Open slot s of a closed walk: each key branches into I_s = J_s = p,
+    coefficient 1, for every position p in live."""
+    shift = 2 * (walk.span + 1) * walk.size ** (s - 1)  # one in each of I_s and J_s
+    return {key + p * shift: c for key, c in state.items() for p in live}
+
+
+def _close_slot(walk: _Walk, s: int, weight: list[int], state: dict) -> dict:
+    """Close slot s of a closed walk: keep the keys with I_s = J_s, times
+    n_(I_s), with both digits reset to 0."""
+    size, span = walk.size, walk.span
+    unit = 2 * size ** (s - 1)
+    shift = unit * (span + 1)
+    out: dict = {}
+    get = out.get
+    for key, c in state.items():
+        p = key // unit % size
+        if p == key // (unit * span) % size:
+            key -= p * shift
+            out[key] = get(key, 0) + c * weight[p]
+    return {key: c for key, c in out.items() if c}
+
+
 def _closed_walk(ctx: ModelContext, walk: _Walk, steps: list[int]) -> tuple[int, int]:
     """sum_J n_J <J| b R_(a_k) .. b R_(a_1) |J> over the tuples J of
     nonzero-weight indices, for the slots a_1, .., a_k of steps in action
@@ -566,16 +605,11 @@ def _closed_walk(ctx: ModelContext, walk: _Walk, steps: list[int]) -> tuple[int,
     This is a weighted trace, so each slot's sum is taken as soon as no
     later step touches the slot.  The walk starts from {0: 1}, every slot
     closed with digit 0 in I and in J.  Before the first step at a slot
-    the walk opens it: each key branches into I_s = J_s = p, coefficient
-    1, for every position p of nonzero weight.  After the last step at a
-    slot the walk closes it: it keeps the keys with I_s = J_s, multiplies
-    them by n_(I_s) and resets both digits to 0.  A slot that no step
-    touches gives the factor sum_i n_i.  The walk ends on the keys 0 and
-    1, the even and the odd part."""
-    size, span = walk.size, walk.span
-    _, numerators = ctx.weights.numerators
-    weight = [numerators[i] for i in ctx.support]  # n_i by position
-    live = [p for p, n in enumerate(weight) if n]
+    the walk opens it (_open_slot) and after the last step at a slot it
+    closes it (_close_slot).  A slot that no step touches gives the factor
+    sum_i n_i.  The walk ends on the keys 0 and 1, the even and the odd
+    part."""
+    weight, live = _slot_weights(ctx)
     first, last = {}, {}
     for i, a in enumerate(steps):
         for s in (a, a + 1):
@@ -585,21 +619,11 @@ def _closed_walk(ctx: ModelContext, walk: _Walk, steps: list[int]) -> tuple[int,
     for i, a in enumerate(steps):
         for s in (a, a + 1):
             if first[s] == i:
-                shift = 2 * (span + 1) * size ** (s - 1)  # one in each of I_s and J_s
-                state = {key + p * shift: c for key, c in state.items() for p in live}
+                state = _open_slot(walk, s, live, state)
         state = _int_walk(walk, (a,), state)
         for s in (a, a + 1):
             if last[s] == i:
-                unit = 2 * size ** (s - 1)
-                shift = unit * (span + 1)
-                out: dict = {}
-                get = out.get
-                for key, c in state.items():
-                    p = key // unit % size
-                    if p == key // (unit * span) % size:
-                        key -= p * shift
-                        out[key] = get(key, 0) + c * weight[p]
-                state = {key: c for key, c in out.items() if c}
+                state = _close_slot(walk, s, weight, state)
     free = sum(weight) ** (ctx.slots - len(first))
     return state.get(0, 0) * free, state.get(1, 0) * free
 
@@ -663,16 +687,19 @@ def normal_form(
     over the x.rank slots of the element, not the model's slot count, so
     its tags are the |S|^rank codes and the tables are keyed by
     x.rank-tuples.  The sort tables hold one entry per code, so no entry
-    sorts a tuple; they depend only on the support and the rank and are
-    cached per process (_stable_sorts, _code_tuples).  A swap flips the
-    power k of t and moves sigma by one transposition, so every walked term
-    sits at the grade k = l(sigma) mod 2, the sum of the parities of
-    start(tag) and start(I); this is
-    asserted, and a term off its grade raises CrossCheckError.  The entry
+    sorts a tuple: each code has an itemgetter over its ranks, which reads
+    sigma off start(tag) in one call.  The tables depend only on the
+    support and the rank and are cached per process (_stable_sorts,
+    _sort_getters, _code_tuples).  A swap flips the power k of t and moves
+    sigma by one transposition, so every walked term sits at the grade
+    k = l(sigma) mod 2, the sum of the parities of start(tag) and
+    start(I); this is asserted, and a term off its grade raises
+    CrossCheckError.  The entry
     (sigma, I) determines its tag, so the terms of x are summed on the walked
     keys themselves; sigma and I are decoded only for the final nonzero
-    entries, and c and the division by b^k are applied once per final
-    entry.
+    entries, c and the division by b^k are applied once per final entry,
+    and one Fraction is formed per distinct final value: the m = 8 cycle
+    on three weights has 26,973 entries and 15 values.
 
     >>> ctx = ModelContext.create(TraceParams(q=Fraction(2), alpha=(Fraction(1, 2),) * 2), 2)
     >>> op = normal_form(ctx, HeckeElement.generator(1, 2))
@@ -687,7 +714,8 @@ def normal_form(
     walk = ctx.walk
     span = walk.size**x.rank  # the radix of code(J) on x.rank slots
     tuples = _code_tuples(ctx.support, x.rank)
-    starts, ranks, parity = _stable_sorts(walk.size, x.rank)
+    starts, _, parity = _stable_sorts(walk.size, x.rank)
+    decode = _sort_getters(walk.size, x.rank)
     tagged = _diagonal_keys(span, range(span))
     terms, denom = _integer_terms(ctx, x)
     raw: dict = {}  # every walked key, also where the terms cancel
@@ -696,23 +724,28 @@ def normal_form(
         for key, v in _int_walk(walk, word, tagged).items():
             raw[key] = get(key, 0) + v * f
     scales = (1, ctx.q.denominator)  # b^k
+    values: dict[int, Fraction] = {}  # one Fraction per distinct entry value
     out: dict[Perm, dict[tuple[int, ...], Fraction]] = {}
     for key, v in raw.items():
         code_tag, code = divmod(key >> 1, span)
         grade = parity[code_tag] ^ parity[code]
         if key & 1 != grade:
-            sigma = tuple(map(starts[code_tag].__getitem__, ranks[code]))
+            sigma = decode[code](starts[code_tag])
             raise CrossCheckError(
                 f"normal form entry {sigma} at {tuples[code]} from {tuples[code_tag]} has "
                 f"t^{key & 1}, off its grade {grade} (params {ctx.params.to_record()}, "
                 f"{ctx.slots} slots)"
             )
         if v:
-            sigma = tuple(map(starts[code_tag].__getitem__, ranks[code]))
+            sigma = decode[code](starts[code_tag])
             table = out.get(sigma)
             if table is None:
                 table = out[sigma] = {}
-            table[tuples[code]] = Fraction(v * scales[grade], denom)
+            v *= scales[grade]
+            phi = values.get(v)
+            if phi is None:
+                phi = values[v] = Fraction(v, denom)
+            table[tuples[code]] = phi
     return out
 
 
@@ -752,6 +785,24 @@ def _stable_sorts(size: int, slots: int) -> tuple[tuple, tuple, tuple]:
     return tuple(starts), ranks, tuple(parity)
 
 
+@lru_cache(maxsize=_TABLES_CACHED)
+def _sort_getters(size: int, slots: int) -> tuple[itemgetter, ...]:
+    """decode[c](start(tag)) = sigma, sigma[k] = start(tag)[ranks[c][k]],
+    one itemgetter per code over the ranks of _stable_sorts, so a normal
+    form entry decodes its permutation in one C-level call.  At one slot
+    the getter is the whole-tuple slice: itemgetter with a single index
+    returns the bare item, not a 1-tuple."""
+    _, ranks, _ = _stable_sorts(size, slots)
+    if slots == 1:
+        return (itemgetter(slice(None)),) * len(ranks)
+    return tuple(itemgetter(*rank) for rank in ranks)
+
+
+def _parity(sigma: Perm) -> int:
+    """l(sigma) mod 2, as n minus the number of cycles of sigma: O(n)."""
+    return (len(sigma) - len(cycles(sigma))) & 1
+
+
 def omega_trace(
     ctx: ModelContext, op: Mapping[Perm, Mapping[tuple[int, ...], Fraction]]
 ) -> Fraction:
@@ -770,19 +821,25 @@ def omega_trace(
     need not be the model's slot count: each entry is weighted over its own
     tuple.
 
-    The sums run in integers: the points that sigma moves are found once per
-    table, a_i = n_i / d, and phi.numerator n_I for n_I = prod_k n_(I_k) is
-    summed per grade and per phi.denominator, over d^n; one Fraction is
-    formed per distinct denominator."""
+    A table off the identity keeps the entries I with sigma(I) = I, where
+    sigma(I)_k = I_(sigma(k)), each tested by one C-level itemgetter call
+    that compares whole tuples, so the tuples of a table must have the
+    length of its permutation, as they do in normal_form's output.  The grade
+    of a table is l(sigma) mod 2, read as n minus the number of cycles of
+    sigma in O(n).  The sums run in integers: a_i = n_i / d, and
+    phi.numerator n_I for n_I = prod_k n_(I_k) is summed per grade and per
+    phi.denominator, over d^n; one Fraction is formed per distinct
+    denominator."""
     d, numerators = ctx.weights.numerators
     weight = defaultdict(int, numerators).__getitem__  # 0 off the support
     sums: tuple[dict, dict] = ({}, {})  # per grade: {(n, phi.denominator): sum}
     for sigma, table in op.items():
-        moved = [(k, s - 1) for k, s in enumerate(sigma) if s != k + 1]
+        images = [s - 1 for s in sigma]
         fixed = table.items()
-        if moved:
-            fixed = [(tup, phi) for tup, phi in fixed if all(tup[k] == tup[s] for k, s in moved)]
-        acc = sums[length(sigma) % 2]
+        if images != list(range(len(images))):
+            fixes = itemgetter(*images)  # two points at least: returns a tuple
+            fixed = [(tup, phi) for tup, phi in fixed if fixes(tup) == tup]
+        acc = sums[_parity(sigma)]
         for tup, phi in fixed:
             n = prod(map(weight, tup))
             if n:
@@ -796,6 +853,44 @@ def omega_trace(
     return _rational(ctx, parts[0], parts[1] / ctx.q.denominator, 1, "omega trace")
 
 
+def _diagonal_numerators(ctx: ModelContext, m_max: int) -> Iterator[tuple[int, int, int]]:
+    """(even, odd, scale) of the diagonal route for m = 1, .., m_max, the
+    value (even + odd t) / scale with scale = b^(m - 1) d^slots, from one
+    closed walk of the diagonal rows at the slots 1, 2, .. in turn.
+
+    The closed walk of zeta_m steps at 1, .., m - 1 and closes each slot
+    after its step, so the walks of zeta_m and zeta_(m+1) agree up to the
+    step at m - 1.  This walk goes on from there: with slot m open, a copy
+    closed at slot m gives zeta_m, and the walk opens slot m + 1, steps at
+    m and closes m.  Diagonal rows keep I = J, so between steps the state
+    holds the one open slot, at most 2 |S| keys, and every m costs one
+    step.  Each value is yielded before the next step is taken."""
+    if not 1 <= m_max <= ctx.slots:
+        raise ValueError(f"need 1 <= m <= {ctx.slots}, got {m_max}")
+    walk = ctx.diagonal_walk
+    weight, live = _slot_weights(ctx)
+    total = sum(weight)
+    d, _ = ctx.weights.numerators
+    scale = d**ctx.slots
+    state = _open_slot(walk, 1, live, {0: 1})
+    for m in range(1, m_max + 1):
+        if m > 1:
+            state = _int_walk(walk, (m - 1,), _open_slot(walk, m, live, state))
+            state = _close_slot(walk, m - 1, weight, state)
+            scale *= ctx.q.denominator
+        closed = _close_slot(walk, m, weight, state)
+        free = total ** (ctx.slots - m)  # the slots past m, untouched
+        yield closed.get(0, 0) * free, closed.get(1, 0) * free, scale
+
+
+def _diagonal_values(ctx: ModelContext, m_max: int) -> Iterator[Fraction]:
+    """diagonal_zeta(ctx, m) for m = 1, .., m_max from one walk, each value
+    formed and checked rational when it is asked for, so a caller that
+    interleaves other routes meets their failures at an m in order."""
+    for m, (even, odd, scale) in enumerate(_diagonal_numerators(ctx, m_max), start=1):
+        yield _rational(ctx, even, odd, scale, f"diagonal route for m={m}")
+
+
 def diagonal_zeta(ctx: ModelContext, m: int) -> Fraction:
     """Xi-matrix element of the descending cycle element zeta_m computed
     with the diagonal parts of the R-matrices only (the swap parts cannot
@@ -805,12 +900,11 @@ def diagonal_zeta(ctx: ModelContext, m: int) -> Fraction:
     1, .., m - 1 in exact integers: its coefficients are a, -b and a - b.
     It is the closed walk of matrix_element on the diagonal rows, so each
     slot is weighted by n_(I_s) and closed after its step, and one division
-    by b^(m - 1) d^slots returns to true units."""
-    if not 1 <= m <= ctx.slots:
-        raise ValueError(f"need 1 <= m <= {ctx.slots}, got {m}")
-    even, odd = _closed_walk(ctx, ctx.diagonal_walk, list(range(1, m)))
-    d, _ = ctx.weights.numerators
-    scale = ctx.q.denominator ** (m - 1) * d**ctx.slots
+    by b^(m - 1) d^slots returns to true units.  It is the one walk that
+    gives every m up to a bound (_diagonal_numerators, which the tensor
+    suite reads through _diagonal_values), run to m; only the value at m
+    is formed and checked rational."""
+    *_, (even, odd, scale) = _diagonal_numerators(ctx, m)
     return _rational(ctx, even, odd, scale, f"diagonal route for m={m}")
 
 

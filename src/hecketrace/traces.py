@@ -141,6 +141,12 @@ class TraceParams:
         nonzero = (tuple(n for n in alphas if n), tuple(m for m in betas if m))
         object.__setattr__(self, "weight_numerators", (d, *nonzero))
 
+    @cached_property
+    def weight_function(self) -> "WeightFunction":
+        """The WeightFunction of these parameters, built on first use and
+        kept, so that its numerators are worked out once per instance."""
+        return WeightFunction.from_params(self)
+
     # -- serialization --------------------------------------------------
 
     @classmethod
@@ -470,8 +476,7 @@ def zeta_trace_diagonal(m: int, params: TraceParams) -> Fraction:
     if params.gamma != 0:
         raise ValueError("the diagonal route requires gamma = 0")
     q = params.q
-    weights = WeightFunction.from_params(params)
-    by_tuples = _zeta_by_tuples(m, weights, q)
+    by_tuples = _zeta_by_tuples(m, params.weight_function, q)
     by_exponents = _zeta_by_exponents(m, params, q)
     if by_tuples != by_exponents:
         raise CrossCheckError(

@@ -336,6 +336,41 @@ def test_tensor_suite_runs_the_recurrence_once_per_parameter_set(monkeypatch):
     assert runs == [5, 8] * len(suites.DEFAULT_QS) * len(suites.default_profiles())
 
 
+def test_tensor_suite_walks_the_diagonal_once_per_parameter_set(monkeypatch):
+    # one diagonal walk to m_max gives every tensor-diagonal value of the
+    # four-way checks, per (profile, q); no walk per m
+    runs = []
+    walk_to = tensor._diagonal_numerators
+
+    def spy(ctx, m_max):
+        runs.append(m_max)
+        return walk_to(ctx, m_max)
+
+    monkeypatch.setattr(tensor, "_diagonal_numerators", spy)
+    results = suites.tensor_suite(m_max=5)
+    assert all(r.passed for r in results)
+    assert runs == [5] * len(suites.DEFAULT_QS) * len(suites.default_profiles())
+
+
+def test_shift_checks_form_one_base_element_per_cycle_length(monkeypatch):
+    # zeta_m on [1, m] once per m, and one shifted element per (m, k)
+    calls = []
+    matrix_element = tensor.matrix_element
+
+    def spy(ctx, x):
+        calls.append(x)
+        return matrix_element(ctx, x)
+
+    monkeypatch.setattr(tensor, "matrix_element", spy)
+    params = TraceParams(q=Fraction(2), alpha=(Fraction(1, 2), Fraction(1, 2)))
+    results = suites._shift_checks(ModelContext.create(params, 5))
+    assert [r.name for r in results] == [
+        "tensor.shift.m2.k1", "tensor.shift.m2.k2", "tensor.shift.m3.k1", "tensor.shift.m3.k2"
+    ]
+    assert all(r.passed for r in results)
+    assert len(calls) == 6
+
+
 def test_verify_tensor_bounds_the_shift_models_by_the_profile(capsys):
     # six weights: the cycles at m = 2 need 6^2 tensors, the shift checks 6^5
     six = ",".join(["1/6"] * 6)

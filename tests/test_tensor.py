@@ -933,6 +933,99 @@ def test_normal_form_and_omega_trace_equal_their_per_entry_oracles(model, q):
             assert value == omega_trace_by_fractions(ctx, op) == matrix_element(ctx, x), x
 
 
+@pytest.mark.parametrize("q", ["2", "1"])
+@pytest.mark.parametrize(
+    "model", PER_ENTRY_MODELS, ids=lambda m: m[0] + ("_zero_weight" if m[3] else "")
+)
+def test_normal_form_equals_its_per_entry_oracle_at_ranks_1_2_and_5(model, q):
+    # rank 1 decodes sigma with the whole-tuple slice, since itemgetter with
+    # one index returns a bare item; rank 5 on the longest element, the
+    # cycle and a two-term element
+    for rank in (1, 2):
+        ctx = oracle_context(model, q, rank)
+        for w in all_perms(rank):
+            x = HeckeElement.basis(w)
+            op = normal_form(ctx, x)
+            assert op == normal_form_by_carrying(ctx, x), x
+            assert omega_trace(ctx, op) == matrix_element(ctx, x), x
+    ctx = oracle_context(model, q, 5)
+    w0 = HeckeElement.basis((5, 4, 3, 2, 1))
+    for x in (w0, zeta_interval(1, 5), w0 + HeckeElement.generator(2, 5).scale(F(-3, 2))):
+        op = normal_form(ctx, x)
+        assert op == normal_form_by_carrying(ctx, x), x
+        assert omega_trace(ctx, op) == omega_trace_by_fractions(ctx, op) == matrix_element(ctx, x)
+
+
+def test_normal_form_of_the_unit_at_rank_1_is_keyed_by_1_tuples():
+    ctx = ModelContext.create(P_WIDE, slots=3)
+    op = normal_form(ctx, HeckeElement.unit(1))
+    assert op == {(1,): {(i,): F(1) for i in ctx.support}}
+    assert all(type(sigma) is tuple for sigma in op)
+
+
+@pytest.mark.parametrize("size,slots", [(1, 1), (3, 1), (1, 4), (2, 3), (3, 4)])
+def test_sort_getters_decode_sigma_like_the_rank_tables(size, slots):
+    starts, ranks, _ = tensor._stable_sorts(size, slots)
+    decode = tensor._sort_getters(size, slots)
+    assert len(decode) == len(ranks) == size**slots
+    for c, rank in enumerate(ranks):
+        for start in starts:
+            assert decode[c](start) == tuple(map(start.__getitem__, rank))
+
+
+def test_normal_form_forms_one_fraction_per_distinct_value():
+    # zeta_8 on P5 at q = 2: 26,973 entries over 128 permutations, 15 values
+    ctx = ModelContext.create(P_WIDE, slots=8)
+    op = normal_form(ctx, zeta_interval(1, 8))
+    entries = [phi for table in op.values() for phi in table.values()]
+    assert (len(op), len(entries), len(set(entries))) == (128, 26973, 15)
+    assert len({id(phi) for phi in entries}) == 15
+    assert omega_trace(ctx, op) == zeta_trace(8, P_WIDE)
+
+
+def test_parity_from_cycles_equals_the_parity_of_the_length():
+    rng = Random(26)
+    cycle = tuple(range(2, 301)) + (1,)
+    perms = [cycle, identity(1), identity(7)]
+    perms += [tuple(rng.sample(range(1, n + 1), n)) for n in range(1, 40) for _ in range(5)]
+    for sigma in perms:
+        assert tensor._parity(sigma) == length(sigma) % 2, sigma
+    assert tensor._parity(cycle) == 1
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_omega_trace_of_random_hand_built_tables_equals_its_fraction_oracle(seed):
+    # tables on random permutations of rank 1-4, with entries on tuples that
+    # are constant on the cycles of their permutation and entries on random
+    # tuples, over the support and one index of weight 0
+    rng = Random(seed)
+    ctx = ModelContext.create(P_WIDE, slots=2, extra_indices=(3,))
+    rank = rng.randint(1, 4)
+    op = {}
+    for _ in range(rng.randint(1, 4)):
+        sigma = tuple(rng.sample(range(1, rank + 1), rank))
+        table = op.setdefault(sigma, {})
+        for _ in range(rng.randint(4, 16)):
+            if rng.random() < 0.5:
+                tup = [0] * rank
+                for cyc in cycles(sigma):
+                    i = rng.choice(ctx.support)
+                    for point in cyc:
+                        tup[point - 1] = i
+                tup = tuple(tup)
+            else:
+                tup = tuple(rng.choice(ctx.support) for _ in range(rank))
+            table[tup] = F(rng.randint(-9, 9) or 1, rng.randint(1, 7))
+    try:
+        want = omega_trace_by_fractions(ctx, op)
+    except CrossCheckError as oracle:
+        with pytest.raises(CrossCheckError) as got:
+            omega_trace(ctx, op)
+        assert str(got.value) == str(oracle)
+    else:
+        assert omega_trace(ctx, op) == want
+
+
 def test_omega_trace_sums_mixed_denominators_like_its_fraction_oracle():
     # entries over 1, 3, 4, 5, 6, 7 and 10, one on the index 3 of weight 0,
     # and an even 3-cycle that fixes only constant tuples; an odd table
@@ -1099,6 +1192,69 @@ def test_diagonal_zeta_purity_guard_names_the_route():
     ctx.r_matrix[(1, 1)] = [((1, 1), 1, 1)]  # R(1, 1) = sqrt(q), and b = 1
     with pytest.raises(CrossCheckError, match="diagonal route for m=3 .* 3 slots"):
         diagonal_zeta(ctx, 3)
+
+
+# P1-P5, each without and with an extra index of weight 0
+DIAGONAL_WALK_MODELS = [
+    (name, alpha, beta, extra) for name, alpha, beta in default_profiles() for extra in ((), (3,))
+]
+
+
+@pytest.mark.parametrize("q", ["2", "1/2", "1", "5/4"])
+@pytest.mark.parametrize(
+    "model", DIAGONAL_WALK_MODELS, ids=lambda m: m[0] + ("_zero_weight" if m[3] else "")
+)
+def test_diagonal_walk_for_every_m_equals_one_closed_walk_per_m(model, q):
+    # the per-m closed walk of the diagonal rows is the oracle of the one
+    # walk that gives every m, for every m up to the slot count
+    for slots in (1, 4, 6):
+        ctx = oracle_context(model, q, slots)
+        b, (d, _) = ctx.q.denominator, ctx.weights.numerators
+        got = list(tensor._diagonal_numerators(ctx, slots))
+        want = [
+            (*tensor._closed_walk(ctx, ctx.diagonal_walk, list(range(1, m))),
+             b ** (m - 1) * d**slots)
+            for m in range(1, slots + 1)
+        ]
+        assert got == want
+        values = list(tensor._diagonal_values(ctx, slots))
+        assert values == [diagonal_zeta(ctx, m) for m in range(1, slots + 1)]
+        assert values == [zeta_trace(m, ctx.params) for m in range(1, slots + 1)]
+
+
+def test_diagonal_walk_bounds_m_by_the_slots():
+    ctx = ModelContext.create(P_WIDE, slots=3)
+    for m in (0, 4):
+        with pytest.raises(ValueError, match=f"need 1 <= m <= 3, got {m}"):
+            next(tensor._diagonal_values(ctx, m))
+        with pytest.raises(ValueError, match=f"need 1 <= m <= 3, got {m}"):
+            diagonal_zeta(ctx, m)
+
+
+@pytest.mark.parametrize("q", ["2", "1/3"])
+@pytest.mark.parametrize("x", [1, -1])
+def test_diagonal_walk_fails_at_every_m_on_a_diagonal_row_off_by_one(x, q):
+    # b R(x, x) one too large: the walk for every m must read it, so the
+    # value at every m >= 2 leaves the formula; m = 1 takes no step
+    p = TraceParams(q=F(q), alpha=P_WIDE.alpha, beta=P_WIDE.beta)
+    ctx = ModelContext.create(p, slots=7)
+    ((image, k, v),) = ctx.r_matrix[x, x]
+    ctx.r_matrix[x, x] = [(image, k, v + 1)]
+    values = list(tensor._diagonal_values(ctx, 7))
+    formula = [zeta_trace(m, p) for m in range(1, 8)]
+    assert values[0] == formula[0]
+    assert all(got != want for got, want in zip(values[1:], formula[1:])), values
+
+
+def test_diagonal_values_are_checked_one_m_at_a_time():
+    # a sqrt(q) part in b R(1, 1) first shows at m = 2, after the step at
+    # slot 1: the value at m = 1 comes out, and only the next one raises
+    ctx = ModelContext.create(P_WIDE, slots=3)
+    ctx.r_matrix[1, 1] = [((1, 1), 1, 1)]
+    values = tensor._diagonal_values(ctx, 3)
+    assert next(values) == 1
+    with pytest.raises(CrossCheckError, match="diagonal route for m=2 "):
+        next(values)
 
 
 # ---------------------------------------------------------------------------

@@ -605,6 +605,36 @@ def test_diagonal_strategies_are_integers_over_one_denominator(p):
         assert traces._zeta_by_exponents(m, p, p.q) == by_exponents
 
 
+def test_one_weight_function_per_parameter_record(monkeypatch):
+    # zeta_trace_diagonal and ModelContext.create read the record's one
+    # WeightFunction, so its numerators are worked out once; extra indices
+    # of weight 0 give a model its own, equal to the old construction
+    p = TraceParams(q=F(2), alpha=(F(2, 3), F(1, 6)), beta=(F(1, 6),))
+    weights = p.weight_function
+    assert weights is p.weight_function
+    assert weights == WeightFunction.from_params(p)
+    assert ModelContext.create(p, 3).weights is weights
+    widened = ModelContext.create(p, 3, extra_indices=(3, 1, 3)).weights
+    assert widened == WeightFunction({**weights.weights, 3: F(0)})
+    assert widened.numerators == (6, {-1: 1, 1: 4, 2: 1, 3: 0})
+    assert p.weight_function.weights == {1: F(2, 3), 2: F(1, 6), -1: F(1, 6)}
+    built = []
+    post_init = WeightFunction.__post_init__
+
+    def spy(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(WeightFunction, "__post_init__", spy)
+    for m in range(1, 5):
+        zeta_trace_diagonal(m, p)
+    assert built == []
+    zeta_trace_diagonal(2, TraceParams(q=F(2), alpha=(F(1, 2), F(1, 2))))
+    assert len(built) == 1
+    with pytest.raises(ValueError, match="gamma = 0"):
+        TraceParams(q=F(2), alpha=(F(1, 2),), gamma=F(1, 2)).weight_function
+
+
 def _mutated(fn, old, new):
     """fn recompiled from its source with the one occurrence of old replaced
     by new, in the globals of its module."""
