@@ -69,12 +69,16 @@ A walk term is keyed by one int.  The support is sorted, so numbering it
 by position keeps the index order.  With B = |S| and code(I) = sum_k
 pos(I_k) B^(k-1), a walk over n slots stores the term c t^k on eta[I; J]
 as the entry key: c, where key = 2 (code(I) + B^n code(J)) + k.  At slot a
-the pair (I_a, I_(a+1)) is the digit (key // (2 B^(a-1))) % B^2, and each
-image adds a delta that is fixed per slot, pair and grade.  Each model
-derives these rows from ctx.r_matrix once, on first use
-(ModelContext.walk, and ModelContext.diagonal_walk for the diagonal rows),
-and every route of the model reads them there.  The rows of a slot do not
-depend on the slot count, and a value does not depend on the width it is
+the pair (I_a, I_(a+1)) is the digit (key // u_a) % B^2 for the slot's
+unit u_a = 2 B^(a-1), and each image adds d u_a + dk to the key, for the
+change d of the pair digit and the change dk of the grade bit.  So one
+table of rows (d, dk, v) per pair and grade serves every slot, and the
+step applies the slot's unit; a step over a state of more than 16 B^2
+keys (the full-basis walks) first scales the rows by the unit, once for
+the step (_int_walk).  Each model derives the table from ctx.r_matrix
+once, on first use (ModelContext.walk, and ModelContext.diagonal_walk for
+the diagonal rows), in O(B^2) at any slot count, and every route of the
+model reads it there.  A value does not depend on the width it is
 taken at: the traces live on the union of the H_n.  So no route walks more
 slots than its element touches.  matrix_element and diagonal_zeta open
 only the slots a step touches, and normal_form walks the x.rank slots of
@@ -201,9 +205,9 @@ class ModelContext:
         for x in self.support:
             for y in self.support:
                 rows = table[x, y] = []
-                diag = diag_coeff(self.q, x, y) * b
+                diag = diag_coeff(self.q, x, y)
                 if diag != 0:
-                    rows.append(((x, y), 0, int(diag)))
+                    rows.append(((x, y), 0, diag.numerator * b // diag.denominator))
                 if x != y:
                     rows.append(((y, x), 1, -1))
         return table
@@ -399,45 +403,54 @@ class _Walk(NamedTuple):
     """The integer walk of b R on one model, derived from ctx.r_matrix.
 
     ab is t^2, size = |S|, and span = |S|^slots is the radix of code(J).
-    steps[a] = (unit, rows) for slot a, with unit = 2 |S|^(a - 1): the pair
-    (I_a, I_(a+1)) of a key has the code (key // unit) % size^2 =
-    pos(I_a) + size pos(I_(a+1)), and rows[k][pair code] lists the images
-    of the pair from grade k as (delta, coefficient).  An image adds delta
-    to the key, which moves the pair and, on a swap, flips the grade bit;
-    a swap from k = 1 carries t^2."""
+    One row table serves every slot: rows[k][p] lists the images of the
+    pair code p = pos(x) + size pos(y) from grade k as (d, dk, v), with d
+    the change of the pair code and dk the change of the grade bit.  A
+    step at slot a reads the pair (I_a, I_(a+1)) of a key as the code
+    (key // unit) % size^2 for the slot's unit = 2 |S|^(a - 1), and an
+    image adds d unit + dk to the key, which moves the pair and, on a
+    swap, flips the grade bit; a swap from k = 1 carries t^2."""
 
     ab: int
     size: int
     span: int
-    steps: dict
+    rows: tuple[list, list]
 
 
 def _walk_of(ctx: ModelContext, diagonal: bool = False) -> _Walk:
     """The walk of b R read from ctx.r_matrix, with diagonal only the rows
     whose image is the pair itself: the builder behind ModelContext.walk and
-    ModelContext.diagonal_walk."""
+    ModelContext.diagonal_walk.  The rows are in digit units, so they do
+    not depend on the slot or the slot count: a model builds 2 |S|^2 lists
+    whatever its width."""
     support, ab = ctx.support, ctx.t_squared
     size = len(support)
     pos = {x: i for i, x in enumerate(support)}
-    base = []
+    from_even, from_odd = [], []
     for p in range(size * size):
         x, y = support[p % size], support[p // size]
         rows = ctx.r_matrix[x, y]
         if diagonal:
             rows = [row for row in rows if row[0] == (x, y)]
-        base.append([(pos[x2] + size * pos[y2] - p, k, v) for (x2, y2), k, v in rows])
-    steps = {}
-    for a in range(1, ctx.slots):
-        unit = 2 * size ** (a - 1)
-        from_even = [[(d * unit + k, v) for d, k, v in rows] for rows in base]
-        from_odd = [[(d * unit - k, v * ab if k else v) for d, k, v in rows] for rows in base]
-        steps[a] = (unit, (from_even, from_odd))
-    return _Walk(ab, size, size**ctx.slots, steps)
+        shifted = [(pos[x2] + size * pos[y2] - p, k, v) for (x2, y2), k, v in rows]
+        from_even.append(shifted)
+        from_odd.append([(d, -k, v * ab if k else v) for d, k, v in shifted])
+    return _Walk(ab, size, size**ctx.slots, (from_even, from_odd))
 
 
 def _diagonal_keys(span: int, codes: Iterable[int]) -> dict:
     """The state sum eta[I; I] over the given codes of I, coefficients 1."""
     return {2 * (span + 1) * code: 1 for code in codes}
+
+
+# A step over a state of more than this many keys per pair code first
+# scales the row table by the slot's unit, so that each image adds one
+# precomputed delta.  The scaling forms 2 |S|^2 row lists, under 1/8 of the
+# keys such a step walks.  The full-basis walks of normal_form,
+# r_matrix_laws, gram_matrix and bimodule_checks take it, the closed walks
+# do not.  Without it verify --suite tensor --m 8 ran 3% slower; at 2 |S|^2
+# the verify_sweep benchmark's wall_s was 3.5% worse.
+_SCALED_STEP_KEYS = 16
 
 
 def _int_walk(walk: _Walk, slots: Iterable[int], state: dict) -> dict:
@@ -446,13 +459,24 @@ def _int_walk(walk: _Walk, slots: Iterable[int], state: dict) -> dict:
     step: a zero coefficient walks on as zero until then."""
     pairs = walk.size**2
     for a in slots:
-        unit, rows = walk.steps[a]
+        unit = 2 * walk.size ** (a - 1)
         out: dict = {}
         get = out.get
-        for key, c in state.items():
-            for delta, v in rows[key & 1][key // unit % pairs]:
-                key2 = key + delta
-                out[key2] = get(key2, 0) + c * v
+        if len(state) > _SCALED_STEP_KEYS * pairs:
+            rows = [
+                [[(d * unit + k, v) for d, k, v in images] for images in grade]
+                for grade in walk.rows
+            ]
+            for key, c in state.items():
+                for delta, v in rows[key & 1][key // unit % pairs]:
+                    key2 = key + delta
+                    out[key2] = get(key2, 0) + c * v
+        else:
+            rows = walk.rows
+            for key, c in state.items():
+                for d, k, v in rows[key & 1][key // unit % pairs]:
+                    key2 = key + d * unit + k
+                    out[key2] = get(key2, 0) + c * v
         state = out
     return {key: c for key, c in state.items() if c}
 
@@ -763,6 +787,29 @@ def _code_tuples(support: tuple[int, ...], slots: int) -> tuple[tuple[int, ...],
     return tuple(tup[::-1] for tup in _cartesian(support, repeat=slots))
 
 
+# The last stable-sort prefix built per support size, (k, starts, parity,
+# le) as _extend_sorts takes it: a suite that asks for the ranks 1, 2, ..
+# in turn builds one slot per rank.
+_sort_prefixes: dict[int, tuple] = {}
+
+
+def _extend_sorts(size: int, prefix: tuple) -> tuple:
+    """The stable-sort prefix (k, starts, parity, le) of one slot more.
+    starts and parity are those of _stable_sorts at k slots, and le[c][r]
+    counts the entries of place <= r among the first k - 1 of the tuple of
+    code c (None at k = 0): appending position k + 1 with support place p
+    to a tuple of k entries puts it at place le[p] of the sort, behind the
+    k - le[p] larger entries it adds as inversions."""
+    k, starts, parity, le = prefix
+    if k == 0:
+        le = [(0,) * size]
+    else:
+        le = [g[:p] + tuple(v + 1 for v in g[p:]) for p in range(size) for g in le]
+    starts = [s[: g[p]] + (k + 1,) + s[g[p] :] for p in range(size) for s, g in zip(starts, le)]
+    parity = [x ^ ((k - g[p]) & 1) for p in range(size) for x, g in zip(parity, le)]
+    return k + 1, starts, parity, le
+
+
 @lru_cache(maxsize=_TABLES_CACHED)
 def _stable_sorts(size: int, slots: int) -> tuple[tuple, tuple, tuple]:
     """The stable sort of every index tuple, by code: (starts, ranks,
@@ -771,16 +818,17 @@ def _stable_sorts(size: int, slots: int) -> tuple[tuple, tuple, tuple]:
     place of position k in that sort (start(I)^-1 - 1), and parity[c] =
     l(start(I)) mod 2, for I the tuple of code c.
 
-    Built one slot at a time, in code order: appending position k with
-    support place p to a tuple whose entries le[r] have places <= r puts k
-    at place le[p] of the sort, behind the k - 1 - le[p] larger entries it
-    adds as inversions.  No index tuple is sorted; ranks inverts each start."""
-    starts, parity, le = [()], [0], [(0,) * size]
-    for k in range(1, slots + 1):
-        starts = [s[: g[p]] + (k,) + s[g[p] :] for p in range(size) for s, g in zip(starts, le)]
-        parity = [x ^ ((k - 1 - g[p]) & 1) for p in range(size) for x, g in zip(parity, le)]
-        if k < slots:
-            le = [g[:p] + tuple(v + 1 for v in g[p:]) for p in range(size) for g in le]
+    Built one slot at a time, in code order (_extend_sorts), from the last
+    prefix built for the size when it has at most slots slots, so rank n
+    after rank n - 1 costs one slot.  No index tuple is sorted; ranks
+    inverts each start."""
+    prefix = _sort_prefixes.get(size)
+    if prefix is None or prefix[0] > slots:
+        prefix = (0, [()], [0], None)
+    while prefix[0] < slots:
+        prefix = _extend_sorts(size, prefix)
+    _sort_prefixes[size] = prefix
+    _, starts, parity, _ = prefix
     ranks = tuple(tuple(sorted(range(slots), key=start.__getitem__)) for start in starts)
     return tuple(starts), ranks, tuple(parity)
 
@@ -1045,15 +1093,18 @@ def ldlt_pivots(matrix: list[list[Fraction]]) -> tuple[list[Fraction], bool]:
     after the nonzero pivots so far each trailing entry is the Schur
     complement entry times prev, the last nonzero Bareiss pivot (1 before
     the first).  So pivot k is a[k][k] / (prev s), and a skipped zero
-    pivot leaves prev as it is."""
+    pivot leaves prev as it is.  The entries are Fractions or ints, read
+    as (numerator, denominator) in lowest terms, so the symmetry test
+    compares those pairs, once per pair i < j."""
     n = len(matrix)
-    fractions = [[Fraction(x) for x in row] for row in matrix]
     for i in range(n):
-        for j in range(n):
-            if fractions[i][j] != fractions[j][i]:
+        row = matrix[i]
+        for j in range(i + 1, n):
+            x, y = row[j], matrix[j][i]
+            if x.numerator != y.numerator or x.denominator != y.denominator:
                 raise ValueError("matrix is not symmetric")
-    s = lcm(*(x.denominator for row in fractions for x in row))
-    a = [[x.numerator * (s // x.denominator) for x in row] for row in fractions]
+    s = lcm(*(x.denominator for row in matrix for x in row))
+    a = [[x.numerator * (s // x.denominator) for x in row] for row in matrix]
     pivots: list[Fraction] = []
     prev = 1
     for k in range(n):

@@ -209,7 +209,9 @@ class WeightFunction:
         numerator n_i of a_i = n_i / d for every index of the support, 0
         for an index of weight zero."""
         d = lcm(*(a.denominator for a in self.weights.values()))
-        return d, {i: (self(i) * d).numerator for i in self.support}
+        return d, {
+            i: a.numerator * (d // a.denominator) for i, a in sorted(self.weights.items())
+        }
 
 
 # ---------------------------------------------------------------------------

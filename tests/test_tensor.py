@@ -597,6 +597,74 @@ def test_walk_keys_on_the_two_betas_have_distinct_hashes():
     assert len({hash(decode(key)) for key in state}) < len(state) // 8
 
 
+
+def _both_grade_states(ctx, rng):
+    """A small state of random keys and the full basis sum_I eta[I; I],
+    each at both grades with distinct coefficients, keyed by (I, J, k)."""
+    n = ctx.slots
+    small = {
+        (tuple(rng.choices(ctx.support, k=n)), tuple(rng.choices(ctx.support, k=n)), k): c
+        for k, c in zip([0, 1] * 10, range(1, 21))
+    }
+    tuples = cartesian(ctx.support, repeat=n)
+    full = {(tup, tup, k): 2 * c + k + 1 for c, tup in enumerate(tuples) for k in (0, 1)}
+    return small, full
+
+
+def test_one_row_table_walks_every_slot_like_the_tuple_keyed_walk():
+    # a 7-slot model on three indices: one step at each slot, on both
+    # sides, from a small state and from the full basis, so that the steps
+    # that read the row table and the steps that scale it by the slot's
+    # unit both run
+    ctx = ModelContext.create(params("2/3", alpha=("2/3", "1/6"), beta=("1/6",)), 7)
+    assert len(ctx.support) == 3
+    encode, decode = _key_codec(ctx)
+    walk = ctx.walk
+    scaled_from = tensor._SCALED_STEP_KEYS * len(ctx.support) ** 2
+    small, full = _both_grade_states(ctx, Random(7))
+    assert len(small) <= scaled_from < len(full)
+    for start in (small, full):
+        keyed = {encode(*key): c for key, c in start.items()}
+        for side in ("left", "right"):
+            for a in range(1, 7):
+                got = tensor._walk(walk, side, [a], keyed)
+                want = _tuple_walk(ctx.r_matrix, ctx.t_squared, side, [a], start)
+                assert {decode(key): c for key, c in got.items()} == want, (len(start), side, a)
+
+
+def test_walk_rows_do_not_depend_on_the_slot_count():
+    # one row table of 2 |S|^2 lists serves every slot, at any width
+    p = params("2/3", alpha=("2/3", "1/6"), beta=("1/6",))
+    narrow, wide = (ModelContext.create(p, n) for n in (3, 8))
+    for diagonal in (False, True):
+        rows = tensor._walk_of(narrow, diagonal).rows
+        assert tensor._walk_of(wide, diagonal).rows == rows
+        assert [len(grade) for grade in rows] == [9, 9]
+    # per grade: three equal pairs, three increasing pairs with q - 1 and
+    # the swaps of the six unequal pairs
+    assert sum(len(images) for grade in wide.walk.rows for images in grade) == 2 * (3 + 3 + 6)
+
+
+def test_an_edited_r_matrix_row_reaches_a_step_at_the_last_slot():
+    # the row of the pair (1, 2) is edited before the model's first walk;
+    # a step at slot 6 of 7 applies the edited row, from a small state and
+    # from the full basis
+    ctx = ModelContext.create(params("2/3", alpha=("2/3", "1/6"), beta=("1/6",)), 7)
+    edited = [((1, 2), 0, 5), ((2, 1), 1, -3), ((-1, 2), 0, 7)]
+    ctx.r_matrix[1, 2] = edited
+    encode, decode = _key_codec(ctx)
+    small, full = _both_grade_states(ctx, Random(6))
+    tail = (-1,) * 5
+    small[tail + (1, 2), tail + (1, 2), 0] = 11
+    for start in (small, full):
+        keyed = {encode(*key): c for key, c in start.items()}
+        got = {decode(key): c for key, c in tensor._int_walk(ctx.walk, [6], keyed).items()}
+        assert got == _tuple_walk(ctx.r_matrix, ctx.t_squared, "left", [6], start)
+        tj = tail + (1, 2)
+        c = start[tail + (1, 2), tj, 0]
+        assert got[tail + (-1, 2), tj, 0] == 7 * c
+        assert got[tail + (2, 1), tj, 1] == -3 * c
+
 def test_matrix_element_of_unit():
     for p in (P_FLAT, P_MIX, P_WIDE):
         ctx = ModelContext.create(p, slots=2)
@@ -907,6 +975,62 @@ def test_stable_sort_tables_equal_carrying_by_sorts():
             sigma = tuple(map(starts[tag_code].__getitem__, ranks[c]))
             assert sigma == carrying_by_sorts(tag, tup), (tag, tup)
 
+
+
+def stable_sorts_by_rebuilding(size, slots):
+    """Oracle for _stable_sorts: the tables built from one slot on every
+    call, appending position k with support place p at place le[p]."""
+    starts, parity, le = [()], [0], [(0,) * size]
+    for k in range(1, slots + 1):
+        starts = [s[: g[p]] + (k,) + s[g[p] :] for p in range(size) for s, g in zip(starts, le)]
+        parity = [x ^ ((k - 1 - g[p]) & 1) for p in range(size) for x, g in zip(parity, le)]
+        if k < slots:
+            le = [g[:p] + tuple(v + 1 for v in g[p:]) for p in range(size) for g in le]
+    ranks = tuple(tuple(sorted(range(slots), key=start.__getitem__)) for start in starts)
+    return tuple(starts), ranks, tuple(parity)
+
+
+def _fresh_sort_tables(monkeypatch) -> list:
+    """Empty the stable-sort caches and record each slot _extend_sorts
+    builds, as (size, slots after the step)."""
+    built = []
+    extend = tensor._extend_sorts
+
+    def recorded(size, prefix):
+        built.append((size, prefix[0] + 1))
+        return extend(size, prefix)
+
+    monkeypatch.setattr(tensor, "_extend_sorts", recorded)
+    monkeypatch.setattr(tensor, "_sort_prefixes", {})
+    tensor._stable_sorts.cache_clear()
+    return built
+
+
+@pytest.mark.parametrize("order", ["rising", "falling"])
+def test_stable_sorts_equal_the_tables_rebuilt_from_one_slot(monkeypatch, order):
+    # rising ranks extend the last prefix, falling ones start again
+    _fresh_sort_tables(monkeypatch)
+    ranks = range(1, 9) if order == "rising" else range(8, 0, -1)
+    for slots in ranks:
+        for size in (1, 2, 3):
+            assert tensor._stable_sorts(size, slots) == stable_sorts_by_rebuilding(size, slots)
+    tensor._stable_sorts.cache_clear()
+
+
+def test_stable_sorts_at_rank_n_after_rank_n_minus_1_build_one_slot(monkeypatch):
+    built = _fresh_sort_tables(monkeypatch)
+    tensor._stable_sorts(2, 3)
+    assert built == [(2, 1), (2, 2), (2, 3)]
+    for slots in range(4, 9):
+        built.clear()
+        tensor._stable_sorts(2, slots)
+        assert built == [(2, slots)]
+    # another size keeps its own prefix
+    built.clear()
+    tensor._stable_sorts(3, 2)
+    tensor._stable_sorts(2, 9)
+    assert built == [(3, 1), (3, 2), (2, 9)]
+    tensor._stable_sorts.cache_clear()
 
 # P1-P5, each without and with an extra index of weight 0
 PER_ENTRY_MODELS = [
@@ -1753,6 +1877,31 @@ def test_integer_ldlt_equals_fraction_elimination(kind):
     # before the last, and indefinite ones that stop the sweep
     assert singular and (psd < 400 if kind == "symmetric" else psd == 400)
 
+
+
+def test_integer_ldlt_of_int_and_mixed_entries_equals_fraction_elimination():
+    # each matrix as ints (times the lcm of its denominators) and with its
+    # integral entries turned into ints one by one, so that an int may
+    # face a Fraction of the same value across the diagonal
+    rng = Random(29)
+    for kind in ("gram", "symmetric"):
+        for _ in range(100):
+            matrix = _random_symmetric(rng, rng.randint(1, 6), kind)
+            s = lcm(*(x.denominator for row in matrix for x in row))
+            ints = [[int(x * s) for x in row] for row in matrix]
+            mixed = [
+                [int(x) if x.denominator == 1 and rng.random() < 0.5 else x for x in row]
+                for row in matrix
+            ]
+            for m in (ints, mixed):
+                got = ldlt_pivots(m)
+                assert got == ldlt_pivots_by_fractions(m), m
+                assert all(type(d) is F for d in got[0])
+    # equal numerators over unequal denominators, and an int against a
+    # Fraction of another value
+    for matrix in ([[F(0), F(1, 2)], [F(1, 3), F(0)]], [[0, 1], [F(1, 2), 0]]):
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            ldlt_pivots(matrix)
 
 @pytest.mark.parametrize(
     "p", [P_FLAT, P_MIX, P_WIDE, P_TWO_BETA], ids=["flat", "mix", "wide", "two_beta"]
