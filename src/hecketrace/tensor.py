@@ -449,7 +449,7 @@ def _diagonal_keys(span: int, codes: Iterable[int]) -> dict:
 # keys such a step walks.  The full-basis walks of normal_form,
 # r_matrix_laws, gram_matrix and bimodule_checks take it, the closed walks
 # do not.  Without it verify --suite tensor --m 8 ran 3% slower; at 2 |S|^2
-# the verify_sweep benchmark's wall_s was 3.5% worse.
+# the verify_sweep benchmark's wall_s was 4% worse.
 _SCALED_STEP_KEYS = 16
 
 
