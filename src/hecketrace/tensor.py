@@ -73,12 +73,10 @@ the pair (I_a, I_(a+1)) is the digit (key // u_a) % B^2 for the slot's
 unit u_a = 2 B^(a-1), and each image adds d u_a + dk to the key, for the
 change d of the pair digit and the change dk of the grade bit.  So one
 table of rows (d, dk, v) per pair and grade serves every slot, and the
-step applies the slot's unit; a step over a state of more than 16 B^2
-keys (the full-basis walks) first scales the rows by the unit, once for
-the step (_int_walk).  Each model derives the table from ctx.r_matrix
-once, on first use (ModelContext.walk, and ModelContext.diagonal_walk for
-the diagonal rows), in O(B^2) at any slot count, and every route of the
-model reads it there.  A value does not depend on the width it is
+step applies the slot's unit (_int_walk).  Each model derives the table
+from ctx.r_matrix once, on first use (ModelContext.walk, and
+ModelContext.diagonal_walk for the diagonal rows), in O(B^2) at any slot
+count, and every route of the model reads it there.  A value does not depend on the width it is
 taken at: the traces live on the union of the H_n.  So no route walks more
 slots than its element touches.  matrix_element and diagonal_zeta open
 only the slots a step touches, and normal_form walks the x.rank slots of
@@ -443,40 +441,19 @@ def _diagonal_keys(span: int, codes: Iterable[int]) -> dict:
     return {2 * (span + 1) * code: 1 for code in codes}
 
 
-# A step over a state of more than this many keys per pair code first
-# scales the row table by the slot's unit, so that each image adds one
-# precomputed delta.  The scaling forms 2 |S|^2 row lists, under 1/8 of the
-# keys such a step walks.  The full-basis walks of normal_form,
-# r_matrix_laws, gram_matrix and bimodule_checks take it, the closed walks
-# do not.  Without it verify --suite tensor --m 8 ran 3% slower; at 2 |S|^2
-# the verify_sweep benchmark's wall_s was 4% worse.
-_SCALED_STEP_KEYS = 16
-
-
 def _int_walk(walk: _Walk, slots: Iterable[int], state: dict) -> dict:
     """Apply b R at each slot in turn, the first slot first, to a flat
     state.  The keys whose terms cancel are dropped once, after the last
     step: a zero coefficient walks on as zero until then."""
-    pairs = walk.size**2
+    rows, pairs = walk.rows, walk.size**2
     for a in slots:
         unit = 2 * walk.size ** (a - 1)
         out: dict = {}
         get = out.get
-        if len(state) > _SCALED_STEP_KEYS * pairs:
-            rows = [
-                [[(d * unit + k, v) for d, k, v in images] for images in grade]
-                for grade in walk.rows
-            ]
-            for key, c in state.items():
-                for delta, v in rows[key & 1][key // unit % pairs]:
-                    key2 = key + delta
-                    out[key2] = get(key2, 0) + c * v
-        else:
-            rows = walk.rows
-            for key, c in state.items():
-                for d, k, v in rows[key & 1][key // unit % pairs]:
-                    key2 = key + d * unit + k
-                    out[key2] = get(key2, 0) + c * v
+        for key, c in state.items():
+            for d, k, v in rows[key & 1][key // unit % pairs]:
+                key2 = key + d * unit + k
+                out[key2] = get(key2, 0) + c * v
         state = out
     return {key: c for key, c in state.items() if c}
 
@@ -1079,7 +1056,7 @@ def gram_matrix(params: TraceParams, rank: int) -> list[list[Fraction]]:
     return gram
 
 
-def ldlt_pivots(matrix: list[list[Fraction]]) -> tuple[list[Fraction], bool]:
+def ldlt_pivots(matrix: list[list[Fraction | int]]) -> tuple[list[Fraction], bool]:
     """Exact LDL^T pivots of a symmetric rational matrix, and whether the
     matrix is positive semidefinite.
 
@@ -1093,9 +1070,16 @@ def ldlt_pivots(matrix: list[list[Fraction]]) -> tuple[list[Fraction], bool]:
     after the nonzero pivots so far each trailing entry is the Schur
     complement entry times prev, the last nonzero Bareiss pivot (1 before
     the first).  So pivot k is a[k][k] / (prev s), and a skipped zero
-    pivot leaves prev as it is.  The entries are Fractions or ints, read
-    as (numerator, denominator) in lowest terms, so the symmetry test
-    compares those pairs, once per pair i < j."""
+    pivot leaves prev as it is.  Fraction and int entries are read as
+    (numerator, denominator) in lowest terms, so the symmetry test
+    compares those pairs, once per pair i < j; a matrix with any other
+    entry that Fraction() takes (a float, a Decimal, a string) is read as
+    its Fractions first."""
+    try:
+        s = lcm(*(x.denominator for row in matrix for x in row))
+    except AttributeError:
+        matrix = [[Fraction(x) for x in row] for row in matrix]
+        s = lcm(*(x.denominator for row in matrix for x in row))
     n = len(matrix)
     for i in range(n):
         row = matrix[i]
@@ -1103,7 +1087,6 @@ def ldlt_pivots(matrix: list[list[Fraction]]) -> tuple[list[Fraction], bool]:
             x, y = row[j], matrix[j][i]
             if x.numerator != y.numerator or x.denominator != y.denominator:
                 raise ValueError("matrix is not symmetric")
-    s = lcm(*(x.denominator for row in matrix for x in row))
     a = [[x.numerator * (s // x.denominator) for x in row] for row in matrix]
     pivots: list[Fraction] = []
     prev = 1

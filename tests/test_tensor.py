@@ -597,7 +597,6 @@ def test_walk_keys_on_the_two_betas_have_distinct_hashes():
     assert len({hash(decode(key)) for key in state}) < len(state) // 8
 
 
-
 def _both_grade_states(ctx, rng):
     """A small state of random keys and the full basis sum_I eta[I; I],
     each at both grades with distinct coefficients, keyed by (I, J, k)."""
@@ -613,16 +612,12 @@ def _both_grade_states(ctx, rng):
 
 def test_one_row_table_walks_every_slot_like_the_tuple_keyed_walk():
     # a 7-slot model on three indices: one step at each slot, on both
-    # sides, from a small state and from the full basis, so that the steps
-    # that read the row table and the steps that scale it by the slot's
-    # unit both run
+    # sides, from a small state and from the full basis
     ctx = ModelContext.create(params("2/3", alpha=("2/3", "1/6"), beta=("1/6",)), 7)
     assert len(ctx.support) == 3
     encode, decode = _key_codec(ctx)
     walk = ctx.walk
-    scaled_from = tensor._SCALED_STEP_KEYS * len(ctx.support) ** 2
     small, full = _both_grade_states(ctx, Random(7))
-    assert len(small) <= scaled_from < len(full)
     for start in (small, full):
         keyed = {encode(*key): c for key, c in start.items()}
         for side in ("left", "right"):
@@ -664,6 +659,7 @@ def test_an_edited_r_matrix_row_reaches_a_step_at_the_last_slot():
         c = start[tail + (1, 2), tj, 0]
         assert got[tail + (-1, 2), tj, 0] == 7 * c
         assert got[tail + (2, 1), tj, 1] == -3 * c
+
 
 def test_matrix_element_of_unit():
     for p in (P_FLAT, P_MIX, P_WIDE):
@@ -976,7 +972,6 @@ def test_stable_sort_tables_equal_carrying_by_sorts():
             assert sigma == carrying_by_sorts(tag, tup), (tag, tup)
 
 
-
 def stable_sorts_by_rebuilding(size, slots):
     """Oracle for _stable_sorts: the tables built from one slot on every
     call, appending position k with support place p at place le[p]."""
@@ -1031,6 +1026,7 @@ def test_stable_sorts_at_rank_n_after_rank_n_minus_1_build_one_slot(monkeypatch)
     tensor._stable_sorts(2, 9)
     assert built == [(3, 1), (3, 2), (2, 9)]
     tensor._stable_sorts.cache_clear()
+
 
 # P1-P5, each without and with an extra index of weight 0
 PER_ENTRY_MODELS = [
@@ -1878,11 +1874,12 @@ def test_integer_ldlt_equals_fraction_elimination(kind):
     assert singular and (psd < 400 if kind == "symmetric" else psd == 400)
 
 
-
 def test_integer_ldlt_of_int_and_mixed_entries_equals_fraction_elimination():
     # each matrix as ints (times the lcm of its denominators) and with its
     # integral entries turned into ints one by one, so that an int may
-    # face a Fraction of the same value across the diagonal
+    # face a Fraction of the same value across the diagonal; as floats, as
+    # strings, and mixed with one float entry, which are read as the
+    # Fractions that Fraction() makes of them
     rng = Random(29)
     for kind in ("gram", "symmetric"):
         for _ in range(100):
@@ -1893,15 +1890,24 @@ def test_integer_ldlt_of_int_and_mixed_entries_equals_fraction_elimination():
                 [int(x) if x.denominator == 1 and rng.random() < 0.5 else x for x in row]
                 for row in matrix
             ]
-            for m in (ints, mixed):
+            floats = [[float(x) for x in row] for row in matrix]
+            strings = [[str(x) for x in row] for row in matrix]
+            one_float = [row[:] for row in mixed]
+            one_float[0][0] = float(one_float[0][0])
+            for m in (ints, mixed, floats, strings, one_float):
                 got = ldlt_pivots(m)
                 assert got == ldlt_pivots_by_fractions(m), m
                 assert all(type(d) is F for d in got[0])
-    # equal numerators over unequal denominators, and an int against a
-    # Fraction of another value
-    for matrix in ([[F(0), F(1, 2)], [F(1, 3), F(0)]], [[0, 1], [F(1, 2), 0]]):
+    # equal numerators over unequal denominators, an int against a
+    # Fraction of another value, and two unequal floats
+    for matrix in (
+        [[F(0), F(1, 2)], [F(1, 3), F(0)]],
+        [[0, 1], [F(1, 2), 0]],
+        [[1.0, 0.5], [0.25, 1.0]],
+    ):
         with pytest.raises(ValueError, match="matrix is not symmetric"):
             ldlt_pivots(matrix)
+
 
 @pytest.mark.parametrize(
     "p", [P_FLAT, P_MIX, P_WIDE, P_TWO_BETA], ids=["flat", "mix", "wide", "two_beta"]
