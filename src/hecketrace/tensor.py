@@ -103,12 +103,16 @@ a RootElem.  apply_r, apply_hecke and xi_state keep the RootElem states in
 Q[sqrt(q), sqrt(a_i)] as the reference action: verify -v prints Xi, and
 the tests hold them as the oracle of the walks.  Only they build the
 context's SqrtTable.
+
+ModelContext is an immutable value class on report.Value with the three
+fields params, slots and weights: two models of equal fields are equal,
+and the integer model is kept beside them, built by cached properties on
+first use and never compared.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product as _cartesian
@@ -119,7 +123,7 @@ from typing import Iterable, Iterator, Literal, Mapping, NamedTuple
 
 from .hecke import HeckeElement, mul as hecke_mul
 from .permutations import Perm, all_perms, cycles, reduced_word
-from .report import CheckResult
+from .report import CheckResult, Value
 from .scalars import CrossCheckError, RootElem, SqrtTable, format_fraction, sparse_sum
 from .traces import TraceParams, WeightFunction
 
@@ -150,8 +154,7 @@ def _weight_symbol(i: int) -> str:
     return f"sqrt_a{i}"
 
 
-@dataclass(frozen=True)
-class ModelContext:
+class ModelContext(Value):
     """Fixed data of one model instance: parameters, slot count and weight
     support, and the integer model built from them on first use.
 
@@ -164,9 +167,10 @@ class ModelContext:
     ranks builds r_matrix and the walk rows once, and a fault put into
     r_matrix reaches every rank."""
 
-    params: TraceParams
-    slots: int
-    weights: WeightFunction
+    _fields = ("params", "slots", "weights")
+
+    def __init__(self, params: TraceParams, slots: int, weights: WeightFunction):
+        self.__dict__.update(params=params, slots=slots, weights=weights)
 
     @classmethod
     def create(
@@ -443,8 +447,9 @@ def _diagonal_keys(span: int, codes: Iterable[int]) -> dict:
 
 def _int_walk(walk: _Walk, slots: Iterable[int], state: dict) -> dict:
     """Apply b R at each slot in turn, the first slot first, to a flat
-    state.  The keys whose terms cancel are dropped once, after the last
-    step: a zero coefficient walks on as zero until then."""
+    state.  The keys whose terms cancel stay, with coefficient 0: a closed
+    walk steps one slot at a time and _close_slot drops them, and the
+    full-basis walks drop them once, after the last step (_nonzero_walk)."""
     rows, pairs = walk.rows, walk.size**2
     for a in slots:
         unit = 2 * walk.size ** (a - 1)
@@ -455,7 +460,12 @@ def _int_walk(walk: _Walk, slots: Iterable[int], state: dict) -> dict:
                 key2 = key + d * unit + k
                 out[key2] = get(key2, 0) + c * v
         state = out
-    return {key: c for key, c in state.items() if c}
+    return state
+
+
+def _nonzero_walk(walk: _Walk, slots: Iterable[int], state: dict) -> dict:
+    """_int_walk without the keys whose terms cancel."""
+    return {key: c for key, c in _int_walk(walk, slots, state).items() if c}
 
 
 def _transposed(walk: _Walk, state: dict) -> dict:
@@ -469,11 +479,11 @@ def _transposed(walk: _Walk, state: dict) -> dict:
 
 
 def _walk(walk: _Walk, side: Side, slots: Iterable[int], state: dict) -> dict:
-    """_int_walk on the given side: the right action is the left walk with
-    the codes of I and J swapped."""
+    """_nonzero_walk on the given side: the right action is the left walk
+    with the codes of I and J swapped."""
     if side == "left":
-        return _int_walk(walk, slots, state)
-    return _transposed(walk, _int_walk(walk, slots, _transposed(walk, state)))
+        return _nonzero_walk(walk, slots, state)
+    return _transposed(walk, _nonzero_walk(walk, slots, _transposed(walk, state)))
 
 
 def _pairing(walk: _Walk, left: dict, right: dict, nums: dict) -> tuple[int, int]:
@@ -722,7 +732,7 @@ def normal_form(
     raw: dict = {}  # every walked key, also where the terms cancel
     get = raw.get
     for word, f in terms:
-        for key, v in _int_walk(walk, word, tagged).items():
+        for key, v in _nonzero_walk(walk, word, tagged).items():
             raw[key] = get(key, 0) + v * f
     scales = (1, ctx.q.denominator)  # b^k
     values: dict[int, Fraction] = {}  # one Fraction per distinct entry value
@@ -1045,7 +1055,7 @@ def gram_matrix(params: TraceParams, rank: int) -> list[list[Fraction]]:
     walk = ctx.walk
     xi1, nums, d_slots = ctx.unit_diagonal
     words = [reduced_word(u) for u in all_perms(rank)]
-    states = [_int_walk(walk, reversed(word), xi1) for word in words]
+    states = [_nonzero_walk(walk, reversed(word), xi1) for word in words]
     b = ctx.q.denominator
     gram = [[Fraction(0)] * len(words) for _ in words]
     for i, state in enumerate(states):

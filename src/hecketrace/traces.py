@@ -45,18 +45,20 @@ without any tensor machinery).  Its two summation strategies, by tuples and
 by exponent vectors, each run in integers over b^(m-1) d^m and divide once.
 
 All arithmetic is exact; every function either returns a Fraction or an
-exact PowerSeries.
+exact PowerSeries.  TraceParams and WeightFunction are immutable value
+classes on report.Value: each checks and converts its fields in its one
+constructor, and compares, hashes and prints by those fields alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
 from math import lcm, prod
 from typing import Iterator, Mapping, Sequence
 
+from .report import Value
 from .scalars import (
     CrossCheckError,
     PowerSeries,
@@ -91,8 +93,7 @@ def _check_weights(name: str, numerators: list[int]):
         raise ValueError(f"{name} must be nonincreasing")
 
 
-@dataclass(frozen=True)
-class TraceParams:
+class TraceParams(Value):
     """Thoma-type parameters (alpha, beta, gamma) plus the deformation
     parameter q; validated so that sum(alpha) + sum(beta) + gamma == 1
     holds exactly.
@@ -103,24 +104,21 @@ class TraceParams:
     denominator of d and gamma.  Each instance keeps weight_numerators =
     (d, (n_i), (m_j)) with the numerators of the nonzero weights only (a
     prefix of each nonincreasing sequence), which the integer routes of
-    this module read instead of working them out per call."""
+    this module read instead of working them out per call; it is not a
+    field, so equality, hash and repr leave it out."""
 
-    q: Fraction
-    alpha: tuple[Fraction, ...] = ()
-    beta: tuple[Fraction, ...] = ()
-    gamma: Fraction = Fraction(0)
-    weight_numerators: tuple[int, tuple[int, ...], tuple[int, ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    _fields = ("q", "alpha", "beta", "gamma")
 
-    def __post_init__(self):
-        q, gamma = _fraction(self.q), _fraction(self.gamma)
-        alpha = tuple(map(_fraction, self.alpha))
-        beta = tuple(map(_fraction, self.beta))
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
+    def __init__(
+        self,
+        q: Fraction,
+        alpha: tuple[Fraction, ...] = (),
+        beta: tuple[Fraction, ...] = (),
+        gamma: Fraction = Fraction(0),
+    ):
+        q, gamma = _fraction(q), _fraction(gamma)
+        alpha = tuple(map(_fraction, alpha))
+        beta = tuple(map(_fraction, beta))
         if q.numerator <= 0:
             raise ValueError("q must be positive")
         d = lcm(*(w.denominator for w in (*alpha, *beta)))
@@ -139,7 +137,9 @@ class TraceParams:
                 f"off by {format_fraction(Fraction(excess, d * h))}"
             )
         nonzero = (tuple(n for n in alphas if n), tuple(m for m in betas if m))
-        object.__setattr__(self, "weight_numerators", (d, *nonzero))
+        self.__dict__.update(
+            q=q, alpha=alpha, beta=beta, gamma=gamma, weight_numerators=(d, *nonzero)
+        )
 
     @cached_property
     def weight_function(self) -> "WeightFunction":
@@ -170,22 +170,20 @@ class TraceParams:
         }
 
 
-@dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(Value):
     """Weights a_i on nonzero integer indices: a_j = alpha_j for j > 0 and
     a_{-j} = beta_j for j > 0, zero-weight indices dropped.  Only defined
     for gamma = 0, where sum(a_i) = 1."""
 
-    weights: Mapping[int, Fraction]
-    support: tuple[int, ...] = field(init=False)
+    _fields = ("weights", "support")
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", dict(self.weights))
-        if any(i == 0 for i in self.weights):
+    def __init__(self, weights: Mapping[int, Fraction]):
+        weights = dict(weights)
+        if any(i == 0 for i in weights):
             raise ValueError("index 0 is not allowed")
-        if any(a < 0 for a in self.weights.values()):
+        if any(a < 0 for a in weights.values()):
             raise ValueError("weights must be nonnegative")
-        object.__setattr__(self, "support", tuple(sorted(self.weights)))
+        self.__dict__.update(weights=weights, support=tuple(sorted(weights)))
 
     @classmethod
     def from_params(cls, params: TraceParams) -> "WeightFunction":

@@ -29,3 +29,21 @@ def test_import_loads_no_numpy():
     env = {**os.environ, "PYTHONPATH": src}
     code = "import hecketrace, hecketrace.cli, sys; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_import_loads_no_source_introspection():
+    # the value classes are plain classes on report.Value: importing the
+    # package pulls in no dataclasses, nor the inspect, ast, dis and
+    # tokenize modules behind it, beyond what argparse, json and fractions
+    # load themselves
+    src = os.path.dirname(os.path.dirname(hecketrace.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys, argparse, json, fractions\n"
+        "before = set(sys.modules)\n"
+        "import hecketrace.cli, hecketrace.fqconv, hecketrace.tensor\n"
+        "heavy = {'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}\n"
+        "print(sorted(heavy & (set(sys.modules) - before)))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)
+    assert run.stdout.decode().strip() == "[]"
