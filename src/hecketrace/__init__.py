@@ -46,7 +46,6 @@ from .tensor import (
 )
 from .traces import (
     TraceParams,
-    WeightFunction,
     delta_eigenvalue,
     enumerate_multiplicities,
     generating_series,
@@ -70,7 +69,6 @@ __all__ = [
     "SqrtTable",
     "TensorState",
     "TraceParams",
-    "WeightFunction",
     "apply_hecke",
     "apply_r",
     "delta_eigenvalue",

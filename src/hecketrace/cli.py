@@ -30,7 +30,7 @@ from . import fqconv, suites, tensor
 from .hecke import check_partition, zeta_partition
 from .permutations import all_perms, format_perm
 from .report import all_passed, format_records, format_results
-from .scalars import CrossCheckError, format_fraction
+from .scalars import CrossCheckError, format_fraction, parse_fraction
 from .tensor import ModelContext
 from .traces import (
     TraceParams,
@@ -91,6 +91,20 @@ def _check_tensor_size(what: str, alpha, beta, slots: int):
         )
 
 
+def _same_value(old, new) -> bool:
+    """Whether a params-file value and a flag value are equal as Fractions,
+    element by element for a list.  A value that does not parse differs
+    from every other."""
+    if isinstance(new, list):
+        if not isinstance(old, (list, tuple)) or len(old) != len(new):
+            return False
+        return all(map(_same_value, old, new))
+    try:
+        return parse_fraction(str(old)) == parse_fraction(new)
+    except ValueError:
+        return False
+
+
 def _resolve_params(args) -> TraceParams:
     record = {}
     if args.params:
@@ -107,7 +121,7 @@ def _resolve_params(args) -> TraceParams:
     for key, val in flags.items():
         if val is None:
             continue
-        if args.params and key in record and record[key] != val:
+        if args.params and key in record and not _same_value(record[key], val):
             print(
                 f"warning: --{key} overrides the value from {args.params}",
                 file=sys.stderr,

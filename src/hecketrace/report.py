@@ -1,6 +1,6 @@
 """Pass/fail records shared by the verification suites and the CLI, and
 Value, the base of the package's immutable value classes CheckResult,
-TraceParams, WeightFunction and ModelContext.
+TraceParams and ModelContext.
 
 A Value subclass names its fields in the class attribute _fields and sets
 them in its own __init__; the base compares and hashes instances by those

@@ -141,7 +141,7 @@ def rmatrix_suite(profiles=None, qs=DEFAULT_QS) -> list[CheckResult]:
             name = profile[0]
             ctx = ModelContext.create(profile_params(profile, q), model_slots("rmatrix"))
             s = len(ctx.support)
-            quadratic, braid = tensor.r_matrix_laws(ctx, "left")
+            quadratic, braid = tensor.r_matrix_laws(ctx)
             results.append(CheckResult(f"rmatrix.quadratic.{name}.s{s}.q={q}", quadratic))
             results.append(CheckResult(f"rmatrix.braid.{name}.s{s}.q={q}", braid))
     return results

@@ -105,9 +105,10 @@ the tests hold them as the oracle of the walks.  Only they build the
 context's SqrtTable.
 
 ModelContext is an immutable value class on report.Value with the three
-fields params, slots and weights: two models of equal fields are equal,
-and the integer model is kept beside them, built by cached properties on
-first use and never compared.
+fields params, slots and support: two models of equal fields are equal and
+hash equal, and the integer model is kept beside them, built by cached
+properties on first use and never compared.  The weights are not a field:
+the model reads them by index from params (ModelContext.numerators).
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ from .hecke import HeckeElement, mul as hecke_mul
 from .permutations import Perm, all_perms, cycles, reduced_word
 from .report import CheckResult, Value
 from .scalars import CrossCheckError, RootElem, SqrtTable, format_fraction, sparse_sum
-from .traces import TraceParams, WeightFunction
+from .traces import TraceParams
 
 Side = Literal["left", "right"]
 
@@ -167,10 +168,10 @@ class ModelContext(Value):
     ranks builds r_matrix and the walk rows once, and a fault put into
     r_matrix reaches every rank."""
 
-    _fields = ("params", "slots", "weights")
+    _fields = ("params", "slots", "support")
 
-    def __init__(self, params: TraceParams, slots: int, weights: WeightFunction):
-        self.__dict__.update(params=params, slots=slots, weights=weights)
+    def __init__(self, params: TraceParams, slots: int, support: tuple[int, ...]):
+        self.__dict__.update(params=params, slots=slots, support=support)
 
     @classmethod
     def create(
@@ -181,19 +182,25 @@ class ModelContext(Value):
     ) -> "ModelContext":
         if slots < 1:
             raise ValueError("need at least one slot")
-        weights = params.weight_function
-        extra = [i for i in extra_indices if i not in weights.weights]
-        if extra:
-            weights = WeightFunction({**weights.weights, **dict.fromkeys(extra, Fraction(0))})
-        return cls(params, slots, weights)
+        if params.gamma != 0:
+            raise ValueError("tensor models require gamma = 0")
+        _, by_index = params.numerators_by_index
+        extra = set(extra_indices).difference(by_index)
+        if 0 in extra:
+            raise ValueError("index 0 is not allowed")
+        return cls(params, slots, tuple(sorted((*by_index, *extra))))
 
     @property
     def q(self) -> Fraction:
         return self.params.q
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return self.weights.support
+    @cached_property
+    def numerators(self) -> tuple[int, dict[int, int]]:
+        """(d, {i: n_i}): the weight a_i = n_i / d of every index of the
+        support, over the common denominator d of the weights, with n_i = 0
+        at an extra index."""
+        d, by_index = self.params.numerators_by_index
+        return d, {i: by_index.get(i, 0) for i in self.support}
 
     @cached_property
     def r_matrix(self) -> dict:
@@ -235,7 +242,7 @@ class ModelContext(Value):
         """Xi_1 as a flat state, the numerators n_J = prod_k n_{J_k} of the
         weights a_i = n_i / d keyed by code(J), and d^slots."""
         size = len(self.support)
-        d, numerators = self.weights.numerators
+        d, numerators = self.numerators
         live = [(p, numerators[i]) for p, i in enumerate(self.support) if numerators[i]]
         nums = {0: 1}
         for k in range(self.slots):
@@ -257,12 +264,14 @@ class ModelContext(Value):
         return self.table.sqrt(_SQRT_Q)
 
     def sqrt_weight(self, i: int) -> RootElem:
-        if self.weights(i) == 0:
+        if self.weight(i) == 0:
             return self.table.zero()
         return self.table.sqrt(_weight_symbol(i))
 
     def weight(self, i: int) -> Fraction:
-        return self.weights(i)
+        """a_i, 0 off the support and at an extra index."""
+        d, numerators = self.numerators
+        return Fraction(numerators.get(i, 0), d)
 
 
 class TensorState:
@@ -545,26 +554,27 @@ def _integer_terms(ctx: ModelContext, x: HeckeElement) -> tuple[list, int]:
     return [(word, num * (denom // den)) for word, num, den in terms], denom
 
 
-def r_matrix_laws(ctx: ModelContext, side: Side) -> tuple[bool, bool]:
-    """Whether R on the given side satisfies R_1 R_1 = (q-1) R_1 + q and
-    R_1 R_2 R_1 = R_2 R_1 R_2, as (quadratic, braid).  The laws are checked
-    on the integer walk that every route applies, scaled by b for q = a/b:
+def r_matrix_laws(ctx: ModelContext) -> tuple[bool, bool]:
+    """Whether R satisfies R_1 R_1 = (q-1) R_1 + q and R_1 R_2 R_1 =
+    R_2 R_1 R_2, as (quadratic, braid).  The laws are checked on the
+    integer walk that every route applies, scaled by b for q = a/b:
     (b R_1)^2 = (a - b) b R_1 + a b, and the braid law for b R.
 
     The test state is sum_I eta[I; I] over every I in S^slots, indices of
-    weight zero included.  On the side R does not act on, each basis tensor
-    is tagged with its own index tuple, so the columns cannot mix: equal
-    states mean equal operators.  Needs at least 3 slots."""
+    weight zero included.  On the W-slots, which R does not act on, each
+    basis tensor is tagged with its own index tuple, so the columns cannot
+    mix: equal states mean equal operators.  The right action is this walk
+    with the codes of I and J swapped, which maps the test state to itself,
+    so it satisfies the laws exactly when the left one does.  Needs at least
+    3 slots."""
     if ctx.slots < 3:
-        raise ValueError(f"slot {ctx.slots} out of range for {ctx.slots} slots")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        raise ValueError(f"the R-matrix laws need at least 3 slots, have {ctx.slots}")
     walk = ctx.walk
     a, b, ab = ctx.q.numerator, ctx.q.denominator, walk.ab
     basis = _diagonal_keys(walk.span, range(walk.span))
 
     def r(slots: list[int], state: dict) -> dict:
-        return _walk(walk, side, slots, state)
+        return _nonzero_walk(walk, slots, state)
 
     once = r([1], basis)
     combination = chain(
@@ -579,7 +589,7 @@ def r_matrix_laws(ctx: ModelContext, side: Side) -> tuple[bool, bool]:
 def _slot_weights(ctx: ModelContext) -> tuple[list[int], list[int]]:
     """The weight numerators n_i by position in the support, and the
     positions of nonzero weight, on which a closed walk opens its slots."""
-    _, numerators = ctx.weights.numerators
+    _, numerators = ctx.numerators
     weight = [numerators[i] for i in ctx.support]
     return weight, [p for p, n in enumerate(weight) if n]
 
@@ -660,7 +670,7 @@ def matrix_element(ctx: ModelContext, x: HeckeElement) -> Fraction:
     for word, f in terms:
         e, o = _closed_walk(ctx, walk, word[::-1])
         even, odd = even + f * e, odd + f * o
-    d, _ = ctx.weights.numerators
+    d, _ = ctx.numerators
     # the route label is read only on failure, and repr(x) is not cheap
     route = f"matrix element of {x!r}" if odd else "matrix element"
     return _rational(ctx, even, odd, denom * d**ctx.slots, route)
@@ -865,7 +875,7 @@ def omega_trace(
     phi.numerator n_I for n_I = prod_k n_(I_k) is summed per grade and per
     phi.denominator, over d^n; one Fraction is formed per distinct
     denominator."""
-    d, numerators = ctx.weights.numerators
+    d, numerators = ctx.numerators
     weight = defaultdict(int, numerators).__getitem__  # 0 off the support
     sums: tuple[dict, dict] = ({}, {})  # per grade: {(n, phi.denominator): sum}
     for sigma, table in op.items():
@@ -905,7 +915,7 @@ def _diagonal_numerators(ctx: ModelContext, m_max: int) -> Iterator[tuple[int, i
     walk = ctx.diagonal_walk
     weight, live = _slot_weights(ctx)
     total = sum(weight)
-    d, _ = ctx.weights.numerators
+    d, _ = ctx.numerators
     scale = d**ctx.slots
     state = _open_slot(walk, 1, live, {0: 1})
     for m in range(1, m_max + 1):
@@ -1080,7 +1090,8 @@ def ldlt_pivots(matrix: list[list[Fraction | int]]) -> tuple[list[Fraction], boo
     after the nonzero pivots so far each trailing entry is the Schur
     complement entry times prev, the last nonzero Bareiss pivot (1 before
     the first).  So pivot k is a[k][k] / (prev s), and a skipped zero
-    pivot leaves prev as it is.  Fraction and int entries are read as
+    pivot leaves prev as it is.  A matrix that is not square or not
+    symmetric raises ValueError.  Fraction and int entries are read as
     (numerator, denominator) in lowest terms, so the symmetry test
     compares those pairs, once per pair i < j; a matrix with any other
     entry that Fraction() takes (a float, a Decimal, a string) is read as
@@ -1091,6 +1102,8 @@ def ldlt_pivots(matrix: list[list[Fraction | int]]) -> tuple[list[Fraction], boo
         matrix = [[Fraction(x) for x in row] for row in matrix]
         s = lcm(*(x.denominator for row in matrix for x in row))
     n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
     for i in range(n):
         row = matrix[i]
         for j in range(i + 1, n):

@@ -45,9 +45,11 @@ without any tensor machinery).  Its two summation strategies, by tuples and
 by exponent vectors, each run in integers over b^(m-1) d^m and divide once.
 
 All arithmetic is exact; every function either returns a Fraction or an
-exact PowerSeries.  TraceParams and WeightFunction are immutable value
-classes on report.Value: each checks and converts its fields in its one
-constructor, and compares, hashes and prints by those fields alone.
+exact PowerSeries.  TraceParams is an immutable value class on
+report.Value: it checks and converts its fields in its one constructor,
+and compares, hashes and prints by those fields alone.  It is the one
+record of the weights: the integer routes and the tensor model read the
+numerators it keeps instead of working them out again.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ from .scalars import (
 
 __all__ = [
     "TraceParams",
-    "WeightFunction",
     "super_newton",
     "enumerate_multiplicities",
     "zeta_trace",
@@ -142,10 +143,15 @@ class TraceParams(Value):
         )
 
     @cached_property
-    def weight_function(self) -> "WeightFunction":
-        """The WeightFunction of these parameters, built on first use and
-        kept, so that its numerators are worked out once per instance."""
-        return WeightFunction.from_params(self)
+    def numerators_by_index(self) -> tuple[int, dict[int, int]]:
+        """(d, {i: n_i}): the nonzero weights by index over their common
+        denominator d, alpha_j = n_j / d at j and beta_j = n_(-j) / d at -j,
+        in increasing index order.  Read from weight_numerators on first use
+        and kept."""
+        d, alphas, betas = self.weight_numerators
+        by_index = {-j: betas[j - 1] for j in range(len(betas), 0, -1)}
+        by_index.update(enumerate(alphas, start=1))
+        return d, by_index
 
     # -- serialization --------------------------------------------------
 
@@ -167,48 +173,6 @@ class TraceParams(Value):
             "alpha": [format_fraction(a) for a in self.alpha],
             "beta": [format_fraction(b) for b in self.beta],
             "gamma": format_fraction(self.gamma),
-        }
-
-
-class WeightFunction(Value):
-    """Weights a_i on nonzero integer indices: a_j = alpha_j for j > 0 and
-    a_{-j} = beta_j for j > 0, zero-weight indices dropped.  Only defined
-    for gamma = 0, where sum(a_i) = 1."""
-
-    _fields = ("weights", "support")
-
-    def __init__(self, weights: Mapping[int, Fraction]):
-        weights = dict(weights)
-        if any(i == 0 for i in weights):
-            raise ValueError("index 0 is not allowed")
-        if any(a < 0 for a in weights.values()):
-            raise ValueError("weights must be nonnegative")
-        self.__dict__.update(weights=weights, support=tuple(sorted(weights)))
-
-    @classmethod
-    def from_params(cls, params: TraceParams) -> "WeightFunction":
-        if params.gamma != 0:
-            raise ValueError("weight functions require gamma = 0")
-        weights: dict[int, Fraction] = {}
-        for j, a in enumerate(params.alpha, start=1):
-            if a != 0:
-                weights[j] = a
-        for j, b in enumerate(params.beta, start=1):
-            if b != 0:
-                weights[-j] = b
-        return cls(weights)
-
-    def __call__(self, i: int) -> Fraction:
-        return self.weights.get(i, Fraction(0))
-
-    @cached_property
-    def numerators(self) -> tuple[int, dict[int, int]]:
-        """(d, {i: n_i}): the common denominator d of the weights and the
-        numerator n_i of a_i = n_i / d for every index of the support, 0
-        for an index of weight zero."""
-        d = lcm(*(a.denominator for a in self.weights.values()))
-        return d, {
-            i: a.numerator * (d // a.denominator) for i, a in sorted(self.weights.items())
         }
 
 
@@ -420,16 +384,17 @@ def _compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _zeta_by_tuples(m: int, weights: WeightFunction, q: Fraction) -> Fraction:
-    """The sum over nondecreasing index tuples I of delta_eigenvalue(I)
-    prod_k a_(I_k), in integers: with q = a/b and a_i = n_i/d, the tuple
-    adds sign a^e (a-b)^(r-1) b^(m-e-r) prod_k n_(I_k) over b^(m-1) d^m
-    (e + r <= m, the number of positive entries plus the negative blocks).
-    The tuples are grouped by (sign, e, r), and one Fraction is formed."""
+def _zeta_by_tuples(m: int, params: TraceParams, q: Fraction) -> Fraction:
+    """The sum over nondecreasing tuples I of nonzero-weight indices of
+    delta_eigenvalue(I) prod_k a_(I_k), in integers: with q = a/b and a_i =
+    n_i/d, the tuple adds sign a^e (a-b)^(r-1) b^(m-e-r) prod_k n_(I_k) over
+    b^(m-1) d^m (e + r <= m, the number of positive entries plus the
+    negative blocks).  The tuples are grouped by (sign, e, r), and one
+    Fraction is formed."""
     a, b = q.numerator, q.denominator
-    d, numerators = weights.numerators
+    d, numerators = params.numerators_by_index
     groups: dict[tuple[int, int, int], int] = {}
-    for tup in combinations_with_replacement(weights.support, m):
+    for tup in combinations_with_replacement(numerators, m):
         exponents = _eigen_exponents(tup)
         groups[exponents] = groups.get(exponents, 0) + prod(map(numerators.__getitem__, tup))
     total = sum(
@@ -476,7 +441,7 @@ def zeta_trace_diagonal(m: int, params: TraceParams) -> Fraction:
     if params.gamma != 0:
         raise ValueError("the diagonal route requires gamma = 0")
     q = params.q
-    by_tuples = _zeta_by_tuples(m, params.weight_function, q)
+    by_tuples = _zeta_by_tuples(m, params, q)
     by_exponents = _zeta_by_exponents(m, params, q)
     if by_tuples != by_exponents:
         raise CrossCheckError(

@@ -798,6 +798,30 @@ def test_params_file_flag_override_warns(tmp_path, capsys):
     assert "overrides" in err
 
 
+@pytest.mark.parametrize(
+    "record,flags,warns",
+    [
+        ({"q": 2, "alpha": ["1/2", "1/2"]}, ("--q", "2"), False),
+        ({"q": "2", "alpha": ["1/2", "1/2"]}, ("--alpha", "2/4,1/2"), False),
+        ({"q": "4/2", "alpha": [0.5, "1/2"]}, ("--q", "2", "--alpha", "1/2, 2/4"), False),
+        ({"q": "2", "alpha": ["1/2", "1/2"]}, ("--alpha", "1/2,1/2,0"), True),
+        ({"q": "abc", "alpha": ["1/2", "1/2"]}, ("--q", "2"), True),
+    ],
+    ids=["int_q", "alpha_in_other_terms", "float_and_string", "longer_alpha", "unparsed_q"],
+)
+def test_params_file_flag_override_warns_only_on_another_value(tmp_path, capsys, record,
+                                                               flags, warns):
+    # the file value and the flag are compared as Fractions, element by
+    # element; a file value that does not parse differs, and the flag wins
+    f = tmp_path / "params.json"
+    f.write_text(json.dumps(record))
+    code, out, err = run(capsys, "trace", "--m", "2", "--params", str(f), *flags)
+    assert code == 0
+    assert out.strip() == "5/4"
+    assert ("overrides" in err) == warns
+    assert err == "" or warns
+
+
 def test_missing_params_file(capsys):
     code, _, err = run(capsys, "trace", "--m", "2", "--params", "/nonexistent.json")
     assert code == 2

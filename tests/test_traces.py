@@ -16,7 +16,6 @@ from hecketrace.scalars import CrossCheckError, PowerSeries, format_fraction, se
 from hecketrace.tensor import ModelContext, matrix_element
 from hecketrace.traces import (
     TraceParams,
-    WeightFunction,
     delta_eigenvalue,
     enumerate_multiplicities,
     generating_series,
@@ -159,27 +158,17 @@ def test_params_integer_check_equals_the_fraction_check():
         assert all(type(x) is F for x in (p.q, *p.alpha, *p.beta, p.gamma))
         # the nonzero weights lead each nonincreasing sequence, so the
         # stored numerators sit at the indices 1, 2, .. and -1, -2, ..
-        weights = {j: a for j, a in enumerate(alpha, 1) if a}
-        weights.update({-j: b for j, b in enumerate(beta, 1) if b})
-        d, alphas, betas = p.weight_numerators
-        by_index = dict(enumerate(alphas, 1))
-        by_index.update({-j: m for j, m in enumerate(betas, 1)})
-        assert (d, by_index) == WeightFunction(weights).numerators
+        weights = weights_by_index(alpha, beta)
+        d, by_index = p.numerators_by_index
+        assert d == lcm(*(w.denominator for w in (*alpha, *beta)))
+        assert list(by_index) == sorted(weights)
+        assert {i: F(n, d) for i, n in by_index.items()} == weights
 
 
 def test_params_keep_a_fraction_as_given():
     q, a = F(5, 4), F(1, 2)
     p = TraceParams(q=q, alpha=(a, a))
     assert p.q is q and all(x is a for x in p.alpha)
-
-
-def test_weight_function():
-    w = WeightFunction.from_params(params(2, alpha=("1/2",), beta=("1/3", "1/6")))
-    assert w.support == (-2, -1, 1)
-    assert w(1) == F(1, 2) and w(-1) == F(1, 3) and w(-2) == F(1, 6)
-    assert w(5) == 0
-    with pytest.raises(ValueError):
-        WeightFunction.from_params(params(2, alpha=("1/2",), gamma="1/2"))
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +546,20 @@ def test_gamma0_values_are_integers_over_one_denominator(p):
 # oracles of the integer sums in traces
 
 
-def zeta_by_tuples_by_fractions(m, weights, q):
-    """sum over the nondecreasing index tuples I of delta_eigenvalue(I, q)
-    prod_k a_(I_k), one Fraction per tuple."""
+def weights_by_index(alpha, beta):
+    """{i: a_i} over the nonzero weights, alpha_j at j and beta_j at -j."""
+    weights = {j: a for j, a in enumerate(alpha, 1) if a}
+    weights.update({-j: b for j, b in enumerate(beta, 1) if b})
+    return weights
+
+
+def zeta_by_tuples_by_fractions(m, p, q):
+    """sum over the nondecreasing tuples I of nonzero-weight indices of
+    delta_eigenvalue(I, q) prod_k a_(I_k), one Fraction per tuple."""
+    weights = weights_by_index(p.alpha, p.beta)
     total = F(0)
-    for tup in combinations_with_replacement(weights.support, m):
-        total += delta_eigenvalue(tup, q) * prod(map(weights, tup))
+    for tup in combinations_with_replacement(sorted(weights), m):
+        total += delta_eigenvalue(tup, q) * prod(map(weights.__getitem__, tup))
     return total
 
 
@@ -594,45 +591,32 @@ def test_diagonal_strategies_are_integers_over_one_denominator(p):
     # the integer strategies equal their Fraction oracles
     b = p.q.denominator
     d = lcm(*(w.denominator for w in (*p.alpha, *p.beta)))
-    weights = WeightFunction.from_params(p)
     for m in range(1, 8):
         scale = b ** (m - 1) * d**m
-        by_tuples = zeta_by_tuples_by_fractions(m, weights, p.q)
+        by_tuples = zeta_by_tuples_by_fractions(m, p, p.q)
         by_exponents = zeta_by_exponents_by_fractions(m, p, p.q)
         assert by_tuples == by_exponents
         assert (by_tuples * scale).denominator == 1
-        assert traces._zeta_by_tuples(m, weights, p.q) == by_tuples
+        assert traces._zeta_by_tuples(m, p, p.q) == by_tuples
         assert traces._zeta_by_exponents(m, p, p.q) == by_exponents
 
 
-def test_one_weight_function_per_parameter_record(monkeypatch):
-    # zeta_trace_diagonal and ModelContext.create read the record's one
-    # WeightFunction, so its numerators are worked out once; extra indices
-    # of weight 0 give a model its own, equal to the old construction
+def test_one_weight_function_per_parameter_record():
+    # the record keeps its weights by index once (numerators_by_index), and
+    # zeta_trace_diagonal and every model of the record read them there;
+    # extra indices of weight 0 widen a model's support, not the record
     p = TraceParams(q=F(2), alpha=(F(2, 3), F(1, 6)), beta=(F(1, 6),))
-    weights = p.weight_function
-    assert weights is p.weight_function
-    assert weights == WeightFunction.from_params(p)
-    assert ModelContext.create(p, 3).weights is weights
-    widened = ModelContext.create(p, 3, extra_indices=(3, 1, 3)).weights
-    assert widened == WeightFunction({**weights.weights, 3: F(0)})
-    assert widened.numerators == (6, {-1: 1, 1: 4, 2: 1, 3: 0})
-    assert p.weight_function.weights == {1: F(2, 3), 2: F(1, 6), -1: F(1, 6)}
-    built = []
-    init = WeightFunction.__init__
-
-    def spy(self, weights):
-        built.append(self)
-        init(self, weights)
-
-    monkeypatch.setattr(WeightFunction, "__init__", spy)
+    by_index = p.numerators_by_index
+    assert by_index == (6, {-1: 1, 1: 4, 2: 1})
     for m in range(1, 5):
         zeta_trace_diagonal(m, p)
-    assert built == []
-    zeta_trace_diagonal(2, TraceParams(q=F(2), alpha=(F(1, 2), F(1, 2))))
-    assert len(built) == 1
-    with pytest.raises(ValueError, match="gamma = 0"):
-        TraceParams(q=F(2), alpha=(F(1, 2),), gamma=F(1, 2)).weight_function
+    ctx = ModelContext.create(p, 3)
+    assert ctx.support == (-1, 1, 2) and ctx.numerators == by_index
+    widened = ModelContext.create(p, 3, extra_indices=(3, 1, 3))
+    assert widened.support == (-1, 1, 2, 3)
+    assert widened.numerators == (6, {-1: 1, 1: 4, 2: 1, 3: 0})
+    assert [widened.weight(i) for i in (-2, -1, 1, 2, 3)] == [0, F(1, 6), F(2, 3), F(1, 6), 0]
+    assert p.numerators_by_index is by_index
 
 
 def _mutated(fn, old, new):

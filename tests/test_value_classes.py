@@ -1,7 +1,6 @@
-"""The four value classes on report.Value, CheckResult, TraceParams,
-WeightFunction and ModelContext: equality, hash and repr over their
-fields only, no assignment or deletion, and copies and pickles equal to
-the original."""
+"""The three value classes on report.Value, CheckResult, TraceParams and
+ModelContext: equality, hash and repr over their fields only, no
+assignment or deletion, and copies and pickles equal to the original."""
 
 import copy
 import pickle
@@ -11,7 +10,7 @@ import pytest
 
 from hecketrace.report import CheckResult, format_records
 from hecketrace.tensor import ModelContext
-from hecketrace.traces import TraceParams, WeightFunction
+from hecketrace.traces import TraceParams
 
 
 def _params():
@@ -22,10 +21,6 @@ def _params():
 INSTANCES = {
     "CheckResult": (lambda: CheckResult("a", True), CheckResult("a", True, "x")),
     "TraceParams": (_params, TraceParams(q=F(2), alpha=(F(1),))),
-    "WeightFunction": (
-        lambda: WeightFunction({1: F(1, 2), -1: F(1, 2)}),
-        WeightFunction({1: F(1, 2), -1: F(1, 2), 2: F(0)}),
-    ),
     "ModelContext": (lambda: ModelContext.create(_params(), 3), ModelContext.create(_params(), 4)),
 }
 
@@ -37,21 +32,15 @@ REPRS = {
         "TraceParams(q=Fraction(2, 1), alpha=(Fraction(1, 2),), beta=(Fraction(1, 2),), "
         "gamma=Fraction(0, 1))"
     ),
-    "WeightFunction": (
-        "WeightFunction(weights={1: Fraction(1, 2), -1: Fraction(1, 2)}, support=(-1, 1))"
-    ),
     "ModelContext": (
         "ModelContext(params=TraceParams(q=Fraction(2, 1), alpha=(Fraction(1, 2),), "
-        "beta=(Fraction(1, 2),), gamma=Fraction(0, 1)), slots=3, "
-        "weights=WeightFunction(weights={1: Fraction(1, 2), -1: Fraction(1, 2)}, "
-        "support=(-1, 1)))"
+        "beta=(Fraction(1, 2),), gamma=Fraction(0, 1)), slots=3, support=(-1, 1))"
     ),
 }
 
 FIELDS = {
     "CheckResult": "name",
     "TraceParams": "q",
-    "WeightFunction": "weights",
     "ModelContext": "slots",
 }
 
@@ -65,24 +54,16 @@ def test_values_compare_by_their_fields(name):
     assert a is not b and a == b and not a != b
     assert a != other and other != a
     assert a.__eq__(object()) is NotImplemented
-    try:
-        hash(a)
-    except TypeError:
-        # a dict field (the weights) makes the instance unhashable
-        assert name in ("WeightFunction", "ModelContext")
-        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
-            hash(b)
-    else:
-        assert hash(a) == hash(b)
-        assert {a: 1}[b] == 1
+    assert hash(a) == hash(b)
+    assert {a: 1}[b] == 1
 
 
 def test_weight_numerators_and_cached_properties_are_not_fields():
     a, b = _params(), _params()
-    a.weight_function  # cached on a, not on b
+    a.numerators_by_index  # cached on a, not on b
     a.__dict__["weight_numerators"] = (7, (), ())
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-    assert "weight_numerators" not in repr(a) and "weight_function" not in repr(a)
+    assert "numerators" not in repr(a)
     assert b.weight_numerators == (2, (1,), (1,))
 
 
