@@ -51,13 +51,15 @@ EXIT_MISMATCH = 3
 # a second
 MAX_SIZE = 300
 
-# most basis tensors |S|^slots per side of a tensor model the CLI builds, for
-# |S| nonzero weights: at 3^8 a cycle-type matrix element takes under 1 ms,
-# its walk holding a few open slots at a time, but the longest element of S_8
-# takes 0.6-0.9 s, and the normal form, the Gram matrix and the verify suites
-# walk all |S|^slots basis tensors, a cost that grows about |S|-fold with each
-# slot (CPython 3.11, shared 2-vCPU VM)
+# most basis tensors |S|^slots per side of a model of `gram` and `verify`, for
+# |S| nonzero weights: the normal form, the Gram matrix and the suites walk all
+# of them, a cost about |S|-fold per slot (CPython 3.11, shared 2-vCPU VM)
 MAX_TENSOR_SIZE = 3**8
+
+# most |S|^2 slots for `trace --cross-check`, whose closed walk holds a few open
+# slots over the |S|^2 pairs of the R-matrix table: at the bound 20 weights on
+# 300 slots take 1.3-1.5 s and 100 weights on 12 slots 0.25 s (same machine)
+MAX_CROSS_CHECK = 20**2 * 300
 
 
 def _split_list(text: str) -> list[str]:
@@ -156,10 +158,16 @@ def cmd_trace(args) -> int:
         if args.cross_check:
             if params.gamma != 0:
                 raise ValueError("--cross-check requires gamma = 0")
-            _check_tensor_size("--cross-check", params.alpha, params.beta, rank)
+            weights = sum(1 for a in (*params.alpha, *params.beta) if a != 0)
+            if weights**2 * rank > MAX_CROSS_CHECK:
+                raise ValueError(
+                    f"--cross-check walks {weights} weights on {rank} slots, |S|^2 slots = "
+                    f"{weights**2 * rank}, more than MAX_CROSS_CHECK = {MAX_CROSS_CHECK}"
+                )
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
+    sys.set_int_max_str_digits(0)  # the inputs are read: values print in full
 
     value = partition_trace(parts, params)
 
@@ -203,6 +211,7 @@ def cmd_series(args) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
+    sys.set_int_max_str_digits(0)  # the inputs are read: values print in full
 
     product = generating_series(params, order)
     dual = None
@@ -243,6 +252,7 @@ def cmd_gram(args) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
+    sys.set_int_max_str_digits(0)  # the inputs are read: values print in full
 
     gram = tensor.gram_matrix(params, rank)
     pivots, psd = tensor.ldlt_pivots(gram)
@@ -328,6 +338,7 @@ def cmd_verify(args) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
+    sys.set_int_max_str_digits(0)  # the inputs are read: values print in full
 
     results = suites.run_suite(
         args.suite, qs=qs, m_max=m_max, profiles=profiles, cases=cases
@@ -445,14 +456,19 @@ def _parse(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     """Run one request, argv or sys.argv[1:], and return its exit code;
     argparse exits 2 on a malformed command line.  A subcommand's own
-    parser reads its flags (see _parse)."""
+    parser reads its flags (see _parse).  A command reads its inputs under
+    CPython's bound on int string digits (a longer literal exits 2), then
+    lifts it to print every value in full; main restores it."""
     args = _parse(argv)
+    limit = sys.get_int_max_str_digits()
     try:
         return args.func(args)
     except CrossCheckError as exc:
         # a broken invariant inside a route; no route prints before it ends
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -37,8 +37,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cache
-from itertools import chain, product as _cartesian
-from math import factorial
+from itertools import chain, product as _cartesian, repeat
+from math import isqrt
 from operator import mul
 from types import MappingProxyType
 from typing import Mapping
@@ -81,30 +81,29 @@ __all__ = [
 ]
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
+@cache  # keeps the groups admitted: a refused one raises, which is not kept
 def check_size(n: int, p: int):
     """Raise ValueError unless GL(n, F_p) is a supported, desk-scale group:
-    n >= 1, p prime, and n! |B|^2 <= SIZE_GUARD."""
+    n >= 1, p prime, and n! |B|^2 = n! (p-1)^(2n) p^(n(n-1)) <= SIZE_GUARD.
+    The bound is tested before the sqrt(p) trial division, multiplying its
+    factors in only until the product passes SIZE_GUARD^2."""
     if n < 1:
         raise ValueError(f"n = {n}: the matrix size must be at least 1")
-    if not _is_prime(p):
+    if p < 2:
         raise ValueError(f"p = {p} is not prime (prime fields only)")
-    cost = factorial(n) * borel_order(n, p) ** 2
+    cost = 1
+    for factor in chain(range(2, n + 1), repeat(p - 1, 2 * n), repeat(p, n * (n - 1))):
+        cost *= factor
+        if cost > SIZE_GUARD**2:
+            break
     if cost > SIZE_GUARD:
+        shown = ">" if cost > SIZE_GUARD**2 else f"= {cost} >"
         raise ValueError(
-            f"size guard exceeded: GL({n},{p}) has n! |B|^2 = {cost} > {SIZE_GUARD} "
+            f"size guard exceeded: GL({n},{p}) has n! |B|^2 {shown} {SIZE_GUARD} "
             f"(n! |B|^2 bounds the group order)"
         )
+    if any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError(f"p = {p} is not prime (prime fields only)")
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from itertools import chain, product as _cartesian
 from math import gcd, lcm, prod
 from operator import itemgetter
@@ -710,8 +710,9 @@ def normal_form(
     x.rank-tuples.  The sort tables hold one entry per code, so no entry
     sorts a tuple: each code has an itemgetter over its ranks, which reads
     sigma off start(tag) in one call.  The tables depend only on the
-    support and the rank and are cached per process (_stable_sorts,
-    _sort_getters, _code_tuples).  A swap flips the power k of t and moves
+    support and the rank, and each is built once per process:
+    _stable_sorts keeps every rank of a support size, and _code_tuples the
+    tuples of each support and rank.  A swap flips the power k of t and moves
     sigma by one transposition, so every walked term sits at the grade
     k = l(sigma) mod 2, the sum of the parities of start(tag) and
     start(I); this is asserted, and a term off its grade raises
@@ -735,8 +736,7 @@ def normal_form(
     walk = ctx.walk
     span = walk.size**x.rank  # the radix of code(J) on x.rank slots
     tuples = _code_tuples(ctx.support, x.rank)
-    starts, _, parity = _stable_sorts(walk.size, x.rank)
-    decode = _sort_getters(walk.size, x.rank)
+    starts, parity, decode = _stable_sorts(walk.size, x.rank)
     tagged = _diagonal_keys(span, range(span))
     terms, denom = _integer_terms(ctx, x)
     raw: dict = {}  # every walked key, also where the terms cancel
@@ -772,75 +772,52 @@ def normal_form(
 
 # The tables of normal_form depend only on the support and the slot count,
 # never on q, the weights or r_matrix, so no fault put into a model can hide
-# in them, and the last few of each are kept for the process: one entry per
-# code, at most cli.MAX_TENSOR_SIZE entries each in the CLI.
-_TABLES_CACHED = 32
-
-
-@lru_cache(maxsize=_TABLES_CACHED)
+# in them.  Each is kept for the process: a size has |S| + 1 model supports
+# (-b, .., -1, 1, .., a), and a rank at most cli.MAX_TENSOR_SIZE codes in the CLI.
+@cache
 def _code_tuples(support: tuple[int, ...], slots: int) -> tuple[tuple[int, ...], ...]:
     """The index tuple of every code, tuples[code(I)] = I: the product
     varies its last entry fastest."""
     return tuple(tup[::-1] for tup in _cartesian(support, repeat=slots))
 
 
-# The last stable-sort prefix built per support size, (k, starts, parity,
-# le) as _extend_sorts takes it: a suite that asks for the ranks 1, 2, ..
-# in turn builds one slot per rank.
-_sort_prefixes: dict[int, tuple] = {}
+_sort_tables: dict[int, list[tuple]] = {}  # size -> (starts, parity, decode) by rank
 
 
-def _extend_sorts(size: int, prefix: tuple) -> tuple:
-    """The stable-sort prefix (k, starts, parity, le) of one slot more.
-    starts and parity are those of _stable_sorts at k slots, and le[c][r]
-    counts the entries of place <= r among the first k - 1 of the tuple of
-    code c (None at k = 0): appending position k + 1 with support place p
-    to a tuple of k entries puts it at place le[p] of the sort, behind the
-    k - le[p] larger entries it adds as inversions."""
-    k, starts, parity, le = prefix
-    if k == 0:
-        le = [(0,) * size]
-    else:
-        le = [g[:p] + tuple(v + 1 for v in g[p:]) for p in range(size) for g in le]
-    starts = [s[: g[p]] + (k + 1,) + s[g[p] :] for p in range(size) for s, g in zip(starts, le)]
-    parity = [x ^ ((k - g[p]) & 1) for p in range(size) for x, g in zip(parity, le)]
-    return k + 1, starts, parity, le
-
-
-@lru_cache(maxsize=_TABLES_CACHED)
 def _stable_sorts(size: int, slots: int) -> tuple[tuple, tuple, tuple]:
-    """The stable sort of every index tuple, by code: (starts, ranks,
-    parity) with starts[c] = start(I) = (p_1 + 1, .., p_n + 1) for
-    I[p_1] <= .. <= I[p_n], equal indices in their order, ranks[c][k] the
-    place of position k in that sort (start(I)^-1 - 1), and parity[c] =
-    l(start(I)) mod 2, for I the tuple of code c.
+    """The stable sort of every index tuple over `size` indices, by code:
+    (starts, parity, decode) with starts[c] = start(I) = (p_1 + 1, ..,
+    p_n + 1) for I[p_1] <= .. <= I[p_n], equal indices in their order,
+    parity[c] = l(start(I)) mod 2, and decode[c](start(tag)) = sigma,
+    sigma[k] = start(tag)[rank(I)[k]] for rank(I)[k] the place of position
+    k in that sort, for I the tuple of code c: one itemgetter per code, so
+    an entry decodes in one C-level call.  At one slot it is the
+    whole-tuple slice, since itemgetter with one index returns a bare item.
 
-    Built one slot at a time, in code order (_extend_sorts), from the last
-    prefix built for the size when it has at most slots slots, so rank n
-    after rank n - 1 costs one slot.  No index tuple is sorted; ranks
-    inverts each start."""
-    prefix = _sort_prefixes.get(size)
-    if prefix is None or prefix[0] > slots:
-        prefix = (0, [()], [0], None)
-    while prefix[0] < slots:
-        prefix = _extend_sorts(size, prefix)
-    _sort_prefixes[size] = prefix
-    _, starts, parity, _ = prefix
-    ranks = tuple(tuple(sorted(range(slots), key=start.__getitem__)) for start in starts)
-    return tuple(starts), ranks, tuple(parity)
-
-
-@lru_cache(maxsize=_TABLES_CACHED)
-def _sort_getters(size: int, slots: int) -> tuple[itemgetter, ...]:
-    """decode[c](start(tag)) = sigma, sigma[k] = start(tag)[ranks[c][k]],
-    one itemgetter per code over the ranks of _stable_sorts, so a normal
-    form entry decodes its permutation in one C-level call.  At one slot
-    the getter is the whole-tuple slice: itemgetter with a single index
-    returns the bare item, not a 1-tuple."""
-    _, ranks, _ = _stable_sorts(size, slots)
-    if slots == 1:
-        return (itemgetter(slice(None)),) * len(ranks)
-    return tuple(itemgetter(*rank) for rank in ranks)
+    A call extends the ranks kept for the size (_sort_tables) one slot at a
+    time, in code order: rank n after rank n - 1 costs one slot, a rank
+    built before nothing.  Appending position k + 1 with support place p to
+    a tuple of k entries puts it at place le[p] of the sort, behind the
+    k - le[p] larger entries it adds as inversions, for le[c][r] the count
+    of entries of place <= r in the tuple of code c; the top rank keeps le
+    at one slot fewer, for the next step.  rank(I) inverts start(I)."""
+    tables = _sort_tables.get(size)
+    if tables is None:  # ranks 0 and 1, whose tuples are their own sort
+        whole = itemgetter(slice(None))
+        tables = _sort_tables[size] = [(((),), (0,), (whole,))]
+        tables.append((((1,),) * size, (0,) * size, (whole,) * size, [(0,) * size]))
+    starts, parity, decode, le = tables[-1]
+    for k in range(len(tables) - 1, slots):
+        tables[k] = starts, parity, decode  # only the top rank keeps le
+        le = [g[:p] + tuple(v + 1 for v in g[p:]) for p in range(size) for g in le]
+        starts = tuple(
+            [s[: g[p]] + (k + 1,) + s[g[p] :] for p in range(size) for s, g in zip(starts, le)]
+        )
+        parity = tuple([x ^ ((k - g[p]) & 1) for p in range(size) for x, g in zip(parity, le)])
+        places = range(k + 1)
+        decode = tuple([itemgetter(*sorted(places, key=s.__getitem__)) for s in starts])
+        tables.append((starts, parity, decode, le))
+    return tables[slots][:3]
 
 
 def _parity(sigma: Perm) -> int:

@@ -11,10 +11,10 @@ from fractions import Fraction
 import pytest
 
 from hecketrace import cli, suites, tensor
-from hecketrace.cli import MAX_SIZE, MAX_TENSOR_SIZE, _check_tensor_size, main
+from hecketrace.cli import MAX_CROSS_CHECK, MAX_SIZE, MAX_TENSOR_SIZE, _check_tensor_size, main
 from hecketrace.scalars import PowerSeries
 from hecketrace.tensor import ModelContext
-from hecketrace.traces import TraceParams
+from hecketrace.traces import TraceParams, generating_series
 
 
 def run(capsys, *argv):
@@ -154,6 +154,44 @@ def test_trace_records_format(capsys):
     assert rec["partition"] == [2]
 
 
+# the m = 150 cycle on one weight at q = 10^-30 is 10^-4470, whose
+# denominator has more digits than CPython converts to a string by default
+LONG_VALUE = ["--m", "150", "--q", "1e-30", "--alpha", "1"]
+TINY = "1/1" + "0" * 4470
+
+
+@pytest.mark.parametrize(
+    "extra", [[], ["--cross-check"], ["--format", "records"]], ids=["csv", "cross_check", "records"]
+)
+def test_trace_prints_a_value_over_4300_digits_in_full(capsys, extra):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "trace", *LONG_VALUE, *extra)
+    assert (code, err) == (0, "")
+    records = extra == ["--format", "records"]
+    assert (json.loads(out)["value"] if records else out.removesuffix("\n")) == TINY
+    assert sys.get_int_max_str_digits() == limit  # main puts the bound back
+
+
+def test_trace_mismatch_and_broken_invariant_print_long_values_in_full(capsys, monkeypatch):
+    matrix_element = tensor.matrix_element
+    monkeypatch.setattr(tensor, "matrix_element", lambda ctx, x: matrix_element(ctx, x) + 1)
+    code, out, err = run(capsys, "trace", *LONG_VALUE, "--cross-check")
+    assert (code, out) == (3, "")
+    assert f"formula {TINY}, tensor model 1{'0' * 4469}1/1{'0' * 4470}\n" in err
+    monkeypatch.undo()
+    _fault_every_model(monkeypatch)
+    code, out, err = run(capsys, "trace", *LONG_VALUE, "--cross-check")
+    assert (code, out) == (3, "")
+    assert "has non-cancelling square-root components" in err
+    assert max(map(len, err.split())) > 4300
+
+
+def test_an_input_literal_over_the_digit_bound_exit_2(capsys):
+    code, out, err = run(capsys, "trace", "--m", "2", "--q", "1" + "0" * 4400, "--alpha", "1")
+    assert (code, out) == (2, "")
+    assert "Exceeds the limit (4300 digits)" in err
+
+
 def test_trace_bad_params_exit_2(capsys):
     code, _, err = run(capsys, "trace", "--m", "2", "--q", "2", "--alpha", "1/4,1/4")
     assert code == 2
@@ -203,31 +241,54 @@ def test_trace_cross_check_rejects_gamma(capsys):
     assert "gamma" in err
 
 
+def weights(count: int) -> str:
+    return ",".join([f"1/{count}"] * count)
+
+
 @pytest.mark.parametrize(
-    "argv,power",
+    "argv,message",
     [
         (
-            ["trace", "--m", "300", "--q", "2", "--alpha", "1/2,1/2", "--cross-check"],
-            "2^300",
+            ["trace", "--m", "300", "--q", "2", "--alpha", weights(21), "--cross-check"],
+            "21 weights on 300 slots, |S|^2 slots = 132300",
         ),
         (
-            ["trace", "--partition", "5,4", "--q", "2", "--alpha", "1/2,1/3",
-             "--beta", "1/6", "--cross-check"],
-            "3^9",
+            ["trace", "--partition", "5,4", "--q", "2", "--alpha", ",".join(["1/120"] * 60),
+             "--beta", ",".join(["1/120"] * 60), "--cross-check"],
+            "120 weights on 9 slots, |S|^2 slots = 129600",
         ),
-        (["verify", "--suite", "tensor", "--m", "9"], "3^9"),
-        (["gram", "--n", "3", "--q", "2", "--alpha", ",".join(["1/19"] * 19)], "19^3"),
+        (["verify", "--suite", "tensor", "--m", "9"], "3^9 basis tensors per side"),
+        (["gram", "--n", "3", "--q", "2", "--alpha", weights(19)], "19^3 basis tensors per side"),
     ],
     ids=["trace_m", "trace_partition", "verify_tensor", "gram"],
 )
-def test_tensor_size_bound_exit_2_fast(capsys, argv, power):
+def test_tensor_size_bound_exit_2_fast(capsys, argv, message):
     t0 = time.monotonic()
     code, out, err = run(capsys, *argv)
     assert time.monotonic() - t0 < 1.0
     assert code == 2
     assert out == ""
-    assert f"{power} basis tensors per side" in err
-    assert f"more than MAX_TENSOR_SIZE = {MAX_TENSOR_SIZE}" in err
+    assert message in err
+    if argv[0] == "trace":
+        assert f"more than MAX_CROSS_CHECK = {MAX_CROSS_CHECK}" in err
+    else:
+        assert f"more than MAX_TENSOR_SIZE = {MAX_TENSOR_SIZE}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--m", "9", "--q", "2", "--alpha", "1/2,1/4", "--beta", "1/4"],
+        ["--m", "300", "--q", "5/4", "--alpha", "1/4,1/4", "--beta", "1/4,1/4"],
+        ["--partition", "2,1", "--q", "3", "--alpha", weights(100)],
+    ],
+    ids=["m9_three_weights", "m300_four_weights", "rank3_100_weights"],
+)
+def test_cross_check_admits_models_past_the_basis_bound(capsys, argv):
+    # |S|^slots far past MAX_TENSOR_SIZE, |S|^2 slots within MAX_CROSS_CHECK
+    code, out, err = run(capsys, "trace", *argv, "--cross-check")
+    assert (code, err) == (0, "")
+    assert run(capsys, "trace", *argv) == (0, out, "")
 
 
 def test_tensor_size_bound_admits_seven_slots_of_three_weights():
@@ -454,6 +515,21 @@ def test_series_rejects_gamma(capsys):
     assert code == 2
 
 
+def test_series_prints_coefficients_over_4300_digits_in_full(capsys):
+    code, out, err = run(capsys, "series", "--degree", "150", "--q", "1e-30", "--alpha", "1")
+    assert (code, err) == (0, "")
+    rows = [row.split(",") for row in out.splitlines()]
+    assert max(len(c) for _, c in rows) > 4300
+    expected = generating_series(TraceParams(q=Fraction(1, 10**30), alpha=(Fraction(1),)), 150)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        parsed = [(int(d), Fraction(c)) for d, c in rows]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert parsed == list(enumerate(expected.coeffs))
+
+
 def test_series_records(capsys):
     code, out, _ = run(
         capsys,
@@ -546,10 +622,20 @@ def test_verify_convolution_rank_one_has_no_vacuous_checks(capsys):
         ("3", "41", "n! |B|^2"),
         ("3", "5", "n! |B|^2 = 384000000"),
         ("0", "2", "at least 1"),
+        ("1", "1", "not prime"),
+        ("1", "1002", "n! |B|^2 = 1002001 > 1000000"),
+        ("2", str(2**61 - 1), "n! |B|^2 > 1000000"),
+        ("2", str(2**89 - 1), "n! |B|^2 > 1000000"),
+        ("2", str(2**89), "n! |B|^2 > 1000000"),
+        ("2000", "2", "GL(2000,2) has n! |B|^2 > 1000000"),
     ],
 )
 def test_verify_convolution_bad_group_exit_2(capsys, n, p, message):
+    # the bound comes before the trial division and forms no huge product,
+    # so even a group at a large prime or a large n is refused at once
+    t0 = time.monotonic()
     code, out, err = run(capsys, "verify", "--suite", "convolution", "--n", n, "--p", p)
+    assert time.monotonic() - t0 < 1.0
     assert code == 2
     assert out == ""
     assert message in err

@@ -984,13 +984,12 @@ def test_stable_sort_tables_equal_carrying_by_sorts():
     # every pair of tuples of 4 slots over 3 indices, not only the pairs a
     # walk reaches
     tuples = [tup[::-1] for tup in cartesian((-1, 1, 2), repeat=4)]
-    starts, ranks, parity = tensor._stable_sorts(3, 4)
-    assert len(starts) == len(ranks) == len(parity) == 81
+    starts, parity, decode = tensor._stable_sorts(3, 4)
+    assert len(starts) == len(parity) == len(decode) == 81
     for c, tup in enumerate(tuples):
         assert parity[c] == length(starts[c]) % 2 == length(carrying_by_sorts(tuples[0], tup)) % 2
         for tag_code, tag in enumerate(tuples):
-            sigma = tuple(map(starts[tag_code].__getitem__, ranks[c]))
-            assert sigma == carrying_by_sorts(tag, tup), (tag, tup)
+            assert decode[c](starts[tag_code]) == carrying_by_sorts(tag, tup), (tag, tup)
 
 
 def stable_sorts_by_rebuilding(size, slots):
@@ -1006,47 +1005,64 @@ def stable_sorts_by_rebuilding(size, slots):
     return tuple(starts), ranks, tuple(parity)
 
 
-def _fresh_sort_tables(monkeypatch) -> list:
-    """Empty the stable-sort caches and record each slot _extend_sorts
-    builds, as (size, slots after the step)."""
-    built = []
-    extend = tensor._extend_sorts
+def stable_sorts_as_rebuilt(size, slots):
+    """_stable_sorts in the form of stable_sorts_by_rebuilding, each
+    getter's ranks read off the identity start."""
+    starts, parity, decode = tensor._stable_sorts(size, slots)
+    probe = tuple(range(slots))
+    return starts, tuple(d(probe) for d in decode), parity
 
-    def recorded(size, prefix):
-        built.append((size, prefix[0] + 1))
-        return extend(size, prefix)
 
-    monkeypatch.setattr(tensor, "_extend_sorts", recorded)
-    monkeypatch.setattr(tensor, "_sort_prefixes", {})
-    tensor._stable_sorts.cache_clear()
-    return built
+def _fresh_sort_tables(monkeypatch) -> dict:
+    """An empty memo of stable-sort tables for the test, returned so that
+    it can count the ranks built per support size."""
+    tables = {}
+    monkeypatch.setattr(tensor, "_sort_tables", tables)
+    return tables
 
 
 @pytest.mark.parametrize("order", ["rising", "falling"])
 def test_stable_sorts_equal_the_tables_rebuilt_from_one_slot(monkeypatch, order):
-    # rising ranks extend the last prefix, falling ones start again
+    # rising ranks extend the memo one slot at a time, falling ones read it
     _fresh_sort_tables(monkeypatch)
     ranks = range(1, 9) if order == "rising" else range(8, 0, -1)
     for slots in ranks:
         for size in (1, 2, 3):
-            assert tensor._stable_sorts(size, slots) == stable_sorts_by_rebuilding(size, slots)
-    tensor._stable_sorts.cache_clear()
+            assert stable_sorts_as_rebuilt(size, slots) == stable_sorts_by_rebuilding(size, slots)
 
 
 def test_stable_sorts_at_rank_n_after_rank_n_minus_1_build_one_slot(monkeypatch):
-    built = _fresh_sort_tables(monkeypatch)
+    tables = _fresh_sort_tables(monkeypatch)
     tensor._stable_sorts(2, 3)
-    assert built == [(2, 1), (2, 2), (2, 3)]
+    assert len(tables[2]) == 4  # ranks 0 to 3
     for slots in range(4, 9):
-        built.clear()
+        built = list(tables[2])
         tensor._stable_sorts(2, slots)
-        assert built == [(2, slots)]
-    # another size keeps its own prefix
-    built.clear()
+        assert len(tables[2]) == slots + 1
+        assert all(x is y for a, b in zip(tables[2], built) for x, y in zip(a, b))
+    # another size keeps its own list
     tensor._stable_sorts(3, 2)
     tensor._stable_sorts(2, 9)
-    assert built == [(3, 1), (3, 2), (2, 9)]
-    tensor._stable_sorts.cache_clear()
+    assert {size: len(ranks) for size, ranks in tables.items()} == {2: 10, 3: 3}
+
+
+def test_stable_sorts_in_falling_order_after_the_top_rank_build_nothing(monkeypatch):
+    tables = _fresh_sort_tables(monkeypatch)
+    tensor._stable_sorts(3, 6)
+    built = list(tables[3])
+    for slots in range(6, 0, -1):
+        assert all(a is b for a, b in zip(tensor._stable_sorts(3, slots), built[slots]))
+    assert tables == {3: built}
+
+
+def test_stable_sorts_build_a_cold_rank_900_in_a_loop(monkeypatch):
+    # one weight: one code per rank, built one slot at a time without
+    # recursing per rank
+    tables = _fresh_sort_tables(monkeypatch)
+    starts, parity, decode = tensor._stable_sorts(1, 900)
+    assert (starts, parity) == ((tuple(range(1, 901)),), (0,))
+    assert decode[0](starts[0]) == starts[0]
+    assert len(tables[1]) == 901
 
 
 # P1-P5, each without and with an extra index of weight 0
@@ -1102,12 +1118,16 @@ def test_normal_form_of_the_unit_at_rank_1_is_keyed_by_1_tuples():
     op = normal_form(ctx, HeckeElement.unit(1))
     assert op == {(1,): {(i,): F(1) for i in ctx.support}}
     assert all(type(sigma) is tuple for sigma in op)
+    # rank 0 reads the rank-0 entry of the sort tables: one empty tuple
+    unit = HeckeElement.unit(0)
+    assert normal_form(ctx, unit) == {(): {(): F(1)}}
+    assert omega_trace(ctx, normal_form(ctx, unit)) == matrix_element(ctx, unit) == 1
 
 
 @pytest.mark.parametrize("size,slots", [(1, 1), (3, 1), (1, 4), (2, 3), (3, 4)])
 def test_sort_getters_decode_sigma_like_the_rank_tables(size, slots):
-    starts, ranks, _ = tensor._stable_sorts(size, slots)
-    decode = tensor._sort_getters(size, slots)
+    _, ranks, _ = stable_sorts_by_rebuilding(size, slots)
+    starts, _, decode = tensor._stable_sorts(size, slots)
     assert len(decode) == len(ranks) == size**slots
     for c, rank in enumerate(ranks):
         for start in starts:
