@@ -51,6 +51,13 @@ EXIT_MISMATCH = 3
 # a second
 MAX_SIZE = 300
 
+# most bits m (bits(a) + bits(b) + bits(d)) for a size m as above, q = a/b and
+# the common denominator d of the weights: the recurrences carry the powers of
+# a, b and d up to the m-th.  For m = 300 and weights 1/2,1/3,1/6 a trace takes
+# 0.50 s at q = 1e-10 (11,400 bits), 1.3 s at 1e-20 (21,000) and 2.4 s at
+# 1e-30 (31,200) (CPython 3.11, shared VM); at the bound it stays about a second
+MAX_VALUE_BITS = 2**14
+
 # most basis tensors |S|^slots per side of a model of `gram` and `verify`, for
 # |S| nonzero weights: the normal form, the Gram matrix and the suites walk all
 # of them, a cost about |S|-fold per slot (CPython 3.11, shared 2-vCPU VM)
@@ -78,9 +85,20 @@ def _add_param_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--params", help="JSON file with q/alpha/beta/gamma")
 
 
-def _check_size(flag: str, value: int):
+def _check_size(flag: str, value: int, params: TraceParams | None = None):
+    """Bound a size by MAX_SIZE and, given the parameters it is taken at,
+    the bits it carries by MAX_VALUE_BITS."""
     if value > MAX_SIZE:
         raise ValueError(f"{flag} must be <= {MAX_SIZE}, got {value}")
+    if params is None:
+        return
+    q, d = params.q, params.weight_numerators[0]
+    bits = q.numerator.bit_length() + q.denominator.bit_length() + d.bit_length()
+    if value * bits > MAX_VALUE_BITS:
+        raise ValueError(
+            f"{flag} {value} times the {bits} bits of q and of the weights' common "
+            f"denominator is {value * bits}, more than MAX_VALUE_BITS = {MAX_VALUE_BITS}"
+        )
 
 
 def _check_tensor_size(what: str, alpha, beta, slots: int):
@@ -153,7 +171,7 @@ def cmd_trace(args) -> int:
                 raise ValueError(f"--partition {args.partition!r} has no parts")
         else:
             raise ValueError("one of --m or --partition is required")
-        _check_size("--m" if args.m is not None else "the sum of --partition", sum(parts))
+        _check_size("--m" if args.m is not None else "the sum of --partition", sum(parts), params)
         rank = max(sum(parts), 2)
         if args.cross_check:
             if params.gamma != 0:
@@ -207,7 +225,7 @@ def cmd_series(args) -> int:
         order = args.degree
         if order is None or order < 0:
             raise ValueError("--degree M with M >= 0 is required")
-        _check_size("--degree", order)
+        _check_size("--degree", order, params)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
@@ -309,13 +327,11 @@ def cmd_verify(args) -> int:
                     f"the {args.suite} suite does not read {flag}; "
                     f"it is read by {', '.join(readers)} and all"
                 )
-        if args.m is not None:
-            if args.m < 1:
-                raise ValueError(f"--m must be >= 1, got {args.m}")
-            _check_size("--m", args.m)
+        if args.m is not None and args.m < 1:
+            raise ValueError(f"--m must be >= 1, got {args.m}")
         if args.verbose and args.format == "records":
             raise ValueError("-v dumps states as text; use it without --format records")
-        profiles = None
+        profiles = params = None
         qs = suites.DEFAULT_QS
         if any(getattr(args, name) is not None for name in _PARAM_FLAGS):
             params = _resolve_params(args)
@@ -324,6 +340,8 @@ def cmd_verify(args) -> int:
             profiles = [("custom", params.alpha, params.beta)]
             qs = (params.q,)
         m_max = args.m or 5
+        # the cycle lengths up to m_max run only in the tensor suite
+        _check_size("--m", m_max, params if args.suite in ("tensor", "all") else None)
         slots = suites.model_slots(args.suite, m_max)
         for name, alpha, beta in profiles or suites.default_profiles():
             _check_tensor_size(

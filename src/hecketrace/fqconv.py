@@ -43,7 +43,7 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
-from .hecke import HeckeElement, _of_rank, mul as hecke_mul
+from .hecke import HeckeElement, _of_rank, left_multiples
 from .permutations import (
     Perm,
     adjacent_transposition,
@@ -397,14 +397,16 @@ def sigma_element(m: int, n: int, p: int) -> FqFunction:
 def structure_constants_check(n: int, p: int) -> list[CheckResult]:
     """Expand every product of cell indicators in the cell basis and
     compare, coefficient by coefficient, with the abstract T-basis product
-    evaluated at q = p."""
+    evaluated at q = p.  For each w2 the products T_w1 T_w2 of every w1
+    come from hecke.left_multiples, one kernel step each."""
     check_size(n, p)
     results = []
     perms = sorted(all_perms(n))
+    products = {w2: left_multiples(HeckeElement.basis(w2)) for w2 in perms}
     for w1 in perms:
         for w2 in perms:
             got = cell_product(w1, w2, n, p)
-            prod = hecke_mul(HeckeElement.basis(w1), HeckeElement.basis(w2))
+            prod = products[w2][w1]
             expected = {w: c(p) for w, c in prod.terms.items()}
             name = f"structure.gl({n},{p}).{format_perm(w1)}*{format_perm(w2)}"
             if got == expected:

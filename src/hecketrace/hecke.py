@@ -20,6 +20,17 @@ braid relations rather than assumed).
 Coefficients stay polynomial inside this module, in Z[q] for products of
 basis elements; evaluating q at a number happens only at the trace /
 tensor-model boundary and in the check against GL(n, F_p).
+
+Every product runs through one step kernel, _step, which applies the rule
+above to a plain dict {w: coefficient tuple}, the QPoly coefficients
+lowest degree first with no trailing zero, and stores no zero term.  mul
+walks each term of the left factor along its word on such dicts, and
+gen_mul_left and left_multiples call the kernel too; each wraps its result
+as a HeckeElement once, at the end.  Validation happens where input comes
+from outside: HeckeElement(rank, terms) tests every key and sums repeated
+ones, while every element this module derives from valid ones (products,
+star and transpose, promote, sums, scalings and the cycle elements) is
+built by HeckeElement._of, which takes its terms as they are.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import accumulate, chain
+from operator import add, sub
 from typing import Union
 
 from .permutations import (
@@ -42,11 +54,12 @@ from .permutations import (
 from .scalars import QPoly, sparse_sum
 
 Scalar = Union[QPoly, Fraction, int]
-_Q, _Q_MINUS_1 = QPoly.var(), QPoly((-1, 1))
+_ONE = QPoly.const(1)
 
 __all__ = [
     "HeckeElement",
     "gen_mul_left",
+    "left_multiples",
     "zeta_interval",
     "zeta_partition",
     "check_partition",
@@ -68,7 +81,11 @@ def _of_rank(rank: int, terms):
 
 class HeckeElement:
     """Element of H_n(q): a map from permutations of rank n to QPoly
-    coefficients, with zero coefficients never stored."""
+    coefficients, with zero coefficients never stored.
+
+    The constructor validates its input: every key must be a rank-n
+    permutation, and repeated keys are summed.  Elements derived from
+    valid ones are built by _of, which tests nothing."""
 
     __slots__ = ("rank", "terms")
 
@@ -78,33 +95,43 @@ class HeckeElement:
             w: _as_poly(c) for w, c in sparse_sum(_of_rank(rank, terms)).items()
         }
 
+    @classmethod
+    def _of(cls, rank: int, terms: dict[Perm, QPoly]) -> "HeckeElement":
+        """The element with exactly these terms: rank-`rank` permutation
+        keys and nonzero QPoly values, taken as they are."""
+        x = object.__new__(cls)
+        x.rank, x.terms = rank, terms
+        return x
+
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, rank: int) -> "HeckeElement":
-        return cls(rank, {})
+        return cls._of(rank, {})
 
     @classmethod
     def unit(cls, rank: int) -> "HeckeElement":
-        return cls(rank, {identity(rank): QPoly.const(1)})
+        return cls._of(rank, {identity(rank): _ONE})
 
     @classmethod
     def basis(cls, w: Perm) -> "HeckeElement":
-        return cls(len(w), {w: QPoly.const(1)})
+        return cls(len(w), {w: _ONE})
 
     @classmethod
     def generator(cls, m: int, rank: int) -> "HeckeElement":
         """sigma_m = T_{s_m} in rank n."""
-        return cls.basis(adjacent_transposition(m, rank))
+        return cls._of(rank, {adjacent_transposition(m, rank): _ONE})
 
     # -- linear structure ----------------------------------------------
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         a, b = promote_pair(self, other)
-        return HeckeElement(a.rank, chain(a.terms.items(), b.terms.items()))
+        return HeckeElement._of(a.rank, sparse_sum(chain(a.terms.items(), b.terms.items())))
 
     def scale(self, c: Scalar) -> "HeckeElement":
-        return HeckeElement(self.rank, {w: v * c for w, v in self.terms.items()})
+        return HeckeElement._of(
+            self.rank, {w: p for w, v in self.terms.items() if (p := v * c)}
+        )
 
     def __mul__(self, other):
         if isinstance(other, (QPoly, Fraction, int)):
@@ -135,7 +162,7 @@ class HeckeElement:
         unchanged."""
         if rank == self.rank:
             return self
-        return HeckeElement(
+        return HeckeElement._of(
             rank, {promote(w, rank): c for w, c in self.terms.items()}
         )
 
@@ -143,7 +170,7 @@ class HeckeElement:
         """The involution: anti-linear anti-automorphism fixing every
         generator.  On the T-basis it sends T_w to T_{w^{-1}}; coefficient
         conjugation is the identity on rational polynomials."""
-        return HeckeElement(
+        return HeckeElement._of(
             self.rank, {inverse(w): c for w, c in self.terms.items()}
         )
 
@@ -173,34 +200,87 @@ def promote_pair(a: HeckeElement, b: HeckeElement):
     return a.promote(n), b.promote(n)
 
 
+# ---------------------------------------------------------------------------
+# the step kernel on {w: coefficient tuple} dicts
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    """The coefficient tuple of the sum of two polynomials, trimmed, so a
+    sum that cancels is ()."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [*map(add, a, b), *a[len(b) :]]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """The coefficient tuple of the product of two nonzero polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _add_into(out: dict, key: Perm, c: tuple):
+    """Add the coefficient tuple c at key; a sum that cancels stays as ()."""
+    old = out.get(key)
+    out[key] = c if old is None else _add(old, c)
+
+
+def _swap(w: Perm, i: int, j: int) -> Perm:
+    """w with the letters at positions i and j exchanged."""
+    sw = list(w)
+    sw[i], sw[j] = sw[j], sw[i]
+    return tuple(sw)
+
+
+def _step(m: int, terms: dict) -> dict:
+    """sigma_m times the element {w: coefficient tuple}, by the rule of the
+    module docstring, with no zero term: s_m swaps the letters m and m + 1
+    of w in one-line form, and it lengthens w when m comes first.  On a
+    shortening w the coefficient c gives q c at s_m w and (q - 1) c at w."""
+    out: dict = {}
+    for w, c in terms.items():
+        i, j = w.index(m), w.index(m + 1)
+        sw = _swap(w, i, j)
+        if i < j:
+            _add_into(out, sw, c)
+        else:
+            qc = (0, *c)
+            _add_into(out, w, tuple(map(sub, qc, (*c, 0))))
+            _add_into(out, sw, qc)
+    return {w: c for w, c in out.items() if c}
+
+
+def _tuples(x: HeckeElement) -> dict:
+    """The terms of x as the kernel's {w: coefficient tuple}."""
+    return {w: c.coeffs for w, c in x.terms.items()}
+
+
+def _wrap(rank: int, terms: dict) -> HeckeElement:
+    """The kernel's {w: coefficient tuple} as a HeckeElement; no zero term."""
+    return HeckeElement._of(rank, {w: QPoly._of(c) for w, c in terms.items() if c})
+
+
 def gen_mul_left(m: int, x: HeckeElement) -> HeckeElement:
     """Left multiplication sigma_m * x, extended linearly over the terms
     of x using the quadratic relation."""
     n = x.rank
     if not 1 <= m <= n - 1:
         raise ValueError(f"generator index {m} out of range for rank {n}")
-
-    def images():
-        for w, c in x.terms.items():
-            sw = list(w)
-            # s_m acts on values: swap the letters m and m+1 in one-line form
-            i, j = w.index(m), w.index(m + 1)
-            sw[i], sw[j] = sw[j], sw[i]
-            swt = tuple(sw)
-            if i < j:  # length(s_m w) = length(w) + 1
-                yield swt, c
-            else:
-                yield w, _Q_MINUS_1 * c
-                yield swt, _Q * c
-
-    return HeckeElement(n, images())
+    return _wrap(n, _step(m, _tuples(x)))
 
 
 def mul(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     """Product in H_n(q); operands of unequal rank are promoted first.
 
     Each basis term T_w of the left factor acts on y through a reduced
-    word of w, one generator at a time.
+    word of w, one kernel step per generator, and the terms are summed as
+    coefficient tuples.
 
     >>> s1, q = HeckeElement.generator(1, 2), QPoly.var()
     >>> mul(s1, s1)
@@ -209,16 +289,38 @@ def mul(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     True
     """
     x, y = promote_pair(x, y)
+    start = _tuples(y)
+    out: dict = {}
+    for w, c in x.terms.items():
+        acc = start
+        for a in reversed(reduced_word(w)):
+            acc = _step(a, acc)
+        c = c.coeffs
+        for v, d in acc.items():
+            _add_into(out, v, d if c == (1,) else _times(c, d))
+    return _wrap(x.rank, out)
 
-    def products():
-        for w, c in x.terms.items():
-            acc = y
-            for a in reversed(reduced_word(w)):
-                acc = gen_mul_left(a, acc)
-            for v, d in acc.terms.items():
-                yield v, c * d
 
-    return HeckeElement(x.rank, products())
+def left_multiples(y: HeckeElement) -> dict[Perm, HeckeElement]:
+    """T_w y for every permutation w of y's rank, keyed by w.
+
+    The permutations are reached in length order from the identity, each
+    w = s_m u from a u one shorter, so T_w y is one kernel step, sigma_m
+    (T_u y), from a product already formed: rank! - 1 steps in all, where
+    mul walks a whole reduced word of each w."""
+    n = y.rank
+    rows = {identity(n): _tuples(y)}
+    level = list(rows)
+    while level:
+        longer = []
+        for u in level:
+            for m in range(1, n):
+                i, j = u.index(m), u.index(m + 1)
+                if i < j and (w := _swap(u, i, j)) not in rows:
+                    rows[w] = _step(m, rows[u])
+                    longer.append(w)
+        level = longer
+    return {w: _wrap(n, row) for w, row in rows.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +333,7 @@ def _cycle_basis(blocks, rank: int) -> HeckeElement:
     w = list(identity(rank))
     for lo, hi in blocks:
         w[lo - 1 : hi] = [hi, *range(lo, hi)]
-    return HeckeElement.basis(tuple(w))
+    return HeckeElement._of(rank, {tuple(w): _ONE})
 
 
 def zeta_interval(lo: int, hi: int, rank: int | None = None) -> HeckeElement:

@@ -122,6 +122,14 @@ class QPoly:
         self.coeffs: tuple[Rat, ...] = tuple(cs)
 
     @classmethod
+    def _of(cls, coeffs: tuple[Rat, ...]) -> "QPoly":
+        """The polynomial with exactly this coefficient tuple, taken as it
+        is: ints and Fractions with a nonzero last entry."""
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
+    @classmethod
     def const(cls, c: Rat) -> "QPoly":
         return cls((c,))
 

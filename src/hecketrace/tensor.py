@@ -107,8 +107,9 @@ context's SqrtTable.
 ModelContext is an immutable value class on report.Value with the three
 fields params, slots and support: two models of equal fields are equal and
 hash equal, and the integer model is kept beside them, built by cached
-properties on first use and never compared.  The weights are not a field:
-the model reads them by index from params (ModelContext.numerators).
+properties on first use and never compared, as is the memo of the closed
+walks that matrix_element has taken on the instance.  The weights are not a
+field: the model reads them by index from params (ModelContext.numerators).
 """
 
 from __future__ import annotations
@@ -166,7 +167,13 @@ class ModelContext(Value):
     route walks only the slots its element touches (see the module
     docstring), so a suite that evaluates one parameter set at several
     ranks builds r_matrix and the walk rows once, and a fault put into
-    r_matrix reaches every rank."""
+    r_matrix reaches every rank.
+
+    Beside the walk rows the instance keeps closed_walks, the integer
+    closed walk of each reduced word matrix_element has walked on it.  The
+    memo is not a field: it lives and dies with the instance, so a request
+    that builds its own model starts with an empty one, and two equal
+    models never share it."""
 
     _fields = ("params", "slots", "support")
 
@@ -231,6 +238,14 @@ class ModelContext(Value):
     def diagonal_walk(self) -> "_Walk":
         """The walk of the diagonal rows of r_matrix only (diagonal_zeta)."""
         return _walk_of(self, diagonal=True)
+
+    @cached_property
+    def closed_walks(self) -> dict:
+        """{reduced word: (even, odd)}: the closed walk of every word that
+        matrix_element has walked on this model, so each T_w is walked once
+        per model.  The memo lives as long as the instance; equal models
+        do not share it."""
+        return {}
 
     @property
     def t_squared(self) -> int:
@@ -660,15 +675,20 @@ def matrix_element(ctx: ModelContext, x: HeckeElement) -> Fraction:
     before its first step and closed after its last, so the walked state
     holds only the slots in between.  Nothing assumes that the value is
     multiplicative over cycle blocks; the closed slots make it so.  The
-    terms are summed as two ints over one denominator, and the sum is
+    model keeps the two ints of every word walked (ModelContext.closed_walks),
+    so a T_w met again on it, in this element or a later one, is not walked
+    again.  The terms are summed as two ints over one denominator, and the sum is
     divided once and checked to be rational, which is asserted, not
     assumed."""
     _check_rank(ctx, x)
-    walk = ctx.walk
+    walk, walked = ctx.walk, ctx.closed_walks
     terms, denom = _integer_terms(ctx, x)
     even = odd = 0
     for word, f in terms:
-        e, o = _closed_walk(ctx, walk, word[::-1])
+        key = tuple(word)
+        if key not in walked:
+            walked[key] = _closed_walk(ctx, walk, word[::-1])
+        e, o = walked[key]
         even, odd = even + f * e, odd + f * o
     d, _ = ctx.numerators
     # the route label is read only on failure, and repr(x) is not cheap

@@ -11,7 +11,15 @@ from fractions import Fraction
 import pytest
 
 from hecketrace import cli, suites, tensor
-from hecketrace.cli import MAX_CROSS_CHECK, MAX_SIZE, MAX_TENSOR_SIZE, _check_tensor_size, main
+from hecketrace.cli import (
+    MAX_CROSS_CHECK,
+    MAX_SIZE,
+    MAX_TENSOR_SIZE,
+    MAX_VALUE_BITS,
+    _check_size,
+    _check_tensor_size,
+    main,
+)
 from hecketrace.scalars import PowerSeries
 from hecketrace.tensor import ModelContext
 from hecketrace.traces import TraceParams, generating_series
@@ -71,6 +79,44 @@ def test_verify_m_is_bounded_on_a_one_weight_profile(capsys):
     assert code == 2
     assert out == ""
     assert f"--m must be <= {MAX_SIZE}, got 301" in err
+
+
+WIDE_TINY_Q = ["--q", "1e-300", "--alpha", "1/2,1/3", "--beta", "1/6"]
+
+
+@pytest.mark.parametrize(
+    "argv,flag,product",
+    [
+        (["trace", "--m", "300", *WIDE_TINY_Q], "--m 300", 300 * 1001),
+        (["trace", "--partition", "150,150", *WIDE_TINY_Q], "the sum of --partition 300", 300 * 1001),
+        (["trace", "--m", "20", "--cross-check", *WIDE_TINY_Q], "--m 20", 20 * 1001),
+        (["series", "--degree", "300", *WIDE_TINY_Q], "--degree 300", 300 * 1001),
+        (["verify", "--suite", "tensor", "--m", "300", "--q", "1e-30", "--beta", "1"], "--m 300", 300 * 102),
+        (["verify", "--suite", "all", "--q", "1e-5000", "--beta", "1"], "--m 5", 5 * 16612),
+    ],
+    ids=["m", "partition", "cross_check", "degree", "verify_m", "verify_default_m"],
+)
+def test_value_bits_bound_exit_2_fast(capsys, argv, flag, product):
+    # without the bound the first of these runs for minutes: the recurrence
+    # carries the 300th powers of q's 1001-bit denominator
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert f"{flag} times the " in err
+    assert f"is {product}, more than MAX_VALUE_BITS = {MAX_VALUE_BITS}" in err
+
+
+def test_value_bits_bound_edge(capsys):
+    # bits(1) + bits(2^k) + bits(6) = k + 5 bits for q = 1/2^k and weights
+    # over 6; at m = 300 the bound admits k = 49 and refuses k = 50
+    wide = dict(alpha=(Fraction(1, 2), Fraction(1, 3)), beta=(Fraction(1, 6),))
+    _check_size("--m", 300, TraceParams(q=Fraction(1, 2**49), **wide))
+    with pytest.raises(ValueError, match="--m 300 times the 55 bits"):
+        _check_size("--m", 300, TraceParams(q=Fraction(1, 2**50), **wide))
+    # a suite that runs no cycle length does not read the bound
+    code, out, _ = run(capsys, "verify", "--suite", "rmatrix", "--q", "1e-300", "--beta", "1")
+    assert code == 0 and out
 
 
 def test_trace_thoma_at_q1(capsys):

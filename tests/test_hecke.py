@@ -1,5 +1,6 @@
 """T-basis arithmetic in H_n(q)."""
 
+from fractions import Fraction
 from functools import reduce
 from random import Random
 
@@ -8,6 +9,7 @@ import pytest
 from hecketrace.hecke import (
     HeckeElement,
     gen_mul_left,
+    left_multiples,
     mul,
     zeta_interval,
     zeta_partition,
@@ -137,6 +139,141 @@ def test_basis_closure_check_rejects_a_key_that_is_no_permutation(monkeypatch):
     monkeypatch.setattr(suites, "gen_mul_left", faulty)
     closure = {r.name: r.passed for r in suites.hecke_suite() if ".basis_closure." in r.name}
     assert closure == {f"hecke.basis_closure.n{n}": False for n in range(2, 6)}
+
+
+# ---------------------------------------------------------------------------
+# the step kernel against the step-by-step products it replaced
+
+
+def oracle_gen_mul_left(m, x):
+    """sigma_m x with every coefficient a QPoly and every step a whole
+    HeckeElement, validated and summed: the product before the kernel."""
+    def images():
+        for w, c in x.terms.items():
+            sw = list(w)
+            i, j = w.index(m), w.index(m + 1)
+            sw[i], sw[j] = sw[j], sw[i]
+            if i < j:
+                yield tuple(sw), c
+            else:
+                yield w, (Q - ONE) * c
+                yield tuple(sw), Q * c
+
+    return HeckeElement(x.rank, images())
+
+
+def oracle_mul(x, y):
+    x, y = hecke.promote_pair(x, y)
+
+    def products():
+        for w, c in x.terms.items():
+            acc = y
+            for a in reversed(permutations.reduced_word(w)):
+                acc = oracle_gen_mul_left(a, acc)
+            for v, d in acc.terms.items():
+                yield v, c * d
+
+    return HeckeElement(x.rank, products())
+
+
+def rational_element(rng: Random, rank: int) -> HeckeElement:
+    """Up to 4 terms with int and Fraction coefficients of degree up to 2."""
+    terms = {}
+    for _ in range(rng.randrange(1, 5)):
+        w = tuple(rng.sample(range(1, rank + 1), rank))
+        terms[w] = QPoly(
+            [Fraction(rng.randrange(-3, 4), rng.choice((1, 1, 2, 3))) for _ in range(rng.randrange(1, 4))]
+        )
+    return HeckeElement(rank, terms)
+
+
+def assert_same_terms(got, want):
+    assert got.rank == want.rank
+    assert got.terms == want.terms
+    assert all(c and c.coeffs[-1] != 0 for c in got.terms.values()), got.terms
+
+
+def test_kernel_products_equal_the_step_by_step_products():
+    rng = Random(41)
+    for rank in range(2, 6):
+        for _ in range(12):
+            x, y = rational_element(rng, rank), rational_element(rng, rank)
+            assert_same_terms(mul(x, y), oracle_mul(x, y))
+            m = rng.randrange(1, rank)
+            assert_same_terms(gen_mul_left(m, y), oracle_gen_mul_left(m, y))
+
+
+def test_kernel_products_promote_unequal_ranks():
+    rng = Random(43)
+    for low, high in ((2, 3), (2, 5), (3, 4), (4, 5)):
+        x, y = rational_element(rng, low), rational_element(rng, high)
+        assert_same_terms(mul(x, y), oracle_mul(x, y))
+        assert_same_terms(mul(y, x), oracle_mul(y, x))
+
+
+def test_kernel_products_store_no_cancelled_term():
+    # (T_s - q)(T_s + 1) = 0, so every term of the product cancels, and a
+    # Fraction factor that sums to an int coefficient keeps no zero either
+    rng = Random(47)
+    for rank in range(2, 6):
+        for m in range(1, rank):
+            t = HeckeElement.generator(m, rank)
+            unit = HeckeElement.unit(rank)
+            left = t + unit.scale(-Q)
+            right = mul(t + unit, rational_element(rng, rank))
+            assert mul(left, right).terms == {} == oracle_mul(left, right).terms
+            half = t.scale(Fraction(1, 2))
+            twice = mul(half, t) + mul(half, t)
+            assert_same_terms(twice, oracle_mul(t, t))
+
+
+def test_kernel_steps_drop_a_term_that_cancels_inside_a_word():
+    # sigma_m (T_v + (1 - q) T_{s_m v}) for s_m v < v has no term at v: the
+    # (q - 1) T_v of the quadratic relation meets (1 - q) T_v.  The cancelled
+    # term must not ride along the rest of the word of the left factor
+    for rank in (3, 4):
+        for v in all_perms(rank):
+            for m in range(1, rank):
+                i, j = v.index(m), v.index(m + 1)
+                if i < j:
+                    continue
+                sv = list(v)
+                sv[i], sv[j] = sv[j], sv[i]
+                y = HeckeElement(rank, {v: ONE, tuple(sv): ONE - Q})
+                assert v not in gen_mul_left(m, y).terms
+                for w in all_perms(rank):
+                    x = HeckeElement.basis(w)
+                    assert_same_terms(mul(x, y), oracle_mul(x, y))
+
+
+def test_left_multiples_equal_mul():
+    rng = Random(53)
+    for rank in range(1, 5):
+        ys = [HeckeElement.basis(w) for w in all_perms(rank)]
+        ys.append(rational_element(rng, rank))
+        for y in ys:
+            rows = left_multiples(y)
+            assert sorted(rows) == all_perms(rank)
+            for w, row in rows.items():
+                assert_same_terms(row, mul(HeckeElement.basis(w), y))
+
+
+def test_derived_elements_skip_the_key_test(monkeypatch):
+    # outside input is validated once, by HeckeElement(rank, terms); what
+    # the module derives from valid elements tests no key again
+    x = HeckeElement(3, {(2, 3, 1): Q, (1, 3, 2): Fraction(1, 2)})
+    y = HeckeElement.basis((3, 1, 2))
+
+    def refuse(w):
+        raise AssertionError("a derived element tested its keys")
+
+    monkeypatch.setattr(hecke, "is_perm", refuse)
+    mul(x, y).star().transpose().promote(5)
+    gen_mul_left(2, x) + x.scale(Q)
+    left_multiples(y)
+    zeta_partition((2, 1), 4)
+    with pytest.raises(AssertionError, match="tested its keys"):
+        HeckeElement(3, {(1, 2, 3): 1})
 
 
 # ---------------------------------------------------------------------------

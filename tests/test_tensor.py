@@ -360,6 +360,56 @@ def test_matrix_element_purity_guard_names_the_parameters(monkeypatch):
     assert str(P_FLAT.to_record()) in message and "2 slots" in message
 
 
+def _record_closed_walks(monkeypatch) -> list:
+    """A list that gets (model, steps) for every closed walk from now on."""
+    walked = []
+    closed_walk = tensor._closed_walk
+
+    def recorded(ctx, walk, steps):
+        walked.append((ctx, tuple(steps)))
+        return closed_walk(ctx, walk, steps)
+
+    monkeypatch.setattr(tensor, "_closed_walk", recorded)
+    return walked
+
+
+def test_matrix_element_walks_each_word_once_per_model(monkeypatch):
+    walked = _record_closed_walks(monkeypatch)
+    ctx = ModelContext.create(P_WIDE, slots=4)
+    x = mul(HeckeElement.basis((3, 4, 1, 2)), HeckeElement.basis((4, 3, 2, 1)))
+    value = matrix_element(ctx, x)
+    assert len(walked) == len(x.terms) > 1
+    assert all(model is ctx for model, _ in walked)
+    # the same element again walks nothing; beside one new term, only that
+    # term's word; and the new term at a lower rank has the same word
+    walked.clear()
+    assert matrix_element(ctx, x) == value
+    assert walked == []
+    s1 = HeckeElement.generator(1, 4)
+    assert not set(s1.terms) & set(x.terms)
+    matrix_element(ctx, x + s1)
+    assert walked == [(ctx, (1,))]
+    matrix_element(ctx, HeckeElement.generator(1, 3))
+    assert walked == [(ctx, (1,))]
+    # an equal model keeps its own memo and walks every word itself
+    walked.clear()
+    twin = ModelContext.create(P_WIDE, slots=4)
+    assert twin == ctx and hash(twin) == hash(ctx)
+    assert matrix_element(twin, x) == value
+    assert len(walked) == len(x.terms) and all(model is twin for model, _ in walked)
+
+
+def test_bimodule_gram_identity_walks_each_word_once(monkeypatch):
+    # the five Hecke products of the gram identity share most of their
+    # terms on the one model of the checks
+    walked = _record_closed_walks(monkeypatch)
+    ctx = ModelContext.create(P_FLAT, slots=4)
+    results = bimodule_checks(ctx, Random(2026))
+    assert all(r.passed for r in results)
+    steps = [s for _, s in walked]
+    assert len(steps) == len(set(steps)) <= factorial(4)
+
+
 @pytest.mark.parametrize("q", ["1", "4", "2", "9/4", "1/4"])
 def test_rationality_check_holds_at_square_q(q):
     # R(2, 2) becomes (q - 1 + sqrt(q)) (2, 2), which equals the true image
