@@ -51,7 +51,7 @@ EXIT_MISMATCH = 3
 # a second
 MAX_SIZE = 300
 
-# most bits m (bits(a) + bits(b) + bits(d)) for a size m as above, q = a/b and
+# most bits m (bits(a) + bits(b) + bits(d)) for a size or slot count m, q = a/b and
 # the common denominator d of the weights: the recurrences carry the powers of
 # a, b and d up to the m-th.  For m = 300 and weights 1/2,1/3,1/6 a trace takes
 # 0.50 s at q = 1e-10 (11,400 bits), 1.3 s at 1e-20 (21,000) and 2.4 s at
@@ -266,6 +266,7 @@ def cmd_gram(args) -> int:
         rank = args.n
         if rank is None or not 1 <= rank <= 3:
             raise ValueError("--n N with 1 <= N <= 3 is required")
+        _check_size("--n", rank, params)
         _check_tensor_size("gram", params.alpha, params.beta, rank)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -340,9 +341,11 @@ def cmd_verify(args) -> int:
             profiles = [("custom", params.alpha, params.beta)]
             qs = (params.q,)
         m_max = args.m or 5
-        # the cycle lengths up to m_max run only in the tensor suite
-        _check_size("--m", m_max, params if args.suite in ("tensor", "all") else None)
         slots = suites.model_slots(args.suite, m_max)
+        # values carry the tensor suite's cycle lengths and every model's slots
+        if args.suite in ("tensor", "all"):
+            _check_size("--m", m_max, params)
+        _check_size(f"the {args.suite} suite's slot count", slots, params)
         for name, alpha, beta in profiles or suites.default_profiles():
             _check_tensor_size(
                 f"verify --suite {args.suite} on profile {name}", alpha, beta, slots

@@ -350,7 +350,6 @@ def expand_in_cells(values: Mapping[Matrix, object], n: int, p: int) -> dict[Per
     return {w: vals[0] for w, vals in cells.items()}
 
 
-@cache
 def cell_product(w1: Perm, w2: Perm, n: int, p: int) -> Mapping[Perm, int]:
     """Cell coefficients of the convolution of the indicators of B w1 B and
     B w2 B: a read-only view of the coset counts in the structure-constant

@@ -23,14 +23,15 @@ tensor-model boundary and in the check against GL(n, F_p).
 
 Every product runs through one step kernel, _step, which applies the rule
 above to a plain dict {w: coefficient tuple}, the QPoly coefficients
-lowest degree first with no trailing zero, and stores no zero term.  mul
-walks each term of the left factor along its word on such dicts, and
-gen_mul_left and left_multiples call the kernel too; each wraps its result
-as a HeckeElement once, at the end.  Validation happens where input comes
-from outside: HeckeElement(rank, terms) tests every key and sums repeated
-ones, while every element this module derives from valid ones (products,
-star and transpose, promote, sums, scalings and the cycle elements) is
-built by HeckeElement._of, which takes its terms as they are.
+lowest degree first with no trailing zero, with no zero term; it sums and
+multiplies tuples by the coefficient kernel of scalars (_add, _times), the
+one QPoly runs.  mul walks each term of the left factor along its word on
+such dicts, and gen_mul_left and left_multiples call the kernel too; each
+wraps its result as a HeckeElement once, at the end.  Validation happens
+where input comes from outside: HeckeElement(rank, terms) tests every key
+and sums repeated ones, while every element this module derives from valid
+ones (products, star and transpose, promote, sums, scalings and the cycle
+elements) is built by HeckeElement._of, which takes its terms as they are.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import accumulate, chain
-from operator import add, sub
+from operator import sub
 from typing import Union
 
 from .permutations import (
@@ -51,7 +52,7 @@ from .permutations import (
     promote,
     reduced_word,
 )
-from .scalars import QPoly, sparse_sum
+from .scalars import QPoly, _add, _times, sparse_sum
 
 Scalar = Union[QPoly, Fraction, int]
 _ONE = QPoly.const(1)
@@ -202,27 +203,6 @@ def promote_pair(a: HeckeElement, b: HeckeElement):
 
 # ---------------------------------------------------------------------------
 # the step kernel on {w: coefficient tuple} dicts
-
-
-def _add(a: tuple, b: tuple) -> tuple:
-    """The coefficient tuple of the sum of two polynomials, trimmed, so a
-    sum that cancels is ()."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = [*map(add, a, b), *a[len(b) :]]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def _times(a: tuple, b: tuple) -> tuple:
-    """The coefficient tuple of the product of two nonzero polynomials."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
 
 
 def _add_into(out: dict, key: Perm, c: tuple):

@@ -7,6 +7,8 @@ arithmetic).  On top of those this module provides:
 
   QPoly       polynomials in the indeterminate q, dense coefficient tuple
               (ints stay ints), lowest degree first, trailing zeros trimmed;
+              its + and * are the one sum and product of such tuples,
+              _add and _times, that series_mul and hecke's kernel run too;
   PowerSeries formal series in z truncated at a fixed order M, coefficients
               of degree 0..M only (ints stay ints);
   SqrtTable / RootElem
@@ -25,9 +27,12 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import re
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
+from operator import add
 from typing import Iterable, Union
 
 Rat = Union[Fraction, int]
@@ -65,7 +70,16 @@ def format_fraction(x: Fraction) -> str:
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse "p/q" or "p" (sign on the numerator); ValueError if malformed."""
+    """Parse "p/q", "p" or a decimal such as "-1.5e-3"; ValueError if
+    malformed, or if CPython bounds the digits of an int string and the
+    exponent is above that bound, before 10^exponent is formed."""
+    limit = sys.get_int_max_str_digits()
+    exponent = re.search(r"E[-+]?(\d+(?:_\d+)*)\s*\Z", text, re.I)
+    if limit and exponent and int(exponent[1]) > limit:
+        raise ValueError(
+            f"the exponent of {text.strip()!r} is above {limit}, the limit on the digits "
+            "of an int string (sys.get_int_max_str_digits())"
+        )
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:
@@ -99,7 +113,31 @@ def _signed_join(parts: list[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# polynomials in q
+# polynomials in q: the coefficient kernel and QPoly
+
+
+def _add(a: tuple, b: tuple) -> tuple:
+    """The coefficient tuple of the sum of two polynomials, trimmed, so a
+    sum that cancels is ()."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [*map(add, a, b), *a[len(b) :]]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """The coefficient tuple of a product, () when a factor is (); trimmed
+    when both factors are."""
+    if not (a and b):
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
 
 
 class QPoly:
@@ -153,18 +191,12 @@ class QPoly:
             other = QPoly.const(other)
         if not isinstance(other, QPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
+        return QPoly._of(_add(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        return QPoly(-c for c in self.coeffs)
+        return QPoly._of(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other) -> "QPoly":
         return self + (-other if isinstance(other, QPoly) else QPoly.const(-other))
@@ -174,16 +206,10 @@ class QPoly:
 
     def __mul__(self, other) -> "QPoly":
         if isinstance(other, (int, Fraction)):
-            return QPoly(c * other for c in self.coeffs)
+            other = QPoly.const(other)
         if not isinstance(other, QPoly):
             return NotImplemented
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return QPoly(out)
+        return QPoly._of(_times(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -278,19 +304,8 @@ class PowerSeries:
 def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     """Cauchy product truncated at the common order."""
     if a.order != b.order:
-        raise ValueError(
-            f"truncation orders differ: {a.order} != {b.order}"
-        )
-    m = a.order
-    out = [0] * (m + 1)
-    for i, ca in enumerate(a.coeffs):
-        if ca == 0:
-            continue
-        for j in range(m + 1 - i):
-            cb = b.coeffs[j]
-            if cb != 0:
-                out[i + j] += ca * cb
-    return PowerSeries(m, out)
+        raise ValueError(f"truncation orders differ: {a.order} != {b.order}")
+    return PowerSeries(a.order, _times(a.coeffs, b.coeffs)[: a.order + 1])
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ WIDE_TINY_Q = ["--q", "1e-300", "--alpha", "1/2,1/3", "--beta", "1/6"]
         (["trace", "--m", "20", "--cross-check", *WIDE_TINY_Q], "--m 20", 20 * 1001),
         (["series", "--degree", "300", *WIDE_TINY_Q], "--degree 300", 300 * 1001),
         (["verify", "--suite", "tensor", "--m", "300", "--q", "1e-30", "--beta", "1"], "--m 300", 300 * 102),
-        (["verify", "--suite", "all", "--q", "1e-5000", "--beta", "1"], "--m 5", 5 * 16612),
+        (["verify", "--suite", "all", "--q", "1e-1000", "--beta", "1"], "--m 5", 5 * 3324),
     ],
     ids=["m", "partition", "cross_check", "degree", "verify_m", "verify_default_m"],
 )
@@ -114,9 +114,62 @@ def test_value_bits_bound_edge(capsys):
     _check_size("--m", 300, TraceParams(q=Fraction(1, 2**49), **wide))
     with pytest.raises(ValueError, match="--m 300 times the 55 bits"):
         _check_size("--m", 300, TraceParams(q=Fraction(1, 2**50), **wide))
-    # a suite that runs no cycle length does not read the bound
+    # a suite that runs no cycle length reads the bound at its slot count:
+    # 3 slots of 999 bits pass, 3 of 13290 bits do not
     code, out, _ = run(capsys, "verify", "--suite", "rmatrix", "--q", "1e-300", "--beta", "1")
     assert code == 0 and out
+    code, out, err = run(capsys, "verify", "--suite", "rmatrix", "--q", "1e-4000", "--beta", "1")
+    assert (code, out) == (2, "")
+    assert "the rmatrix suite's slot count 3 times the 13290 bits" in err
+
+
+HALF_TINY_Q = ["--alpha", "1/2,1/2", "--q"]
+
+
+@pytest.mark.parametrize(
+    "argv,what,product",
+    [
+        (["gram", "--n", "3", *HALF_TINY_Q, "1e-2000"], "--n 3", 3 * 6647),
+        (["gram", "--n", "3", *HALF_TINY_Q, "1e-4300"], "--n 3", 3 * 14288),
+        (["verify", "--suite", "gram", *HALF_TINY_Q, "1e-2000"], "the gram suite's slot count 4", 4 * 6647),
+        (["verify", "--suite", "gram", *HALF_TINY_Q, "1e-4300"], "the gram suite's slot count 4", 4 * 14288),
+        (["verify", "--suite", "all", "--m", "1", *HALF_TINY_Q, "1e-4000"], "the all suite's slot count 5", 5 * 13291),
+    ],
+    ids=["gram", "gram_4300", "verify_gram", "verify_gram_4300", "verify_all_m1"],
+)
+def test_value_bits_bound_on_slots_exit_2_fast(capsys, argv, what, product):
+    # without the bound these take 0.9 to 10 s as fresh processes
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert f"{what} times the " in err
+    assert f"is {product}, more than MAX_VALUE_BITS = {MAX_VALUE_BITS}" in err
+
+
+def test_gram_just_inside_the_value_bits_bound(capsys):
+    # 3 slots of 1 + 5448 + 2 bits = 16353 <= 16384
+    code, out, err = run(capsys, "gram", "--n", "3", *HALF_TINY_Q, "1e-1640")
+    assert (code, err) == (0, "")
+    assert out.endswith("psd,yes\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "--m", "1", "--q", "1e-10000000", "--alpha", "1"],
+        ["verify", "--suite", "all", "--q", "1e-5000", "--beta", "1"],
+        ["series", "--degree", "1", "--q", "2", "--alpha", "1E+4301"],
+    ],
+    ids=["trace", "verify", "series_weight"],
+)
+def test_exponent_bound_exit_2_fast(capsys, argv):
+    # Fraction("1e-10000000") alone forms 10^10000000, about 12 s
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert f"is above {sys.get_int_max_str_digits()}, the limit on the digits of an int string" in err
 
 
 def test_trace_thoma_at_q1(capsys):
@@ -786,9 +839,14 @@ def test_parser_is_built_once(capsys, monkeypatch):
 
 def _through_the_top_level_parser(argv):
     """The oracle of main's parse: all of argv through the top-level parser,
-    which scans every flag and hands the subcommand's words to its parser."""
+    which scans every flag and hands the subcommand's words to its parser.
+    Like main, it restores the int digit bound that a command lifts."""
     args = cli.build_parser().parse_args(argv)
-    return args.func(args)
+    limit = sys.get_int_max_str_digits()
+    try:
+        return args.func(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _outcome(capsys, request, argv):

@@ -29,6 +29,7 @@ from hecketrace.fqconv import (
     unit_function,
 )
 from hecketrace.permutations import all_perms, identity, length
+from hecketrace.scalars import CrossCheckError
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +301,26 @@ def test_structure_table_asserts_the_counting_identity(monkeypatch):
     try:
         with pytest.raises(RuntimeError, match=r"sum_w c_w p\^length\(w\)"):
             fqconv._structure_table(3, 2)
+    finally:
+        fqconv._structure_table.cache_clear()
+
+
+def test_a_rebuilt_structure_table_is_what_the_check_reads(monkeypatch):
+    # the same fault as above, put in after a passing check: the second
+    # check reads the table again through cell_product, which keeps no
+    # view of the old table, so it must meet the counting identity
+    assert all(r.passed for r in structure_constants_check(3, 2))
+    label = fqconv.bruhat_cell
+
+    def mislabel(g, p):
+        w = label(g, p)
+        return identity(3) if w == (2, 1, 3) else w
+
+    monkeypatch.setattr(fqconv, "bruhat_cell", mislabel)
+    fqconv._structure_table.cache_clear()
+    try:
+        with pytest.raises(CrossCheckError, match=r"breaks the counting identity"):
+            structure_constants_check(3, 2)
     finally:
         fqconv._structure_table.cache_clear()
 

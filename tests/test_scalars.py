@@ -1,5 +1,6 @@
 """Exact scalar layer: polynomials, truncated series, square-root ring."""
 
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +24,20 @@ from hecketrace.scalars import (
 def test_fraction_roundtrip():
     for text in ("5/4", "-5/4", "7", "0", "-3"):
         assert format_fraction(parse_fraction(text)) == text
+
+
+def test_exponent_bound_follows_the_int_digit_bound():
+    limit = sys.get_int_max_str_digits()
+    assert limit  # CPython's default, 4300
+    assert parse_fraction(f"1e-{limit}") == F(1, 10**limit)
+    for text in (f"1e-{limit + 1}", f"2.5E+{limit + 1}", "1e-10000000", "1e-1_000_000"):
+        with pytest.raises(ValueError, match=f"is above {limit}, the limit"):
+            parse_fraction(text)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse_fraction(f"1e-{limit + 1}") == F(1, 10 ** (limit + 1))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_fraction_field_sample():
@@ -72,6 +87,92 @@ def test_qpoly_evaluates_in_the_arithmetic_of_q():
     assert type(p(F(2))) is F and p(F(2)) == 9
     assert type(QPoly()(F(1, 2))) is F
     assert type((p * p)(3)) is int
+
+
+# the loops that QPoly's + and * and series_mul ran before the coefficient
+# kernel, kept as its oracle
+
+
+def _oracle_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return QPoly(out).coeffs
+
+
+def _oracle_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return QPoly(out).coeffs
+
+
+def _oracle_series_mul(a, b):
+    m = a.order
+    out = [0] * (m + 1)
+    for i, ca in enumerate(a.coeffs):
+        if ca == 0:
+            continue
+        for j in range(m + 1 - i):
+            cb = b.coeffs[j]
+            if cb != 0:
+                out[i + j] += ca * cb
+    return PowerSeries(m, out)
+
+
+_COEFFS = st.one_of(
+    st.lists(st.integers(-3, 3), max_size=5),
+    st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3), max_size=5),
+)
+
+
+@st.composite
+def _poly_pairs(draw):
+    """Two coefficient lists; half the time the top of the second cancels
+    the top of the first, so their sum is shorter or zero."""
+    a = draw(_COEFFS)
+    if draw(st.booleans()):
+        return a, draw(_COEFFS)
+    k = draw(st.integers(0, len(a)))
+    return a, draw(_COEFFS)[:k] + [-c for c in a[k:]]
+
+
+def _types(coeffs):
+    return [type(c) for c in coeffs]
+
+
+@given(pair=_poly_pairs())
+def test_qpoly_sum_and_product_equal_the_oracle(pair):
+    a, b = (QPoly(cs) for cs in pair)
+    for got, want in ((a + b, _oracle_add(a.coeffs, b.coeffs)),
+                      (a * b, _oracle_mul(a.coeffs, b.coeffs))):
+        assert got.coeffs == want and _types(got.coeffs) == _types(want)
+        assert not got.coeffs or got.coeffs[-1] != 0
+    if all(type(c) is int for c in (*a.coeffs, *b.coeffs)):
+        assert all(type(c) is int for c in (a + b).coeffs + (a * b).coeffs)
+
+
+def test_qpoly_sum_that_cancels_is_zero():
+    a = QPoly([1, F(1, 2), 3])
+    assert (a + -a).coeffs == () and (a - a).coeffs == ()
+    assert (a * QPoly()).coeffs == () and (a * 0).coeffs == ()
+    assert (QPoly([1, 3]) + QPoly([2, -3])).coeffs == (3,)
+
+
+@given(order=st.integers(0, 8), data=st.data())
+def test_series_mul_equals_the_oracle(order, data):
+    coeffs = st.lists(st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3)),
+                      max_size=order + 1)
+    a, b = (PowerSeries(order, data.draw(coeffs)) for _ in range(2))
+    got = series_mul(a, b)
+    assert got == _oracle_series_mul(a, b) and got.order == order
+    if all(type(c) is int for c in (*a.coeffs, *b.coeffs)):
+        assert all(type(c) is int for c in got.coeffs)
 
 
 # ---------------------------------------------------------------------------
