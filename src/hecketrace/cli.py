@@ -9,6 +9,8 @@ floating-point formatting anywhere in the output layer.  Exit codes:
     2   invalid parameters (the message names the exact deficit)
     3   a requested cross-check between evaluation routes disagreed, or an
         exact invariant inside a route failed (CrossCheckError)
+    141 stdout was closed before the output was written (128 + SIGPIPE,
+        as a shell shows for `yes | head -1`); nothing goes to stderr
 
 Parameters can come from flags (--q, --alpha, --beta, --gamma) or from a
 JSON file via --params; flags win on conflict, with a warning on stderr.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import fqconv, suites, tensor
@@ -43,6 +46,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_PARAMS = 2
 EXIT_MISMATCH = 3
+EXIT_BROKEN_PIPE = 141
 
 # largest cycle length, partition size or series degree accepted: the
 # cycle-value recurrence costs O(m^2) integer operations on numbers whose
@@ -483,11 +487,18 @@ def main(argv=None) -> int:
     args = _parse(argv)
     limit = sys.get_int_max_str_digits()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except CrossCheckError as exc:
         # a broken invariant inside a route; no route prints before it ends
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the
+        # interpreter's final flush of what is left stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     finally:
         sys.set_int_max_str_digits(limit)
 

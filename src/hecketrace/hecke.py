@@ -27,7 +27,8 @@ lowest degree first with no trailing zero, with no zero term; it sums and
 multiplies tuples by the coefficient kernel of scalars (_add, _times), the
 one QPoly runs.  mul walks each term of the left factor along its word on
 such dicts, and gen_mul_left and left_multiples call the kernel too; each
-wraps its result as a HeckeElement once, at the end.  Validation happens
+wraps its result as a HeckeElement once, at the end.  HeckeElement defines
+no *: mul is the product and scale the scalar multiple.  Validation happens
 where input comes from outside: HeckeElement(rank, terms) tests every key
 and sums repeated ones, while every element this module derives from valid
 ones (products, star and transpose, promote, sums, scalings and the cycle
@@ -133,18 +134,6 @@ class HeckeElement:
         return HeckeElement._of(
             self.rank, {w: p for w, v in self.terms.items() if (p := v * c)}
         )
-
-    def __mul__(self, other):
-        if isinstance(other, (QPoly, Fraction, int)):
-            return self.scale(other)
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (QPoly, Fraction, int)):
-            return self.scale(other)
-        return NotImplemented
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HeckeElement):

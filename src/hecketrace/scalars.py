@@ -10,7 +10,8 @@ arithmetic).  On top of those this module provides:
               its + and * are the one sum and product of such tuples,
               _add and _times, that series_mul and hecke's kernel run too;
   PowerSeries formal series in z truncated at a fixed order M, coefficients
-              of degree 0..M only (ints stay ints);
+              of degree 0..M only (ints stay ints), multiplied by
+              series_mul only;
   SqrtTable / RootElem
               the commutative ring Q[s_1, ..., s_s] / (s_i^2 - x_i) of
               formal square roots of a fixed finite set of positive
@@ -281,11 +282,6 @@ class PowerSeries:
     @classmethod
     def one(cls, order: int) -> "PowerSeries":
         return cls(order, (1,))
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return series_mul(self, other)
 
     def __eq__(self, other) -> bool:
         return (

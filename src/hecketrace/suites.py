@@ -78,31 +78,30 @@ def profile_params(profile, q: Fraction) -> TraceParams:
 # Hecke presentation
 
 
+def _presentation(mul, unit, gens, q) -> tuple[bool, bool, bool]:
+    """Whether the generators gens = (sigma_1, .., sigma_(n-1)) satisfy the
+    three laws of the Hecke presentation under the product mul, as
+    (quadratic, braid, distant_commute): sigma_m^2 = (q-1) sigma_m + q,
+    sigma_m sigma_(m+1) sigma_m = sigma_(m+1) sigma_m sigma_(m+1), and
+    sigma_m sigma_l = sigma_l sigma_m for l >= m + 2.  A law with no pair
+    of generators holds."""
+    quadratic = all(mul(g, g) == g.scale(q - 1) + unit.scale(q) for g in gens)
+    braid = all(mul(mul(g, h), g) == mul(mul(h, g), h) for g, h in zip(gens, gens[1:]))
+    distant = all(
+        mul(g, h) == mul(h, g) for i, g in enumerate(gens) for h in gens[i + 2 :]
+    )
+    return quadratic, braid, distant
+
+
 def hecke_suite() -> list[CheckResult]:
     results = []
-    q = QPoly.var()
-    one = QPoly.const(1)
     rng = Random(SEED)
     for n in range(2, 6):
         unit = HeckeElement.unit(n)
-        gens = {m: HeckeElement.generator(m, n) for m in range(1, n)}
-        ok = all(
-            mul(gens[m], gens[m]) == gens[m].scale(q - one) + unit.scale(q)
-            for m in range(1, n)
-        )
-        results.append(CheckResult(f"hecke.quadratic.n{n}", ok))
-        ok = all(
-            mul(mul(gens[m], gens[m + 1]), gens[m])
-            == mul(mul(gens[m + 1], gens[m]), gens[m + 1])
-            for m in range(1, n - 1)
-        )
-        results.append(CheckResult(f"hecke.braid.n{n}", ok))
-        ok = all(
-            mul(gens[m], gens[l]) == mul(gens[l], gens[m])
-            for m in range(1, n)
-            for l in range(m + 2, n)
-        )
-        results.append(CheckResult(f"hecke.distant_commute.n{n}", ok))
+        gens = [HeckeElement.generator(m, n) for m in range(1, n)]
+        laws = _presentation(mul, unit, gens, QPoly.var())
+        for law, ok in zip(("quadratic", "braid", "distant_commute"), laws):
+            results.append(CheckResult(f"hecke.{law}.n{n}", ok))
         # products of up to 6 generators stay inside the T-basis: every key
         # is a permutation in S_n
         ok = True
@@ -286,34 +285,15 @@ def convolution_suite(cases=CONVOLUTION_CASES) -> list[CheckResult]:
         results.append(CheckResult(f"{tag}.bruhat_cells", ok))
 
         unit = fqconv.unit_function(n, p)
-        sigmas = {m: fqconv.sigma_element(m, n, p) for m in range(1, n)}
+        sigmas = [fqconv.sigma_element(m, n, p) for m in range(1, n)]
         ok = fqconv.convolve(unit, unit) == unit and all(
-            fqconv.convolve(unit, s) == s and fqconv.convolve(s, unit) == s
-            for s in sigmas.values()
+            fqconv.convolve(unit, s) == s and fqconv.convolve(s, unit) == s for s in sigmas
         )
         results.append(CheckResult(f"{tag}.unit", ok))
-        if n >= 2:
-            ok = all(
-                fqconv.convolve(s, s) == s.scale(p - 1) + unit.scale(p)
-                for s in sigmas.values()
-            )
-            results.append(CheckResult(f"{tag}.quadratic_at_q=p", ok))
-        if n >= 3:
-            ok = all(
-                fqconv.convolve(fqconv.convolve(sigmas[m], sigmas[m + 1]), sigmas[m])
-                == fqconv.convolve(
-                    fqconv.convolve(sigmas[m + 1], sigmas[m]), sigmas[m + 1]
-                )
-                for m in range(1, n - 1)
-            )
-            results.append(CheckResult(f"{tag}.braid", ok))
-        if n >= 4:
-            ok = all(
-                fqconv.convolve(sigmas[a], sigmas[b]) == fqconv.convolve(sigmas[b], sigmas[a])
-                for a in range(1, n)
-                for b in range(a + 2, n)
-            )
-            results.append(CheckResult(f"{tag}.distant_commute", ok))
+        # each law from the rank at which it has a pair of generators
+        laws = _presentation(fqconv.convolve, unit, sigmas, p)
+        for law, ok in zip(("quadratic_at_q=p", "braid", "distant_commute")[: n - 1], laws):
+            results.append(CheckResult(f"{tag}.{law}", ok))
 
         structure = fqconv.structure_constants_check(n, p)
         bad = [r for r in structure if not r.passed]

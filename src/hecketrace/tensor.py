@@ -85,7 +85,9 @@ rank up to its slot count.  Index tuples make poor keys: in CPython
 hash(-1) == hash(-2), so all tuples of one length over the two beta
 indices -1 and -2 share one hash, and a dict lookup among them walks one
 long collision chain.
-The right action is the left walk with the codes of I and J swapped.
+The key is the code of the 2n-tuple I followed by J, so the right action
+is the left walk on the J digits: its step at slot a is the left step at
+slot n + a of the same key, on the slots n + 1 to 2n.
 
 The power of sqrt(q) is a grade, not a ring element.  The pairing, and the
 closed walk of matrix_element, sum the even and the odd power of t into
@@ -492,24 +494,6 @@ def _nonzero_walk(walk: _Walk, slots: Iterable[int], state: dict) -> dict:
     return {key: c for key, c in _int_walk(walk, slots, state).items() if c}
 
 
-def _transposed(walk: _Walk, state: dict) -> dict:
-    """A flat state with its codes of I and J swapped."""
-    span = walk.span
-    out = {}
-    for key, c in state.items():
-        code_j, code_i = divmod(key >> 1, span)
-        out[2 * (code_j + span * code_i) + (key & 1)] = c
-    return out
-
-
-def _walk(walk: _Walk, side: Side, slots: Iterable[int], state: dict) -> dict:
-    """_nonzero_walk on the given side: the right action is the left walk
-    with the codes of I and J swapped."""
-    if side == "left":
-        return _nonzero_walk(walk, slots, state)
-    return _transposed(walk, _nonzero_walk(walk, slots, _transposed(walk, state)))
-
-
 def _pairing(walk: _Walk, left: dict, right: dict, nums: dict) -> tuple[int, int]:
     """sum_(I, J) n_J c_L(I, J) c_R(I, J) for two flat states, as the two
     ints (even, odd) of even + odd t: each key of left meets key (same
@@ -579,9 +563,10 @@ def r_matrix_laws(ctx: ModelContext) -> tuple[bool, bool]:
     weight zero included.  On the W-slots, which R does not act on, each
     basis tensor is tagged with its own index tuple, so the columns cannot
     mix: equal states mean equal operators.  The right action is this walk
-    with the codes of I and J swapped, which maps the test state to itself,
-    so it satisfies the laws exactly when the left one does.  Needs at least
-    3 slots."""
+    on the J digits, the slots n + 1 to 2n of the same key; exchanging I and
+    J maps the test state to itself and carries one walk to the other, so
+    the right action satisfies the laws exactly when the left one does.
+    Needs at least 3 slots."""
     if ctx.slots < 3:
         raise ValueError(f"the R-matrix laws need at least 3 slots, have {ctx.slots}")
     walk = ctx.walk
@@ -974,7 +959,8 @@ def bimodule_checks(
     (iii) <A^l B^r Xi, C^l D^r Xi> = trace(C* A B^t (D*)^t).
 
     Both actions are integer walks of b R from the unweighted diagonal
-    Xi_1, and S commutes with both (Xi = S Xi_1, see the module docstring).
+    Xi_1, the right one at the slots n + 1 to 2n of the J digits, and S
+    commutes with both (Xi = S Xi_1, see the module docstring).
     So (i) and (iii) pair the walked states with the weights a_J, and (ii)
     compares the walked states themselves, which is exact because S is
     invertible on the tuples of nonzero-weight indices.  The two sides of
@@ -994,7 +980,8 @@ def bimodule_checks(
         for x, side in steps:
             (w,) = x.terms
             word = reduced_word(w)
-            state = _walk(walk, side, reversed(word), state)
+            shift = 0 if side == "left" else n  # the J digits are slots n + 1 .. 2n
+            state = _nonzero_walk(walk, [a + shift for a in reversed(word)], state)
             taken += len(word)
         return state, taken
 

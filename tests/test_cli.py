@@ -1082,3 +1082,37 @@ def test_module_entry_point_exit_codes(argv, code, out):
         text=True,
     )
     assert (done.returncode, done.stdout) == (code, out), done.stderr
+
+
+CLOSED_STDOUT_COMMANDS = {
+    "trace": ["--m", "3", "--q", "2", "--alpha", "1"],
+    "series": ["--degree", "300", "--q", "5/4", "--alpha", "1/2,1/2", "--dual-path"],
+    "gram": ["--n", "3", "--q", "2", "--alpha", "1/2,1/2"],
+    "verify": ["--suite", "hecke"],
+}
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", CLOSED_STDOUT_COMMANDS)
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(command, buffered):
+    # the read end of the pipe is closed before the child writes: a
+    # buffered stdout fails at main's flush, an unbuffered one at the first
+    # print, and either way the child exits 128 + SIGPIPE without a word
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "hecketrace.cli", command, *CLOSED_STDOUT_COMMANDS[command]],
+            env=env,
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (cli.EXIT_BROKEN_PIPE, "")
+    assert cli.EXIT_BROKEN_PIPE == 141

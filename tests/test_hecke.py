@@ -14,7 +14,7 @@ from hecketrace.hecke import (
     zeta_interval,
     zeta_partition,
 )
-from hecketrace import hecke, permutations, suites
+from hecketrace import fqconv, hecke, permutations, suites
 from hecketrace.permutations import adjacent_transposition, all_perms, compose
 from hecketrace.scalars import QPoly
 
@@ -139,6 +139,78 @@ def test_basis_closure_check_rejects_a_key_that_is_no_permutation(monkeypatch):
     monkeypatch.setattr(suites, "gen_mul_left", faulty)
     closure = {r.name: r.passed for r in suites.hecke_suite() if ".basis_closure." in r.name}
     assert closure == {f"hecke.basis_closure.n{n}": False for n in range(2, 6)}
+
+
+# ---------------------------------------------------------------------------
+# one fault per presentation law, in the T-basis and in the cell algebra
+
+
+def _generator(coeffs, one):
+    """m when coeffs, {w: coefficient}, is the one term one * T_{s_m}, else
+    None."""
+    if len(coeffs) == 1:
+        ((w, c),) = coeffs.items()
+        if c == one and permutations.length(w) == 1:
+            return next(i for i, v in enumerate(w, start=1) if v != i)
+    return None
+
+
+def _break_quadratic(product, generator):
+    # sigma_m sigma_m comes out doubled
+    def faulty(x, y):
+        out = product(x, y)
+        m = generator(x)
+        return out.scale(2) if m is not None and generator(y) == m else out
+
+    return faulty
+
+
+def _break_braid(product, generator):
+    # a product times a generator is taken in the other order: only the
+    # braid law multiplies a product of generators
+    def faulty(x, y):
+        if generator(x) is None and generator(y) is not None:
+            return product(y, x)
+        return product(x, y)
+
+    return faulty
+
+
+def _break_distant_commute(product, generator):
+    # sigma_m sigma_l with l >= m + 2 comes out doubled, sigma_l sigma_m not
+    def faulty(x, y):
+        out = product(x, y)
+        m, l = generator(x), generator(y)
+        return out.scale(2) if m is not None and l is not None and l >= m + 2 else out
+
+    return faulty
+
+
+# law -> (fault, the ranks at which the law has a pair of generators)
+LAW_FAULTS = {
+    "quadratic": (_break_quadratic, (2, 3, 4, 5)),
+    "braid": (_break_braid, (3, 4, 5)),
+    "distant_commute": (_break_distant_commute, (4, 5)),
+}
+
+
+@pytest.mark.parametrize("law", LAW_FAULTS)
+def test_a_fault_in_one_law_fails_that_law_of_the_hecke_suite_only(monkeypatch, law):
+    fault, ranks = LAW_FAULTS[law]
+    monkeypatch.setattr(suites, "mul", fault(mul, lambda x: _generator(x.terms, ONE)))
+    failing = {r.name for r in suites.hecke_suite() if not r.passed}
+    assert failing == {f"hecke.{law}.n{n}" for n in ranks}
+
+
+@pytest.mark.parametrize("law", LAW_FAULTS)
+def test_a_fault_in_one_law_fails_that_law_of_the_convolution_suite_only(monkeypatch, law):
+    fault, ranks = LAW_FAULTS[law]
+    check = "quadratic_at_q=p" if law == "quadratic" else law
+    cases = ((2, 2), (3, 2), (4, 2))
+    convolve = fqconv.convolve
+    monkeypatch.setattr(fqconv, "convolve", fault(convolve, lambda f: _generator(f.values, 1)))
+    failing = {r.name for r in suites.convolution_suite(cases) if not r.passed}
+    assert failing == {f"convolution.gl({n},{p}).{check}" for n, p in cases if n in ranks}
 
 
 # ---------------------------------------------------------------------------

@@ -633,8 +633,8 @@ def test_int_keyed_walk_equals_the_tuple_keyed_walk(rank, q):
         assert {decode(key): c for key, c in keyed.items()} == start
         for w in all_perms(rank):
             word = reduced_word(w)
-            for side in ("left", "right"):
-                got = tensor._walk(walk, side, word, keyed)
+            for side, shift in (("left", 0), ("right", rank)):
+                got = tensor._nonzero_walk(walk, [a + shift for a in word], keyed)
                 want = _tuple_walk(ctx.r_matrix, ctx.t_squared, side, word, start)
                 assert {decode(key): c for key, c in got.items()} == want, (w, side)
 
@@ -691,9 +691,9 @@ def test_one_row_table_walks_every_slot_like_the_tuple_keyed_walk():
     small, full = _both_grade_states(ctx, Random(7))
     for start in (small, full):
         keyed = {encode(*key): c for key, c in start.items()}
-        for side in ("left", "right"):
+        for side, shift in (("left", 0), ("right", 7)):
             for a in range(1, 7):
-                got = tensor._walk(walk, side, [a], keyed)
+                got = tensor._nonzero_walk(walk, [a + shift], keyed)
                 want = _tuple_walk(ctx.r_matrix, ctx.t_squared, side, [a], start)
                 assert {decode(key): c for key, c in got.items()} == want, (len(start), side, a)
 
@@ -1641,14 +1641,16 @@ def _weigh_by_the_first_slot(monkeypatch, ctx):
 
 def _walk_forwards_on_the_right(monkeypatch, ctx):
     # a right action that reads each reduced word from its start acts by
-    # T_{w^-1}, not T_w
-    walk = tensor._walk
+    # T_{w^-1}, not T_w: the steps above slot n, on the J digits, are
+    # taken in reverse order, and the left steps are left alone
+    walk, n = tensor._nonzero_walk, ctx.slots
 
-    def forwards_on_the_right(model, side, slots, state):
+    def forwards_on_the_right(model, slots, state):
         slots = list(slots)
-        return walk(model, side, slots[::-1] if side == "right" else slots, state)
+        right = iter([a for a in slots if a > n][::-1])
+        return walk(model, [next(right) if a > n else a for a in slots], state)
 
-    monkeypatch.setattr(tensor, "_walk", forwards_on_the_right)
+    monkeypatch.setattr(tensor, "_nonzero_walk", forwards_on_the_right)
 
 
 def _star_without_inverse(monkeypatch, ctx):
