@@ -15,6 +15,11 @@ floating-point formatting anywhere in the output layer.  Exit codes:
 Parameters can come from flags (--q, --alpha, --beta, --gamma) or from a
 JSON file via --params; flags win on conflict, with a warning on stderr.
 
+A subcommand (cmd_*) reads its request, bounding every input and raising
+on a bad one, and returns its answer: a function of no arguments that
+computes, prints and returns the exit code.  main is the one place that
+maps an outcome to an exit code.
+
 argv is parsed once: when its first word names a subcommand, that
 subcommand's parser reads the rest, and the top-level parser reads only
 what names none (no argv, -h/--help, an unknown command).  Both come from
@@ -28,6 +33,7 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Callable
 
 from . import fqconv, suites, tensor
 from .hecke import check_partition, zeta_partition
@@ -62,9 +68,8 @@ MAX_SIZE = 300
 # 1e-30 (31,200) (CPython 3.11, shared VM); at the bound it stays about a second
 MAX_VALUE_BITS = 2**14
 
-# most basis tensors |S|^slots per side of a model of `gram` and `verify`, for
-# |S| nonzero weights: the normal form, the Gram matrix and the suites walk all
-# of them, a cost about |S|-fold per slot (CPython 3.11, shared 2-vCPU VM)
+# most basis tensors |S|^slots per side of the widest walk over all of them in
+# `gram` and `verify`, for |S| nonzero weights: a cost about |S|-fold per slot
 MAX_TENSOR_SIZE = 3**8
 
 # most |S|^2 slots for `trace --cross-check`, whose closed walk holds a few open
@@ -129,13 +134,30 @@ def _same_value(old, new) -> bool:
         return False
 
 
-def _resolve_params(args) -> TraceParams:
-    record = {}
-    if args.params:
-        with open(args.params) as fh:
-            record = json.load(fh)
-        if not isinstance(record, dict):
-            raise ValueError(f"params file {args.params} must hold a JSON object")
+def _read_params_file(path: str) -> dict:
+    """The JSON object in a params file, each key once and no deeper than json can nest."""
+
+    def unique(pairs):
+        obj = {}
+        for key, val in pairs:
+            if key in obj:
+                raise ValueError(f"params file {path} repeats the key {key!r}")
+            obj[key] = val
+        return obj
+
+    with open(path) as fh:
+        try:
+            record = json.load(fh, object_pairs_hook=unique)
+        except RecursionError:
+            raise ValueError(f"params file {path} nests too deeply to read") from None
+    if not isinstance(record, dict):
+        raise ValueError(f"params file {path} must hold a JSON object")
+    return record
+
+
+def _resolve_params(args, gamma_refusal: str | None = None) -> TraceParams:
+    """The parameters of the flags and params file; a nonzero gamma raises gamma_refusal."""
+    record = _read_params_file(args.params) if args.params else {}
     flags = {
         "q": args.q,
         "alpha": None if args.alpha is None else _split_list(args.alpha),
@@ -146,165 +168,137 @@ def _resolve_params(args) -> TraceParams:
         if val is None:
             continue
         if args.params and key in record and not _same_value(record[key], val):
-            print(
-                f"warning: --{key} overrides the value from {args.params}",
-                file=sys.stderr,
-            )
+            print(f"warning: --{key} overrides the value from {args.params}", file=sys.stderr)
         record[key] = val
     if "q" not in record:
         raise ValueError("q is required (flag --q or a params file)")
-    return TraceParams.from_record(record)
+    params = TraceParams.from_record(record)
+    if gamma_refusal and params.gamma != 0:
+        raise ValueError(gamma_refusal)
+    return params
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_trace(args) -> int:
-    try:
-        if args.m is not None and args.partition is not None:
-            raise ValueError("--m and --partition exclude each other; give one of them")
-        params = _resolve_params(args)
-        if args.m is not None:
-            if args.m < 1:
-                raise ValueError(f"--m must be >= 1, got {args.m}")
-            parts = (args.m,)
-        elif args.partition is not None:
-            parts = check_partition(_int_list(args.partition))
-            if not parts:
-                raise ValueError(f"--partition {args.partition!r} has no parts")
-        else:
-            raise ValueError("one of --m or --partition is required")
-        _check_size("--m" if args.m is not None else "the sum of --partition", sum(parts), params)
-        rank = max(sum(parts), 2)
-        if args.cross_check:
-            if params.gamma != 0:
-                raise ValueError("--cross-check requires gamma = 0")
-            weights = sum(1 for a in (*params.alpha, *params.beta) if a != 0)
-            if weights**2 * rank > MAX_CROSS_CHECK:
-                raise ValueError(
-                    f"--cross-check walks {weights} weights on {rank} slots, |S|^2 slots = "
-                    f"{weights**2 * rank}, more than MAX_CROSS_CHECK = {MAX_CROSS_CHECK}"
-                )
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
-    sys.set_int_max_str_digits(0)  # the inputs are read: values print in full
-
-    value = partition_trace(parts, params)
-
+def cmd_trace(args) -> Callable[[], int]:
+    if args.m is not None and args.partition is not None:
+        raise ValueError("--m and --partition exclude each other; give one of them")
+    params = _resolve_params(args)
+    if args.m is not None:
+        if args.m < 1:
+            raise ValueError(f"--m must be >= 1, got {args.m}")
+        parts = (args.m,)
+    elif args.partition is not None:
+        parts = check_partition(_int_list(args.partition))
+        if not parts:
+            raise ValueError(f"--partition {args.partition!r} has no parts")
+    else:
+        raise ValueError("one of --m or --partition is required")
+    _check_size("--m" if args.m is not None else "the sum of --partition", sum(parts), params)
+    rank = max(sum(parts), 2)
     if args.cross_check:
-        ctx = ModelContext.create(params, slots=rank)
-        other = tensor.matrix_element(ctx, zeta_partition(parts, rank=rank))
-        if other != value:
-            print(
-                f"error: cross-check mismatch on partition {list(parts)} (params "
-                f"{params.to_record()}): formula {format_fraction(value)}, "
-                f"tensor model {format_fraction(other)}",
-                file=sys.stderr,
-            )
-            return EXIT_MISMATCH
-
-    if args.format == "records":
-        print(
-            json.dumps(
-                {
-                    "partition": list(parts),
-                    "params": params.to_record(),
-                    "value": format_fraction(value),
-                },
-                sort_keys=True,
-            )
-        )
-    else:
-        print(format_fraction(value))
-    return EXIT_OK
-
-
-def cmd_series(args) -> int:
-    try:
-        params = _resolve_params(args)
         if params.gamma != 0:
-            raise ValueError("the generating function requires gamma = 0")
-        order = args.degree
-        if order is None or order < 0:
-            raise ValueError("--degree M with M >= 0 is required")
-        _check_size("--degree", order, params)
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
-    sys.set_int_max_str_digits(0)  # the inputs are read: values print in full
+            raise ValueError("--cross-check requires gamma = 0")
+        weights = sum(1 for a in (*params.alpha, *params.beta) if a != 0)
+        if weights**2 * rank > MAX_CROSS_CHECK:
+            raise ValueError(
+                f"--cross-check walks {weights} weights on {rank} slots, |S|^2 slots = "
+                f"{weights**2 * rank}, more than MAX_CROSS_CHECK = {MAX_CROSS_CHECK}"
+            )
 
-    product = generating_series(params, order)
-    dual = None
-    if args.dual_path:
-        dual = series_from_traces(params, order)
+    def answer() -> int:
+        value = partition_trace(parts, params)
+        if args.cross_check:
+            ctx = ModelContext.create(params, slots=rank)
+            other = tensor.matrix_element(ctx, zeta_partition(parts, rank=rank))
+            if other != value:
+                print(
+                    f"error: cross-check mismatch on partition {list(parts)} (params "
+                    f"{params.to_record()}): formula {format_fraction(value)}, "
+                    f"tensor model {format_fraction(other)}",
+                    file=sys.stderr,
+                )
+                return EXIT_MISMATCH
+        text = format_fraction(value)
+        if args.format == "records":
+            rec = {"partition": list(parts), "params": params.to_record(), "value": text}
+            text = json.dumps(rec, sort_keys=True)
+        print(text)
+        return EXIT_OK
 
-    if args.format == "records":
-        rec = {
-            "params": params.to_record(),
-            "degree": order,
-            "coefficients": [format_fraction(c) for c in product.coeffs],
-        }
-        if dual is not None:
-            rec["from_traces"] = [format_fraction(c) for c in dual.coeffs]
-            rec["match"] = dual == product
-        print(json.dumps(rec, sort_keys=True))
-    else:
-        for d in range(order + 1):
-            line = f"{d},{format_fraction(product.coeffs[d])}"
+    return answer
+
+
+def cmd_series(args) -> Callable[[], int]:
+    params = _resolve_params(args, "the generating function requires gamma = 0")
+    order = args.degree
+    if order is None or order < 0:
+        raise ValueError("--degree M with M >= 0 is required")
+    _check_size("--degree", order, params)
+
+    def answer() -> int:
+        product = generating_series(params, order)
+        dual = series_from_traces(params, order) if args.dual_path else None
+        if args.format == "records":
+            rec = {
+                "params": params.to_record(),
+                "degree": order,
+                "coefficients": [format_fraction(c) for c in product.coeffs],
+            }
             if dual is not None:
-                match = "ok" if dual.coeffs[d] == product.coeffs[d] else "MISMATCH"
-                line += f",{format_fraction(dual.coeffs[d])},{match}"
-            print(line)
-    if dual is not None and dual != product:
-        return EXIT_MISMATCH
-    return EXIT_OK
+                rec["from_traces"] = [format_fraction(c) for c in dual.coeffs]
+                rec["match"] = dual == product
+            print(json.dumps(rec, sort_keys=True))
+        else:
+            for d in range(order + 1):
+                line = f"{d},{format_fraction(product.coeffs[d])}"
+                if dual is not None:
+                    match = "ok" if dual.coeffs[d] == product.coeffs[d] else "MISMATCH"
+                    line += f",{format_fraction(dual.coeffs[d])},{match}"
+                print(line)
+        if dual is not None and dual != product:
+            return EXIT_MISMATCH
+        return EXIT_OK
+
+    return answer
 
 
-def cmd_gram(args) -> int:
-    try:
-        params = _resolve_params(args)
-        if params.gamma != 0:
-            raise ValueError("the Gram report requires gamma = 0")
-        rank = args.n
-        if rank is None or not 1 <= rank <= 3:
-            raise ValueError("--n N with 1 <= N <= 3 is required")
-        _check_size("--n", rank, params)
-        _check_tensor_size("gram", params.alpha, params.beta, rank)
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
-    sys.set_int_max_str_digits(0)  # the inputs are read: values print in full
+def cmd_gram(args) -> Callable[[], int]:
+    params = _resolve_params(args, "the Gram report requires gamma = 0")
+    rank = args.n
+    if rank is None or not 1 <= rank <= 3:
+        raise ValueError("--n N with 1 <= N <= 3 is required")
+    _check_size("--n", rank, params)
+    _check_tensor_size("gram", params.alpha, params.beta, rank)
 
-    gram = tensor.gram_matrix(params, rank)
-    pivots, psd = tensor.ldlt_pivots(gram)
-    basis = all_perms(rank)
-    if args.format == "records":
-        print(
-            json.dumps(
-                {
-                    "params": params.to_record(),
-                    "basis": [format_perm(w) for w in basis],
-                    "gram": [[format_fraction(x) for x in row] for row in gram],
-                    "pivots": [format_fraction(x) for x in pivots],
-                    "psd": psd,
-                },
-                sort_keys=True,
-            )
-        )
-    elif args.format == "table":
-        width = max(len(format_fraction(x)) for row in gram for x in row)
-        for row in gram:
-            print("  ".join(format_fraction(x).rjust(width) for x in row))
-        print("pivots: " + ", ".join(format_fraction(x) for x in pivots))
-        print(f"psd: {'yes' if psd else 'no'}")
-    else:
-        for row in gram:
-            print(",".join(format_fraction(x) for x in row))
-        print("pivots," + ",".join(format_fraction(x) for x in pivots))
-        print(f"psd,{'yes' if psd else 'no'}")
-    return EXIT_OK if psd else EXIT_CHECK_FAILED
+    def answer() -> int:
+        gram = tensor.gram_matrix(params, rank)
+        pivots, psd = tensor.ldlt_pivots(gram)
+        if args.format == "records":
+            rec = {
+                "params": params.to_record(),
+                "basis": [format_perm(w) for w in all_perms(rank)],
+                "gram": [[format_fraction(x) for x in row] for row in gram],
+                "pivots": [format_fraction(x) for x in pivots],
+                "psd": psd,
+            }
+            print(json.dumps(rec, sort_keys=True))
+        elif args.format == "table":
+            width = max(len(format_fraction(x)) for row in gram for x in row)
+            for row in gram:
+                print("  ".join(format_fraction(x).rjust(width) for x in row))
+            print("pivots: " + ", ".join(format_fraction(x) for x in pivots))
+            print(f"psd: {'yes' if psd else 'no'}")
+        else:
+            for row in gram:
+                print(",".join(format_fraction(x) for x in row))
+            print("pivots," + ",".join(format_fraction(x) for x in pivots))
+            print(f"psd,{'yes' if psd else 'no'}")
+        return EXIT_OK if psd else EXIT_CHECK_FAILED
+
+    return answer
 
 
 _PARAM_FLAGS = ("q", "alpha", "beta", "gamma", "params")
@@ -318,80 +312,64 @@ _FLAG_READERS = {
 }
 
 
-def cmd_verify(args) -> int:
-    try:
-        if args.suite not in suites.SUITE_NAMES:
+def cmd_verify(args) -> Callable[[], int]:
+    if args.suite not in suites.SUITE_NAMES:
+        raise ValueError(
+            f"unknown suite {args.suite!r}; choose one of {', '.join(suites.SUITE_NAMES)}"
+        )
+    for attr, readers in _FLAG_READERS.items():
+        if getattr(args, attr) not in (None, False) and args.suite not in (*readers, "all"):
+            flag = "-v" if attr == "verbose" else f"--{attr}"
             raise ValueError(
-                f"unknown suite {args.suite!r}; choose one of "
-                + ", ".join(suites.SUITE_NAMES)
+                f"the {args.suite} suite does not read {flag}; "
+                f"it is read by {', '.join(readers)} and all"
             )
-        for attr, readers in _FLAG_READERS.items():
-            if getattr(args, attr) not in (None, False) and args.suite not in (*readers, "all"):
-                flag = "-v" if attr == "verbose" else f"--{attr}"
-                raise ValueError(
-                    f"the {args.suite} suite does not read {flag}; "
-                    f"it is read by {', '.join(readers)} and all"
-                )
-        if args.m is not None and args.m < 1:
-            raise ValueError(f"--m must be >= 1, got {args.m}")
-        if args.verbose and args.format == "records":
-            raise ValueError("-v dumps states as text; use it without --format records")
-        profiles = params = None
-        qs = suites.DEFAULT_QS
-        if any(getattr(args, name) is not None for name in _PARAM_FLAGS):
-            params = _resolve_params(args)
-            if params.gamma != 0:
-                raise ValueError("verification suites require gamma = 0")
-            profiles = [("custom", params.alpha, params.beta)]
-            qs = (params.q,)
-        m_max = args.m or 5
-        slots = suites.model_slots(args.suite, m_max)
-        # values carry the tensor suite's cycle lengths and every model's slots
-        if args.suite in ("tensor", "all"):
-            _check_size("--m", m_max, params)
-        _check_size(f"the {args.suite} suite's slot count", slots, params)
-        for name, alpha, beta in profiles or suites.default_profiles():
-            _check_tensor_size(
-                f"verify --suite {args.suite} on profile {name}", alpha, beta, slots
-            )
-        cases = None
-        if args.n is not None or args.p is not None:
-            if args.n is None or args.p is None:
-                raise ValueError("--n and --p must be given together")
-            fqconv.check_size(args.n, args.p)
-            cases = ((args.n, args.p),)
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
-    sys.set_int_max_str_digits(0)  # the inputs are read: values print in full
+    if args.m is not None and args.m < 1:
+        raise ValueError(f"--m must be >= 1, got {args.m}")
+    if args.verbose and args.format == "records":
+        raise ValueError("-v dumps states as text; use it without --format records")
+    profiles = params = None
+    qs = suites.DEFAULT_QS
+    if any(getattr(args, name) is not None for name in _PARAM_FLAGS):
+        params = _resolve_params(args, "verification suites require gamma = 0")
+        profiles = [("custom", params.alpha, params.beta)]
+        qs = (params.q,)
+    m_max = args.m or 5
+    # values carry the tensor suite's cycle lengths and every model's slots
+    if args.suite in (*_FLAG_READERS["m"], "all"):
+        _check_size("--m", m_max, params)
+    slots = suites.model_slots(args.suite, m_max)
+    _check_size(f"the {args.suite} suite's slot count", slots, params)
+    width = suites._walk_slots(args.suite, m_max)
+    for name, alpha, beta in profiles or suites.default_profiles():
+        _check_tensor_size(f"verify --suite {args.suite} on profile {name}", alpha, beta, width)
+    cases = None
+    if args.n is not None or args.p is not None:
+        if args.n is None or args.p is None:
+            raise ValueError("--n and --p must be given together")
+        fqconv.check_size(args.n, args.p)
+        cases = ((args.n, args.p),)
 
-    results = suites.run_suite(
-        args.suite, qs=qs, m_max=m_max, profiles=profiles, cases=cases
-    )
-    passed = sum(1 for r in results if r.passed)
-    if args.format == "records":
-        for line in format_records(results):
-            print(line)
-        print(json.dumps({"passed": passed, "total": len(results)}))
-    else:
-        for line in format_results(results):
-            print(line)
-        print(f"passed {passed}/{len(results)}")
-    if args.verbose and args.suite in ("tensor", "all"):
-        _dump_states(profiles, qs)
-    return EXIT_OK if all_passed(results) else EXIT_CHECK_FAILED
+    def answer() -> int:
+        results = suites.run_suite(args.suite, qs=qs, m_max=m_max, profiles=profiles, cases=cases)
+        passed = sum(1 for r in results if r.passed)
+        if args.format == "records":
+            for line in format_records(results):
+                print(line)
+            print(json.dumps({"passed": passed, "total": len(results)}))
+        else:
+            for line in format_results(results):
+                print(line)
+            print(f"passed {passed}/{len(results)}")
+        if args.verbose:  # -v passed _FLAG_READERS: dump the tensor checks' states
+            for name, alpha, beta in profiles or suites.default_profiles():
+                ctx = ModelContext.create(TraceParams(q=qs[0], alpha=alpha, beta=beta), slots=2)
+                print(f"# state {name} q={format_fraction(qs[0])}")
+                for line in tensor.xi_state(ctx).dump_lines():
+                    print(line)
+        return EXIT_OK if all_passed(results) else EXIT_CHECK_FAILED
 
-
-def _dump_states(profiles, qs):
-    """Diagnostic dump of the distinguished two-slot states used by the
-    tensor checks."""
-    for profile in profiles if profiles is not None else suites.default_profiles():
-        name, alpha, beta = profile
-        params = TraceParams(q=qs[0], alpha=alpha, beta=beta)
-        ctx = ModelContext.create(params, slots=2)
-        print(f"# state {name} q={format_fraction(qs[0])}")
-        for line in tensor.xi_state(ctx).dump_lines():
-            print(line)
+    return answer
 
 
 # ---------------------------------------------------------------------------
@@ -479,15 +457,24 @@ def _parse(argv) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    """Run one request, argv or sys.argv[1:], and return its exit code;
-    argparse exits 2 on a malformed command line.  A subcommand's own
-    parser reads its flags (see _parse).  A command reads its inputs under
-    CPython's bound on int string digits (a longer literal exits 2), then
-    lifts it to print every value in full; main restores it."""
-    args = _parse(argv)
+    """Run one request, argv or sys.argv[1:], and return its exit code; the
+    one place that maps outcomes to codes.  argparse's exit passes through
+    once stdout is flushed.  A ValueError, KeyError or OSError while the
+    request is read, under CPython's bound on int string digits, exits 2.
+    The answer then runs with the bound lifted, to print values in full."""
     limit = sys.get_int_max_str_digits()
     try:
-        code = args.func(args)
+        try:
+            args = _parse(argv)
+            answer = args.func(args)
+        except SystemExit:
+            sys.stdout.flush()  # help written to a closed stdout fails here
+            raise
+        except (ValueError, KeyError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_PARAMS
+        sys.set_int_max_str_digits(0)  # the request is read: values print in full
+        code = answer()
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code
     except CrossCheckError as exc:

@@ -126,6 +126,14 @@ def model_slots(suite: str, m_max: int = 5) -> int:
     return max(slots.values()) if suite == "all" else slots.get(suite, 0)
 
 
+def _walk_slots(suite: str, m_max: int = 5) -> int:
+    """Slots of the widest walk over all basis tensors in `suite`: as in
+    model_slots, but max(m_max, 2) for the normal forms and the R table of
+    the tensor suite, whose shift checks and matrix elements walk closed."""
+    slots = {"rmatrix": 3, "tensor": max(m_max, 2), "gram": 4}
+    return max(slots.values()) if suite == "all" else slots.get(suite, 0)
+
+
 # ---------------------------------------------------------------------------
 # R-matrix laws
 

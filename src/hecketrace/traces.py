@@ -157,6 +157,9 @@ class TraceParams(Value):
 
     @classmethod
     def from_record(cls, rec: Mapping) -> "TraceParams":
+        unknown = ", ".join(repr(key) for key in rec if key not in cls._fields)
+        if unknown:
+            raise ValueError(f"a record holds only q, alpha, beta and gamma, not {unknown}")
         for key in ("alpha", "beta"):
             if not isinstance(rec.get(key, ()), (list, tuple)):
                 raise ValueError(f"{key} must be a list of weights, got {rec[key]!r}")

@@ -532,15 +532,49 @@ def test_shift_checks_form_one_base_element_per_cycle_length(monkeypatch):
 
 
 def test_verify_tensor_bounds_the_shift_models_by_the_profile(capsys):
-    # six weights: the cycles at m = 2 need 6^2 tensors, the shift checks 6^5
+    # six weights: the normal form of the m = 5 cycle walks all 6^5 tensors
     six = ",".join(["1/6"] * 6)
     code, out, err = run(
-        capsys, "verify", "--suite", "tensor", "--m", "2", "--q", "2", "--alpha", six
+        capsys, "verify", "--suite", "tensor", "--m", "5", "--q", "2", "--alpha", six
     )
     assert code == 2
     assert out == ""
     assert "6^5 basis tensors per side" in err
     assert f"more than MAX_TENSOR_SIZE = {MAX_TENSOR_SIZE}" in err
+
+
+def test_verify_tensor_admits_what_its_normal_forms_walk(capsys):
+    # six weights at m = 2: the normal forms walk 6^2 tensors; the shift
+    # checks on five slots walk closed, so they are not bounded by 6^5
+    six = ",".join(["1/6"] * 6)
+    code, out, err = run(
+        capsys, "verify", "--suite", "tensor", "--m", "2", "--q", "2", "--alpha", six
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "passed 7/7"
+
+
+@pytest.mark.parametrize("suite", ["rmatrix", "tensor", "gram", "all"])
+@pytest.mark.parametrize("m_max", [1, 3, 5])
+def test_walk_slots_is_the_widest_full_basis_walk_of_a_suite(monkeypatch, suite, m_max):
+    # every walk over all basis tensors starts from _diagonal_keys, and the
+    # R table of a model holds |S|^2 pairs: on two weights the larger of
+    # the two is 2^_walk_slots
+    widest = [0]
+    keys = tensor._diagonal_keys
+
+    def spy(span, codes):
+        codes = list(codes)
+        widest[0] = max(widest[0], len(codes))
+        return keys(span, codes)
+
+    monkeypatch.setattr(tensor, "_diagonal_keys", spy)
+    custom = (Fraction(2, 3), Fraction(1, 3))
+    suites.run_suite(
+        suite, qs=(Fraction(2),), m_max=m_max, profiles=[("custom", custom, ())], cases=((1, 2),)
+    )
+    assert max(widest[0], 2**2) == 2 ** suites._walk_slots(suite, m_max)
+    assert suites._walk_slots("hecke") == suites._walk_slots("convolution") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -840,13 +874,9 @@ def test_parser_is_built_once(capsys, monkeypatch):
 def _through_the_top_level_parser(argv):
     """The oracle of main's parse: all of argv through the top-level parser,
     which scans every flag and hands the subcommand's words to its parser.
-    Like main, it restores the int digit bound that a command lifts."""
+    The subcommand reads the request and returns its answer, which runs."""
     args = cli.build_parser().parse_args(argv)
-    limit = sys.get_int_max_str_digits()
-    try:
-        return args.func(args)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    return args.func(args)()
 
 
 def _outcome(capsys, request, argv):
@@ -1054,6 +1084,32 @@ def test_params_file_weights_must_be_a_list(tmp_path, capsys, key):
     assert f"{key} must be a list of weights, got '1/2,1/2'" in err
 
 
+def test_params_file_refuses_a_key_it_does_not_read(tmp_path, capsys):
+    # a misspelled beta is not dropped: alpha 1/2 and gamma 1/2 would give
+    # the value of another trace
+    f = tmp_path / "params.json"
+    f.write_text(json.dumps({"q": "2", "alpha": ["1/2"], "betas": ["1/2"], "gamma": "1/2"}))
+    code, out, err = run(capsys, "trace", "--m", "2", "--params", str(f))
+    assert (code, out) == (2, "")
+    assert err == "error: a record holds only q, alpha, beta and gamma, not 'betas'\n"
+
+
+def test_params_file_refuses_a_repeated_key(tmp_path, capsys):
+    f = tmp_path / "params.json"
+    f.write_text('{"q": "2", "alpha": ["1"], "q": "3"}')
+    code, out, err = run(capsys, "trace", "--m", "2", "--params", str(f))
+    assert (code, out) == (2, "")
+    assert err == f"error: params file {f} repeats the key 'q'\n"
+
+
+def test_params_file_nested_too_deeply_exits_2(tmp_path, capsys):
+    f = tmp_path / "params.json"
+    f.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "trace", "--m", "2", "--params", str(f))
+    assert (code, out) == (2, "")
+    assert err == f"error: params file {f} nests too deeply to read\n"
+
+
 @pytest.mark.parametrize("content", ["null", "5", '"q"', "[1, 2]"])
 @pytest.mark.parametrize("flags", [(), ("--q", "2", "--alpha", "1")], ids=["file", "flags"])
 def test_params_file_must_hold_an_object(tmp_path, capsys, content, flags):
@@ -1092,12 +1148,14 @@ CLOSED_STDOUT_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("command", CLOSED_STDOUT_COMMANDS)
-def test_a_closed_stdout_exits_141_with_nothing_on_stderr(command, buffered):
-    # the read end of the pipe is closed before the child writes: a
-    # buffered stdout fails at main's flush, an unbuffered one at the first
-    # print, and either way the child exits 128 + SIGPIPE without a word
+# help on a closed stdout: a buffered one takes argparse's write, and main's
+# flush fails
+CLOSED_STDOUT_HELP = {"help": ["--help"], "trace_help": ["trace", "-h"]}
+
+
+def _on_a_closed_stdout(argv, buffered):
+    """(exit code, stderr) of `python -m hecketrace.cli` with argv, its
+    stdout a pipe whose read end is closed before the child writes."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
     if not buffered:
@@ -1106,7 +1164,7 @@ def test_a_closed_stdout_exits_141_with_nothing_on_stderr(command, buffered):
     os.close(read)
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "hecketrace.cli", command, *CLOSED_STDOUT_COMMANDS[command]],
+            [sys.executable, "-m", "hecketrace.cli", *argv],
             env=env,
             stdout=write,
             stderr=subprocess.PIPE,
@@ -1114,5 +1172,28 @@ def test_a_closed_stdout_exits_141_with_nothing_on_stderr(command, buffered):
         )
     finally:
         os.close(write)
-    assert (done.returncode, done.stderr) == (cli.EXIT_BROKEN_PIPE, "")
+    return done.returncode, done.stderr
+
+
+CLOSED_STDOUT_CASES = {
+    f"{command}-{mode}": ([command, *rest], mode == "buffered")
+    for command, rest in CLOSED_STDOUT_COMMANDS.items()
+    for mode in ("buffered", "unbuffered")
+} | {f"{name}-buffered": (argv, True) for name, argv in CLOSED_STDOUT_HELP.items()}
+
+
+@pytest.mark.parametrize(
+    "argv,buffered", CLOSED_STDOUT_CASES.values(), ids=CLOSED_STDOUT_CASES.keys()
+)
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(argv, buffered):
+    # a buffered stdout fails at main's flush, an unbuffered one at the
+    # first print, and either way the child exits 128 + SIGPIPE without a word
+    assert _on_a_closed_stdout(argv, buffered) == (cli.EXIT_BROKEN_PIPE, "")
     assert cli.EXIT_BROKEN_PIPE == 141
+
+
+@pytest.mark.parametrize("argv", CLOSED_STDOUT_HELP.values(), ids=CLOSED_STDOUT_HELP.keys())
+def test_help_on_a_closed_unbuffered_stdout_exits_0_with_nothing_on_stderr(argv):
+    # argparse's own printing drops the write that fails, so nothing is left
+    # for main's flush to fail on
+    assert _on_a_closed_stdout(argv, buffered=False) == (0, "")
